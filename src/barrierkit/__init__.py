@@ -53,7 +53,6 @@ from .passage import (
     default_grid,
 )
 from .pricing import (
-    HAVE_COMPILED_KERNEL,
     McConfig,
     bs_vanilla,
     double_knockout_closed,
@@ -75,7 +74,6 @@ __all__ = [
     "CriticalPrices",
     "DomainError",
     "FLOOR_THETA",
-    "HAVE_COMPILED_KERNEL",
     "KnotOrderError",
     "MarketParams",
     "McConfig",

@@ -25,6 +25,7 @@ import numpy as np
 
 from .critical import s_ml_flat, s_mu_flat
 from .model import DomainError, MarketParams, NumericsError, Payoff
+from .numerics import NoSignChangeError, find_root_bisect
 from .pricing.closed import bs_vanilla, down_and_out_call_closed
 
 BISECT_TOL_S = 1e-6
@@ -128,26 +129,12 @@ def implied_nu(params: MarketParams, barrier: float, side: str, s_crit: float) -
     def gap(nu: float) -> float:
         return flat(params, barrier, nu)[0] - s_crit
 
-    lo, hi = 1e-9, NU_MAX
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if g_lo * g_hi > 0.0:
+    try:
+        return find_root_bisect(gap, 1e-9, NU_MAX, tol_x=NU_TOL)
+    except NoSignChangeError:
         raise NumericsError(
             f"s_crit={s_crit} outside the attainable range for nu in (0, {NU_MAX}]"
-        )
-    while hi - lo > NU_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if g_mid == 0.0:
-            return mid
-        if g_mid * g_lo < 0.0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-    return 0.5 * (lo + hi)
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,17 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv[:at] + extra + argv[at:]
 
 
+def _price_level(text: str) -> float:
+    """argparse type of --s0 and --strike: a positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not (0.0 < value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _add_market(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", type=float, required=True, help="volatility (annual)")
     p.add_argument("--r", type=float, required=True, help="risk-free rate (annual)")
@@ -177,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="name the effective option type at s0")
-    p.add_argument("--s0", type=float, required=True, help="initial asset price")
+    p.add_argument("--s0", type=_price_level, required=True, help="initial asset price")
     _add_market(p)
     _add_barriers(p)
     _add_accuracy(p)
@@ -190,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("price", help="price a knock-out call (closed form or Monte Carlo)")
-    p.add_argument("--s0", type=float, required=True)
-    p.add_argument("--strike", type=float, required=True)
+    p.add_argument("--s0", type=_price_level, required=True)
+    p.add_argument("--strike", type=_price_level, required=True)
     p.add_argument("--method", choices=("closed", "mc"), default="closed")
     _add_market(p)
     _add_barriers(p)
@@ -199,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("breach", help="probability of hitting a barrier before expiry")
-    p.add_argument("--s0", type=float, required=True)
+    p.add_argument("--s0", type=_price_level, required=True)
     p.add_argument("--method", choices=("closed", "mc", "pde"), default="closed")
     _add_market(p)
     _add_barriers(p)
@@ -207,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("calibrate", help="measured critical price and its implied nu")
-    p.add_argument("--strike", type=float, default=100.0)
+    p.add_argument("--strike", type=_price_level, default=100.0)
     p.add_argument("--lower", type=float, help="flat lower barrier level")
     p.add_argument("--upper", type=float, help="flat upper barrier level")
     p.add_argument("--theta", type=float, help="accuracy threshold (power of ten)")
@@ -222,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("sweep", help="price/classification sweep over s0")
-    p.add_argument("--strike", type=float, required=True)
+    p.add_argument("--strike", type=_price_level, required=True)
     _add_market(p)
     _add_barriers(p)
     _add_accuracy(p)

@@ -138,15 +138,22 @@ def maximize_on_interval(
         raise ValueError("scan needs at least 3 points")
 
     h = (b - a) / (scan_points - 1)
+    last = scan_points - 1
     best_i = 0
     best_v = -math.inf
-    for i in range(scan_points):
+    for i in range(last):
         v = f(a + i * h)
         if v > best_v:  # strict: ties keep the earlier (smaller) argument
             best_v = v
             best_i = i
+    # a + last*h can round one ulp past b; no earlier node can reach b.
+    # The clamp stays out of the loop, where min() would double its cost.
+    v = f(min(a + last * h, b))
+    if v > best_v:
+        best_v = v
+        best_i = last
     lo = a + max(best_i - 1, 0) * h
-    hi = a + min(best_i + 1, scan_points - 1) * h
+    hi = min(a + min(best_i + 1, last) * h, b)
 
     # golden-section on [lo, hi]
     iters = scan_points
@@ -171,12 +178,21 @@ def maximize_on_interval(
     v_star = f(t_star)
     # the scan's best sample can only be beaten, never lost
     if best_v > v_star:
-        t_star, v_star = a + best_i * h, best_v
+        t_star, v_star = min(a + best_i * h, b), best_v
     return IntervalResult(argument=t_star, value=v_star, iterations=iters)
 
 
+class NoSignChangeError(ValueError):
+    """find_root_bisect was given an interval on which f does not change sign."""
+
+
 def find_root_bisect(f, a: float, b: float, tol_x: float = 1e-12) -> float:
-    """Root of f on [a, b] by bisection; requires a sign change."""
+    """Root of f on [a, b] by bisection; requires a sign change.
+
+    Returns an end whose value is exactly zero, a midpoint whose value
+    is exactly zero, or the midpoint of the last bracket once it is no
+    wider than tol_x.
+    """
     if not (a < b):
         raise ValueError(f"need a < b, got [{a}, {b}]")
     fa = f(a)
@@ -186,7 +202,7 @@ def find_root_bisect(f, a: float, b: float, tol_x: float = 1e-12) -> float:
     if fb == 0.0:
         return b
     if fa * fb > 0.0:
-        raise ValueError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
+        raise NoSignChangeError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
     while b - a > tol_x:
         m = 0.5 * (a + b)
         if m <= a or m >= b:  # interval at floating resolution

@@ -6,11 +6,10 @@ from .closed import (
     down_and_out_call_closed,
     up_and_out_call_closed,
 )
-from .engine import HAVE_COMPILED_KERNEL, simulate_paths
+from .engine import simulate_paths
 from .mc import McConfig, mc_price
 
 __all__ = [
-    "HAVE_COMPILED_KERNEL",
     "McConfig",
     "bs_vanilla",
     "double_knockout_closed",

@@ -10,10 +10,16 @@ chunk size or worker count; per-path outputs land at fixed offsets of
 preallocated arrays and are reduced once at the end. Re-chunking or
 adding workers therefore cannot change a single bit of the result.
 
-The per-step scan runs in a compiled kernel when available and in a
-NumPy twin otherwise; all transcendentals (quantile transform, logs for
-bridge thresholds) happen up front in NumPy either way, so the two
-kernels are bit-identical by construction.
+The scan is vectorised per chunk. Log-paths are one row-wise
+`np.add.accumulate` over `drift + vol*z`; the accumulate runs along the
+row in order, so each node rounds exactly like a per-step `x + t`
+loop. Each barrier side then yields a boolean (paths, steps) hit
+matrix: a step fires when its far endpoint is at or past the barrier,
+or when the product of its two endpoint log-distances falls below the
+step's bridge threshold. A path's first hit is the argmax over the
+union of the sides' matrices; it freezes the path at the start of that
+step. A step that fires on both sides is a tie, which the path's
+reserve words resolve to one side.
 """
 
 from __future__ import annotations
@@ -27,17 +33,6 @@ from scipy.special import ndtri
 
 from ..model import BarrierSet, DomainError, MarketParams
 
-try:
-    from .. import _pathkernel as _kernel
-
-    HAVE_COMPILED_KERNEL = True
-except ImportError:
-    from .. import _pathkernel_np as _kernel
-
-    HAVE_COMPILED_KERNEL = False
-
-from .. import _pathkernel_np
-
 RESERVE_WORDS = 8
 _U_SHIFT = 2.0**-54
 _U_MAX = 1.0 - 2.0**-53
@@ -46,7 +41,6 @@ _WORD_BUDGET = 2**48
 STATUS_ALIVE = 0
 STATUS_LOWER = 1
 STATUS_UPPER = 2
-STATUS_TIE = 3
 
 
 def n_steps_for(steps_per_year: int, T: float) -> int:
@@ -130,7 +124,6 @@ def simulate_paths(
     chunk: int,
     workers: int = 1,
     bridge: bool = True,
-    force_numpy_kernel: bool = False,
 ) -> PathResult:
     """Scan `paths` exact-lognormal paths against the barrier set.
 
@@ -154,44 +147,64 @@ def simulate_paths(
     x0 = math.log(s0)
     bl = _barrier_logs(barriers.lower, n, dt, params.T) if has_l else None
     bu = _barrier_logs(barriers.upper, n, dt, params.T) if has_u else None
-    dummy1 = np.zeros(1)
-    dummy2 = np.zeros((1, 1))
-
+    half_var_dt = 0.5 * params.sigma**2 * dt
+    reserve_base = n * (1 + int(has_l) + int(has_u))
     status = np.zeros(paths, dtype=np.uint8)
     x_final = np.empty(paths, dtype=np.float64)
-    tie_step = np.full(paths, -1, dtype=np.int64)
-    tie_x0 = np.zeros(paths, dtype=np.float64)
-    tie_x1 = np.zeros(paths, dtype=np.float64)
 
-    kern = _pathkernel_np if force_numpy_kernel else _kernel
-    half_var_dt = 0.5 * params.sigma**2 * dt
+    def side_hits(X: np.ndarray, u: np.ndarray, b: np.ndarray, upper: bool, col: int) -> np.ndarray:
+        # one distance matrix serves both ends: step i starts where step
+        # i-1 ends. Freeing it before the thresholds are built keeps two
+        # (paths, steps) float arrays alive here, not three.
+        D = b - X if upper else X - b
+        hit = D[:, 1:] <= 0.0
+        prod = D[:, :-1] * D[:, 1:]
+        del D
+        if bridge:
+            w = u[:, col : col + n] + _U_SHIFT
+            np.log(w, out=w)
+            w *= -half_var_dt
+        else:
+            w = 0.0
+        hit |= prod < w
+        return hit
 
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
         gen = np.random.Generator(np.random.Philox(key=seed, counter=(lo * wpp) // 4))
         u = gen.random((m, wpp))
-        z = ndtri(np.minimum(u[:, :n] + _U_SHIFT, _U_MAX))
-        col = n
-        wl = wu = dummy2
-        if has_l:
-            if bridge:
-                wl = -half_var_dt * np.log(u[:, col : col + n] + _U_SHIFT)
-            else:
-                wl = np.zeros((m, n))
-            col += n
-        if has_u:
-            if bridge:
-                wu = -half_var_dt * np.log(u[:, col : col + n] + _U_SHIFT)
-            else:
-                wu = np.zeros((m, n))
-            col += n
-        kern.run_paths(
-            x0, drift, vol, z,
-            has_l, bl if has_l else dummy1, wl,
-            has_u, bu if has_u else dummy1, wu,
-            status[lo:hi], x_final[lo:hi],
-            tie_step[lo:hi], tie_x0[lo:hi], tie_x1[lo:hi],
-        )
+        X = np.empty((m, n + 1))
+        X[:, 0] = x0
+        q = u[:, :n] + _U_SHIFT
+        np.minimum(q, _U_MAX, out=q)
+        ndtri(q, out=X[:, 1:])
+        del q
+        X[:, 1:] *= vol
+        X[:, 1:] += drift
+        np.add.accumulate(X, axis=1, out=X)
+        x_final[lo:hi] = X[:, n]
+        if not (has_l or has_u):
+            return
+
+        hl = side_hits(X, u, bl, False, n) if has_l else None
+        hu = side_hits(X, u, bu, True, n * (1 + int(has_l))) if has_u else None
+        del u
+        hit = hu if hl is None else (hl if hu is None else hl | hu)
+        first = hit.argmax(axis=1)
+        knocked = np.flatnonzero(hit[np.arange(m), first])
+        step = first[knocked]
+        # a knocked path freezes at the start of its first firing step
+        x_final[lo + knocked] = X[knocked, step]
+        neither = np.zeros(knocked.size, dtype=bool)
+        on_l = neither if hl is None else hl[knocked, step]
+        on_u = neither if hu is None else hu[knocked, step]
+        status[lo + knocked] = np.where(on_l, STATUS_LOWER, STATUS_UPPER)
+        for k in np.flatnonzero(on_l & on_u):
+            p, i = int(knocked[k]), int(step[k])
+            r = _path_words(seed, lo + p, wpp)[reserve_base : reserve_base + RESERVE_WORDS]
+            status[lo + p] = _resolve_tie(
+                r, X[p, i], X[p, i + 1], params.sigma, dt, bl, bu, i
+            )
 
     bounds = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
     if workers > 1 and len(bounds) > 1:
@@ -200,12 +213,5 @@ def simulate_paths(
     else:
         for lo, hi in bounds:
             run_chunk(lo, hi)
-
-    reserve_base = n * (1 + int(has_l) + int(has_u))
-    for p in np.flatnonzero(status == STATUS_TIE):
-        r = _path_words(seed, int(p), wpp)[reserve_base : reserve_base + RESERVE_WORDS]
-        status[p] = _resolve_tie(
-            r, tie_x0[p], tie_x1[p], params.sigma, dt, bl, bu, int(tie_step[p])
-        )
 
     return PathResult(status=status, x_final=x_final, n_steps=n, dt=dt)

@@ -67,8 +67,8 @@ def mc_price(
     bridge=False downgrades to naive discrete monitoring on the same
     draws, for measuring what the bridge correction is worth.
     """
-    if s0 <= 0.0:
-        raise DomainError(f"s0 must be positive, got {s0}")
+    if not (0.0 < s0 < math.inf):
+        raise DomainError(f"s0 must be positive and finite, got {s0}")
     disc = math.exp(-params.r * params.T)
     barriers = spec.barriers
     if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, params.T):

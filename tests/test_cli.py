@@ -374,6 +374,33 @@ def test_exit_3_unreachable_accuracy(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["price", "--s0", "nan", "--strike", "100", "--lower", "70"],
+        ["price", "--s0", "nan", "--strike", "100", "--lower", "70", "--method", "mc",
+         "--paths", "1000"],
+        ["price", "--s0", "100", "--strike", "nan", "--lower", "70"],
+        ["price", "--s0", "100", "--strike", "-5", "--lower", "70"],
+        ["price", "--s0", "100", "--strike", "inf", "--lower", "70"],
+        ["price", "--s0", "0", "--strike", "100"],
+        ["breach", "--s0", "nan", "--lower", "70"],
+        ["breach", "--s0", "nan", "--lower", "70", "--method", "mc", "--paths", "1000"],
+        ["classify", "--s0", "nan", "--lower", "70", "--nu", "4.9"],
+        ["classify", "--s0", "-110", "--lower", "70", "--nu", "4.9"],
+        ["calibrate", "--lower", "70", "--strike", "nan", "--theta", "1e-2"],
+        ["sweep", "--strike", "nan", "--lower", "70", "--nu", "4.9"],
+        ["sweep", "--strike", "0", "--lower", "70", "--nu", "4.9"],
+    ],
+)
+def test_exit_2_non_positive_or_non_finite_price_levels(capsys, argv):
+    code, out, err = _call(capsys, *argv, *MKT)
+    assert code == 2
+    assert "nan" not in out.lower()
+    assert "positive and finite" in err
+    assert "Traceback" not in err
+
+
 def test_exit_2_unknown_flag(capsys):
     code, _, _ = _call(capsys, "price", "--s0", "100", "--strike", "100",
                        "--bogus", "1", *MKT)

@@ -184,12 +184,14 @@ class TestCriticalPrices:
             critical_prices(mk_params(0.3, 0.25), BarrierSet(), 4.9)
 
     def test_curved_lower_runs_optimizer(self):
-        # growing barrier keeps the curve increasing; maximum at the horizon
-        p = mk_params(0.15, 0.25)
+        # growing barrier keeps the curve increasing; maximum at the horizon.
+        # At the second horizon the last scan point a + 1000*h rounds one
+        # ulp past T; the reference values are 40-digit evaluations.
         bs = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.05))
-        cp = critical_prices(p, bs, 4.9)
-        assert cp.s_ml == pytest.approx(100.1138203323573, rel=1e-10)
-        assert cp.t_at_max == pytest.approx(0.25, abs=1e-6)
+        for T, expected in ((0.25, 100.1138203323573), (0.995325888840994, 140.2191584441792181)):
+            cp = critical_prices(mk_params(0.15, T), bs, 4.9)
+            assert cp.s_ml == pytest.approx(expected, rel=1e-10)
+            assert cp.t_at_max == pytest.approx(T, abs=1e-6)
 
     def test_curved_matches_flat_when_growth_zero(self):
         p = mk_params(0.30, 0.25)

@@ -1,20 +1,18 @@
-"""Path engine: kernel equivalence, determinism, and step accounting."""
+"""Path engine: scan against a scalar reference, determinism, and step accounting."""
 
-import importlib.machinery
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-import barrierkit
 from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
 from barrierkit.pricing.engine import (
-    HAVE_COMPILED_KERNEL,
+    RESERVE_WORDS,
     STATUS_ALIVE,
     STATUS_LOWER,
-    STATUS_TIE,
     STATUS_UPPER,
+    _resolve_tie,
     n_steps_for,
     simulate_paths,
     words_per_path,
@@ -27,13 +25,49 @@ def mk_params(sigma=0.30, T=0.25, r=0.10):
 
 DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
 
-# where a build puts the compiled kernel: _pathkernel plus any extension
-# suffix, next to the package's modules
-KERNEL_FILES = [
-    Path(d) / f"_pathkernel{suffix}"
-    for d in barrierkit.__path__
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES
-]
+
+def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=True):
+    """One path at a time, one step at a time, on draws re-derived from the
+    documented layout: path p reads words [p*wpp, (p+1)*wpp) of the Philox
+    stream keyed by the seed, as n normals, n bridge uniforms per side and
+    the tie reserve. Returns (status, x_final, number of ties)."""
+    n = n_steps_for(steps_per_year, params.T)
+    has_l, has_u = barriers.lower is not None, barriers.upper is not None
+    wpp = words_per_path(n, has_l, has_u)
+    dt = params.T / n
+    drift = (params.mu - 0.5 * params.sigma**2) * dt
+    vol = params.sigma * math.sqrt(dt)
+    h = 0.5 * params.sigma**2 * dt
+    sides = [c for c in (barriers.lower, barriers.upper) if c is not None]
+    logs = [np.array([math.log(c.value_at(i * dt, params.T)) for i in range(n + 1)]) for c in sides]
+    bl = logs[0] if has_l else None
+    bu = logs[-1] if has_u else None
+    status = np.zeros(paths, dtype=np.uint8)
+    x_final = np.empty(paths)
+    ties = 0
+    for p in range(paths):
+        u = np.random.Generator(np.random.Philox(key=seed, counter=p * wpp // 4)).random(wpp)
+        z = ndtri(np.minimum(u[:n] + 2.0**-54, 1.0 - 2.0**-53))
+        ws = [-h * np.log(u[k * n : (k + 1) * n] + 2.0**-54) if bridge else np.zeros(n)
+              for k in range(1, 1 + len(sides))]
+        wl = ws[0] if has_l else None
+        wu = ws[-1] if has_u else None
+        x, st = math.log(s0), STATUS_ALIVE
+        for i in range(n):
+            x1 = x + (drift + vol * z[i])
+            hl = has_l and (x1 - bl[i + 1] <= 0.0 or (x - bl[i]) * (x1 - bl[i + 1]) < wl[i])
+            hu = has_u and (bu[i + 1] - x1 <= 0.0 or (bu[i] - x) * (bu[i + 1] - x1) < wu[i])
+            if hl and hu:
+                reserve = u[n * (1 + len(sides)) :][:RESERVE_WORDS]
+                st = _resolve_tie(reserve, x, x1, params.sigma, dt, bl, bu, i)
+                ties += 1
+            elif hl or hu:
+                st = STATUS_LOWER if hl else STATUS_UPPER
+            if hl or hu:
+                break
+            x = x1
+        status[p], x_final[p] = st, x
+    return status, x_final, ties
 
 
 class TestStepAccounting:
@@ -53,34 +87,41 @@ class TestStepAccounting:
                     assert w >= n * (1 + hl + hu) + 8
 
 
-class TestKernelEquivalence:
-    @pytest.mark.skipif(
-        not any(f.is_file() for f in KERNEL_FILES),
-        reason="extension not built: no file "
-        + ", ".join(f.name for f in KERNEL_FILES) + " in barrierkit/",
+NEAR_DKO = BarrierSet(lower=BarrierCurve.flat(85.0), upper=BarrierCurve.flat(115.0))
+# three steps in a narrowing corridor: many steps fire on both sides
+CORRIDOR = BarrierSet(
+    lower=BarrierCurve.exponential(88.0, 0.2), upper=BarrierCurve.exponential(112.0, -0.2)
+)
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize(
+        "barriers, steps, sigma, bridge",
+        [
+            (BarrierSet(lower=BarrierCurve.flat(90.0)), 100, 0.30, True),
+            (BarrierSet(upper=BarrierCurve.flat(110.0)), 100, 0.30, True),
+            (NEAR_DKO, 100, 0.30, True),
+            (CORRIDOR, 12, 0.40, True),
+            (NEAR_DKO, 100, 0.30, False),
+        ],
+        ids=["single-lower", "single-upper", "flat-double", "tie-corridor", "bridge-off"],
     )
-    def test_compiled_kernel_present(self):
-        # a built extension must load: the engine's import falls back to
-        # the numpy kernel on ImportError, which would hide a broken build
-        assert HAVE_COMPILED_KERNEL
-
-    @pytest.mark.parametrize("bridge", [True, False])
-    def test_numpy_fallback_bit_identical(self, bridge):
-        p = mk_params()
-        kw = dict(paths=20_000, steps_per_year=100, seed=21, chunk=4096, bridge=bridge)
-        fast = simulate_paths(p, DKO, 100.0, **kw)
-        slow = simulate_paths(p, DKO, 100.0, force_numpy_kernel=True, **kw)
-        assert np.array_equal(fast.status, slow.status)
-        assert np.array_equal(fast.x_final, slow.x_final)
-
-    def test_numpy_fallback_single_barrier(self):
-        p = mk_params()
-        bs = BarrierSet(lower=BarrierCurve.flat(70.0))
-        kw = dict(paths=10_000, steps_per_year=100, seed=22, chunk=2048)
-        fast = simulate_paths(p, bs, 100.0, **kw)
-        slow = simulate_paths(p, bs, 100.0, force_numpy_kernel=True, **kw)
-        assert np.array_equal(fast.status, slow.status)
-        assert np.array_equal(fast.x_final, slow.x_final)
+    def test_bit_identical_to_scalar_scan(self, barriers, steps, sigma, bridge):
+        p = mk_params(sigma=sigma)
+        want_status, want_x, ties = reference_scan(p, barriers, 100.0, 1500, steps, 41, bridge)
+        got = simulate_paths(
+            p, barriers, 100.0, paths=1500, steps_per_year=steps, seed=41, chunk=512, bridge=bridge
+        )
+        assert np.array_equal(got.status, want_status)
+        assert np.array_equal(got.x_final, want_x)
+        # every outcome the scan can produce shows up
+        assert STATUS_ALIVE in want_status
+        if barriers.lower is not None:
+            assert STATUS_LOWER in want_status
+        if barriers.upper is not None:
+            assert STATUS_UPPER in want_status
+        if barriers is CORRIDOR:
+            assert ties > 0
 
 
 class TestDeterminism:
@@ -111,8 +152,7 @@ class TestStatuses:
         res = simulate_paths(p, DKO, 100.0, paths=50_000, steps_per_year=12, seed=17, chunk=8192)
         assert res.status.dtype == np.uint8
         legal = {STATUS_ALIVE, STATUS_LOWER, STATUS_UPPER}
-        assert set(np.unique(res.status)).issubset(legal)
-        assert STATUS_TIE not in res.status
+        assert set(np.unique(res.status)).issubset(legal)  # no unresolved tie (code 3)
 
     def test_no_barriers_all_alive(self):
         p = mk_params()
