@@ -18,7 +18,6 @@ from .classify import classify_double, classify_down_and_out, classify_up_and_ou
 from .critical import (
     critical_prices,
     lower_critical_curve,
-    mu1,
     s_ml_flat,
     s_mu_flat,
     turning_point,
@@ -99,7 +98,6 @@ __all__ = [
     "implied_nu",
     "lower_critical_curve",
     "mc_price",
-    "mu1",
     "nu_for_accuracy",
     "numeric_critical_price",
     "reproduce_table1",

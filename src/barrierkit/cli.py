@@ -39,7 +39,7 @@ from .pricing import (
 
 _MARKET = ("sigma", "r", "T")
 _BARRIER = ("lower", "upper", "lower-growth", "upper-growth", "lower-file", "upper-file")
-_ACCURACY = ("nu", "pi", "digits")
+_ACCURACY = ("nu", "pi")
 _MC = ("paths", "steps", "seed")
 _COMMON = ("csv", "config")
 
@@ -164,9 +164,8 @@ def _add_barriers(p: argparse.ArgumentParser) -> None:
 
 
 def _add_accuracy(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu", type=float, help="distance parameter nu (wins over --pi/--digits)")
+    p.add_argument("--nu", type=float, help="distance parameter nu (wins over --pi)")
     p.add_argument("--pi", type=float, help="breach-probability budget; nu from its quantile")
-    p.add_argument("--digits", type=int, help="decimal digits of price accuracy (theta = 10^-digits)")
 
 
 def _add_mc(p: argparse.ArgumentParser) -> None:
@@ -287,14 +286,12 @@ def _params_from_args(args) -> MarketParams:
 
 
 def _nu_from_args(args) -> float:
-    nu = getattr(args, "nu", None)
-    pi = getattr(args, "pi", None)
-    if nu is not None:
-        if pi is not None or getattr(args, "digits", None) is not None:
-            print("warning: --nu given, ignoring --pi/--digits", file=sys.stderr)
-        return nu
-    if pi is not None:
-        return nu_for_accuracy(pi)
+    if args.nu is not None:
+        if args.pi is not None:
+            print("warning: --nu given, ignoring --pi", file=sys.stderr)
+        return args.nu
+    if args.pi is not None:
+        return nu_for_accuracy(args.pi)
     raise ValidationError("need --nu or --pi to fix the accuracy distance")
 
 

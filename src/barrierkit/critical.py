@@ -15,7 +15,6 @@ optimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     BarrierCurve,
@@ -26,17 +25,6 @@ from .model import (
     MarketParams,
 )
 from .numerics import maximize_on_interval, std_normal_cdf
-
-
-@dataclass(frozen=True)
-class DriftAdjusted:
-    """Log-space drift mu - sigma^2/2 of the price process."""
-
-    mu1: float
-
-
-def mu1(params: MarketParams) -> DriftAdjusted:
-    return DriftAdjusted(mu1=params.mu - 0.5 * params.sigma * params.sigma)
 
 
 def _m1(params: MarketParams) -> float:

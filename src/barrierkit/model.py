@@ -46,6 +46,15 @@ class NumericsError(RuntimeError):
 ORDERING_GRID_POINTS = 1001
 
 
+def require_price_level(name: str, value: float) -> None:
+    """Reject a price level (s0, strike, barrier) that is not positive and finite.
+
+    Written so that NaN fails too: every comparison with NaN is false.
+    """
+    if not (0.0 < value < math.inf):
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Lognormal market bundle: drift, volatility, rate, horizon.
@@ -155,11 +164,6 @@ class BarrierCurve:
         if self.shape is BarrierShape.TABULATED:
             return self.knots[-1][0] >= T
         return True
-
-
-def barrier_at(curve: BarrierCurve, t: float, T: float = math.inf) -> float:
-    """Evaluate one barrier curve at time t (module-level convenience)."""
-    return curve.value_at(t, T)
 
 
 @dataclass(frozen=True)

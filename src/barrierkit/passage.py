@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import BarrierSet, DomainError, MarketParams
+from .model import BarrierSet, DomainError, MarketParams, require_price_level
 from .numerics import std_normal_cdf
 from .pricing.engine import STATUS_LOWER, STATUS_UPPER, simulate_paths
 from .pricing.mc import McConfig
@@ -27,8 +27,8 @@ def breach_prob_closed_flat(
     """P(flat barrier breached before T) for one side, reflection form."""
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    if barrier <= 0.0 or s0 <= 0.0:
-        raise DomainError("barrier and s0 must be positive")
+    require_price_level("s0", s0)
+    require_price_level("barrier", barrier)
     if T < 0.0:
         raise DomainError(f"T must be nonnegative, got {T}")
     if s0 == barrier:
@@ -74,6 +74,7 @@ def breach_prob_mc(
     side, ties resolved by the engine), so the probabilities sum to at
     most 1.
     """
+    require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
     if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, params.T):
@@ -145,6 +146,7 @@ def breach_prob_pde(
     second derivative. Returns Q at (s0, 0) by linear interpolation in
     log-space.
     """
+    require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
     if T <= 0.0:

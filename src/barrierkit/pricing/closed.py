@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import math
 
-from ..model import DomainError, MarketParams, Payoff, PriceEstimate, PricingMethod
+from ..model import (
+    DomainError,
+    MarketParams,
+    Payoff,
+    PriceEstimate,
+    PricingMethod,
+    require_price_level,
+)
 from ..numerics import std_normal_cdf, std_normal_sf
 
 
@@ -37,8 +44,8 @@ def _cdf_diff(hi: float, lo: float) -> float:
 
 def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -> PriceEstimate:
     """Lognormal European price; put obtained from the call by parity."""
-    if s0 <= 0.0:
-        raise DomainError(f"s0 must be positive, got {s0}")
+    require_price_level("s0", s0)
+    require_price_level("strike", strike)
     try:
         payoff = Payoff(payoff)  # tolerate the string forms "call"/"put"
     except ValueError:
@@ -66,8 +73,9 @@ def down_and_out_call_closed(
     value converges to the vanilla representation exactly (bit for bit)
     once the correction drops below one ulp of the price.
     """
-    if barrier <= 0.0:
-        raise DomainError(f"barrier must be positive, got {barrier}")
+    require_price_level("s0", s0)
+    require_price_level("strike", strike)
+    require_price_level("barrier", barrier)
     if s0 <= barrier:
         return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
     T = params.T
@@ -110,8 +118,9 @@ def up_and_out_call_closed(
     strike sits below it; otherwise the price integrates the surviving
     density over the slab between strike and barrier.
     """
-    if barrier <= 0.0:
-        raise DomainError(f"barrier must be positive, got {barrier}")
+    require_price_level("s0", s0)
+    require_price_level("strike", strike)
+    require_price_level("barrier", barrier)
     if s0 >= barrier:
         return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
     if barrier <= strike:
@@ -161,9 +170,14 @@ def double_knockout_closed(
     one integrates against the lognormal density in closed form. The sum
     runs over n = 0, +-1, +-2, ... and stops once two consecutive shells
     each contribute less than 1e-12 * s0 (hard cap |n| = 50, never
-    reached for sane inputs). Strikes below the lower barrier's terminal
-    level are rebased to that level plus a survival-weighted cash leg.
+    reached for sane inputs). A strike below the lower barrier's terminal
+    level L_T needs no special case: every surviving path ends above L_T,
+    so the payoff slab starts at max(strike, L_T), and the cash leg over
+    the whole corridor is the survival mass itself.
     """
+    require_price_level("s0", s0)
+    require_price_level("strike", strike)
+    require_price_level("upper", upper)
     if not (0.0 < lower < upper):
         raise DomainError(f"need 0 < lower < upper, got ({lower}, {upper})")
     if not (lower < s0 < upper):
@@ -177,19 +191,6 @@ def double_knockout_closed(
         raise DomainError("barriers cross before expiry")
     if strike >= upper_T:
         return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
-    if strike < lower_T:
-        # payoff splits into (S_T - L_T)^+ plus cash (L_T - strike) alive:
-        # rebase the strike to L_T and add a survival-weighted cash leg,
-        # with the survival mass read off the strike sensitivity
-        base = double_knockout_closed(params, lower_T, lower, upper, s0, curvature).value
-        hstep = 1e-5 * lower_T
-        c0 = base
-        c1 = double_knockout_closed(params, lower_T + hstep, lower, upper, s0, curvature).value
-        c2 = double_knockout_closed(params, lower_T + 2.0 * hstep, lower, upper, s0, curvature).value
-        survival = -(-3.0 * c0 + 4.0 * c1 - c2) / (2.0 * hstep) / disc
-        value = base + (lower_T - strike) * disc * survival
-        return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
-
     sig = params.sigma
     s2t = sig * sig * T
     srt = sig * math.sqrt(T)
@@ -200,7 +201,7 @@ def double_knockout_closed(
     a0 = math.log(s0 / lower)
     big_d0 = math.log(upper / lower)
     big_dt = math.log(upper_T / s0) - lt
-    x1 = math.log(strike / s0)  # >= lt, smaller strikes were rebased
+    x1 = math.log(max(strike, lower_T) / s0)  # no survivor ends below L_T
     x2 = math.log(upper_T / s0)
 
     def scaled(logpref: float, hi: float, lo: float) -> float:

@@ -19,7 +19,8 @@ or when the product of its two endpoint log-distances falls below the
 step's bridge threshold. A path's first hit is the argmax over the
 union of the sides' matrices; it freezes the path at the start of that
 step. A step that fires on both sides is a tie, which the path's
-reserve words resolve to one side.
+reserve words resolve to one side; the tie paths' reserve rows are
+gathered from the chunk's word matrix before it is freed.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ class PathResult:
 
 def _barrier_logs(curve, n: int, dt: float, T: float) -> np.ndarray:
     return np.array([math.log(curve.value_at(i * dt, T)) for i in range(n + 1)])
-
-
-def _path_words(seed: int, path: int, wpp: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=seed, counter=(path * wpp) // 4))
-    return gen.random(wpp)
 
 
 def _resolve_tie(
@@ -188,7 +184,6 @@ def simulate_paths(
 
         hl = side_hits(X, u, bl, False, n) if has_l else None
         hu = side_hits(X, u, bu, True, n * (1 + int(has_l))) if has_u else None
-        del u
         hit = hu if hl is None else (hl if hu is None else hl | hu)
         first = hit.argmax(axis=1)
         knocked = np.flatnonzero(hit[np.arange(m), first])
@@ -198,10 +193,12 @@ def simulate_paths(
         neither = np.zeros(knocked.size, dtype=bool)
         on_l = neither if hl is None else hl[knocked, step]
         on_u = neither if hu is None else hu[knocked, step]
+        ties = np.flatnonzero(on_l & on_u)
+        reserve = u[knocked[ties], reserve_base : reserve_base + RESERVE_WORDS]
+        del u
         status[lo + knocked] = np.where(on_l, STATUS_LOWER, STATUS_UPPER)
-        for k in np.flatnonzero(on_l & on_u):
+        for k, r in zip(ties, reserve):
             p, i = int(knocked[k]), int(step[k])
-            r = _path_words(seed, lo + p, wpp)[reserve_base : reserve_base + RESERVE_WORDS]
             status[lo + p] = _resolve_tie(
                 r, X[p, i], X[p, i + 1], params.sigma, dt, bl, bu, i
             )

@@ -20,6 +20,7 @@ from ..model import (
     Payoff,
     PriceEstimate,
     PricingMethod,
+    require_price_level,
 )
 from .engine import STATUS_ALIVE, STATUS_LOWER, STATUS_UPPER, simulate_paths
 
@@ -67,8 +68,7 @@ def mc_price(
     bridge=False downgrades to naive discrete monitoring on the same
     draws, for measuring what the bridge correction is worth.
     """
-    if not (0.0 < s0 < math.inf):
-        raise DomainError(f"s0 must be positive and finite, got {s0}")
+    require_price_level("s0", s0)
     disc = math.exp(-params.r * params.T)
     barriers = spec.barriers
     if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, params.T):

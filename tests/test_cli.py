@@ -1,11 +1,14 @@
 """CLI surface: dispatch, formats, exit codes, config merging."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import barrierkit
 from barrierkit.cli import _PRECISION_NOTE, emit_csv, run
 from barrierkit.critical import s_mu_flat
 from barrierkit.model import MarketParams, ValidationError
@@ -405,6 +408,10 @@ def test_exit_2_unknown_flag(capsys):
     code, _, _ = _call(capsys, "price", "--s0", "100", "--strike", "100",
                        "--bogus", "1", *MKT)
     assert code == 2
+    # --digits sets theta, so only calibrate and table1 take it
+    for cmd in (["classify", "--s0", "110"], ["critical"], ["sweep", "--strike", "100"]):
+        code, out, err = _call(capsys, *cmd, "--lower", "70", *MKT, "--nu", "4.9", "--digits", "6")
+        assert code == 2 and out == "" and "--digits" in err
 
 
 def test_exit_2_unknown_subcommand(capsys):
@@ -495,7 +502,7 @@ def test_nu_wins_over_pi_with_warning(capsys):
     code, both, err = _call(capsys, *base, "--nu", "4.9", "--pi", "1e-6")
     assert code == 0
     assert both == plain
-    assert err == "warning: --nu given, ignoring --pi/--digits\n"
+    assert err == "warning: --nu given, ignoring --pi\n"
 
 
 def test_theta_wins_over_digits_with_warning(capsys):
@@ -659,11 +666,14 @@ def test_help_exits_zero(capsys, cmd):
 
 
 def test_console_script_entry_point():
+    # the child imports the same barrierkit tree as this process
+    src = str(Path(barrierkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "barrierkit", "classify", "--s0", "110",
          "--lower", "70", "--sigma", "0.15", "--r", "0.10", "--T", "0.25",
          "--nu", "4.9"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout == "Vanilla\n"

@@ -7,7 +7,6 @@ import pytest
 from barrierkit.critical import (
     critical_prices,
     lower_critical_curve,
-    mu1,
     prob_above_lower,
     prob_below_upper,
     s_ml_flat,
@@ -32,12 +31,6 @@ SML_ROWS = [
     (0.50, 0.15, 112.600226384315822),
     (0.50, 0.30, 192.566627435925147),
 ]
-
-
-class TestDrift:
-    def test_mu1_value(self):
-        p = mk_params(0.30, 0.25)
-        assert mu1(p).mu1 == pytest.approx(0.10 - 0.045, abs=1e-16)
 
 
 class TestTurningPoint:

@@ -126,15 +126,16 @@ class TestScalarReference:
 
 class TestDeterminism:
     def test_chunk_and_worker_invariance(self):
-        p = mk_params()
-        base = simulate_paths(p, DKO, 100.0, paths=15_000, steps_per_year=80, seed=9, chunk=15_000)
-        for chunk, workers in ((512, 1), (4096, 2), (1000, 4)):
-            other = simulate_paths(
-                p, DKO, 100.0, paths=15_000, steps_per_year=80, seed=9,
-                chunk=chunk, workers=workers,
-            )
-            assert np.array_equal(base.status, other.status)
-            assert np.array_equal(base.x_final, other.x_final)
+        # the corridor makes many ties, whose reserve words are read from
+        # the chunk's word matrix: they must not depend on the chunking
+        for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40)):
+            p = mk_params(sigma=sigma)
+            kw = dict(paths=15_000, steps_per_year=steps, seed=9)
+            base = simulate_paths(p, barriers, 100.0, chunk=15_000, **kw)
+            for chunk, workers in ((512, 1), (4096, 2), (1000, 4)):
+                other = simulate_paths(p, barriers, 100.0, chunk=chunk, workers=workers, **kw)
+                assert np.array_equal(base.status, other.status)
+                assert np.array_equal(base.x_final, other.x_final)
 
     def test_paths_are_a_prefix_stream(self):
         # path i is a pure function of (seed, i): asking for fewer paths

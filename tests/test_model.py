@@ -16,7 +16,6 @@ from barrierkit.model import (
     Payoff,
     PriceEstimate,
     RebateError,
-    barrier_at,
     validate,
 )
 
@@ -52,7 +51,7 @@ class TestMarketParams:
 class TestBarrierCurve:
     def test_flat_evaluation(self):
         c = BarrierCurve.flat(70.0)
-        assert barrier_at(c, 0.2, 1.0) == 70.0
+        assert c.value_at(0.2, 1.0) == 70.0
         assert c.value_at(0.0, 1.0) == 70.0
 
     def test_exponential_at_zero_is_level(self):

@@ -10,13 +10,28 @@ import math
 
 import pytest
 
-from barrierkit.model import DomainError, MarketParams, Payoff, PricingMethod
+from barrierkit.model import (
+    BarrierCurve,
+    BarrierSet,
+    DomainError,
+    MarketParams,
+    OptionSpec,
+    Payoff,
+    PricingMethod,
+)
+from barrierkit.passage import (
+    breach_prob_closed_flat,
+    breach_prob_mc,
+    breach_prob_pde,
+    default_grid,
+)
 from barrierkit.pricing.closed import (
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
     up_and_out_call_closed,
 )
+from barrierkit.pricing.mc import McConfig, mc_price
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -127,7 +142,7 @@ class TestUpAndOut:
         assert up_and_out_call_closed(p, 100.0, 130.0, 130.0).value == 0.0
         assert up_and_out_call_closed(p, 100.0, 130.0, 150.0).value == 0.0
 
-    def test_worthless_when_barrier_at_or_below_strike(self):
+    def test_worthless_when_barrier_not_above_strike(self):
         p = mk_params(**P_MAIN)
         assert up_and_out_call_closed(p, 100.0, 100.0, 90.0).value == 0.0
         assert up_and_out_call_closed(p, 100.0, 95.0, 90.0).value == 0.0
@@ -159,11 +174,11 @@ class TestDoubleKnockout:
 
     def test_reference_strike_below_lower(self):
         # the strike sits under the lower barrier's terminal level, so the
-        # payoff carries a survival-weighted cash leg; the survival mass
-        # comes from one-sided differentiation, hence the looser tolerance
+        # payoff slab starts at L_T and the cash leg is the survival mass
+        # itself: exact, at the same tolerance as the other series pins
         p = mk_params(**P_MAIN)
         assert double_knockout_closed(p, 60.0, 70.0, 130.0, 100.0).value == pytest.approx(
-            34.837921371770508, rel=1e-10
+            34.837921371770508, rel=5e-14
         )
 
     def test_dead_on_arrival_and_empty_slab(self):
@@ -240,3 +255,37 @@ class TestDoubleKnockout:
             for k in (60.0, 80.0, 100.0, 120.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
+# every entry point that takes a price level (s0, strike or a flat
+# barrier), with that level as `x`
+PRICE_LEVEL_ENTRIES = {
+    "bs_vanilla-s0": lambda p, x: bs_vanilla(p, Payoff.CALL, 100.0, x),
+    "bs_vanilla-strike": lambda p, x: bs_vanilla(p, Payoff.CALL, x, 100.0),
+    "down_and_out-s0": lambda p, x: down_and_out_call_closed(p, 100.0, 70.0, x),
+    "down_and_out-strike": lambda p, x: down_and_out_call_closed(p, x, 70.0, 100.0),
+    "down_and_out-barrier": lambda p, x: down_and_out_call_closed(p, 100.0, x, 100.0),
+    "up_and_out-s0": lambda p, x: up_and_out_call_closed(p, 100.0, 130.0, x),
+    "up_and_out-strike": lambda p, x: up_and_out_call_closed(p, x, 130.0, 100.0),
+    "up_and_out-barrier": lambda p, x: up_and_out_call_closed(p, 100.0, x, 100.0),
+    "double_knockout-s0": lambda p, x: double_knockout_closed(p, 100.0, 70.0, 130.0, x),
+    "double_knockout-strike": lambda p, x: double_knockout_closed(p, x, 70.0, 130.0, 100.0),
+    "double_knockout-upper": lambda p, x: double_knockout_closed(p, 100.0, 70.0, x, 100.0),
+    "breach_closed-s0": lambda p, x: breach_prob_closed_flat(p, "lower", 70.0, x, p.T),
+    "breach_closed-barrier": lambda p, x: breach_prob_closed_flat(p, "lower", x, 100.0, p.T),
+    "breach_mc-s0": lambda p, x: breach_prob_mc(p, DKO, x, McConfig(paths=10)),
+    "breach_pde-s0": lambda p, x: breach_prob_pde(p, DKO, x, p.T, default_grid(p, DKO, 100.0, p.T)),
+    "mc_price-s0": lambda p, x: mc_price(
+        p, OptionSpec(payoff=Payoff.CALL, strike=100.0, barriers=DKO), x, McConfig(paths=10)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PRICE_LEVEL_ENTRIES))
+@pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+def test_non_finite_or_non_positive_price_level_rejected(entry, level):
+    # a NaN slips past every `x <= 0` guard, so each entry point must
+    # raise rather than return nan (or a silent 0.0)
+    with pytest.raises(DomainError, match="positive and finite"):
+        PRICE_LEVEL_ENTRIES[entry](mk_params(), level)
