@@ -24,7 +24,6 @@ from .critical import (
     upper_critical_curve,
 )
 from .model import (
-    AccuracySpec,
     BarrierCurve,
     BarrierOrderError,
     BarrierSet,
@@ -42,7 +41,7 @@ from .model import (
     ValidationError,
     validate,
 )
-from .numerics import nu_for_accuracy, std_normal_cdf, std_normal_quantile
+from .numerics import nu_for_accuracy, std_normal_cdf
 from .passage import (
     BreachEstimate,
     PdeGrid,
@@ -63,7 +62,6 @@ from .pricing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracySpec",
     "BarrierCurve",
     "BarrierOrderError",
     "BarrierSet",
@@ -104,7 +102,6 @@ __all__ = [
     "s_ml_flat",
     "s_mu_flat",
     "std_normal_cdf",
-    "std_normal_quantile",
     "turning_point",
     "up_and_out_call_closed",
     "upper_critical_curve",

@@ -41,8 +41,8 @@ TABLE1_ROWS = ((0.25, 0.15), (0.25, 0.30), (0.50, 0.15), (0.50, 0.30))
 
 
 def _check_theta(theta: float) -> None:
-    if theta <= 0.0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    if not (0.0 < theta < math.inf):
+        raise DomainError(f"theta must be positive and finite, got {theta}")
     m = -math.log10(theta)
     if abs(m - round(m)) > 1e-9:
         raise DomainError(f"theta must be a power of ten, got {theta}")

@@ -10,6 +10,8 @@ flags win over file values, unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 
@@ -58,22 +60,17 @@ _BOOL_KEYS = {"csv"}
 def emit_csv(rows, header) -> str:
     """RFC-4180-style CSV: '.' decimals, 10 significant digits, LF."""
     ncols = len(header)
-    lines = [",".join(_csv_cell(h) for h in header)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(map(_fmt, header))
     for row in rows:
         cells = list(row)
         if len(cells) != ncols:
             raise ValidationError(
                 f"ragged row: expected {ncols} columns, got {len(cells)}"
             )
-        lines.append(",".join(_csv_cell(c) for c in cells))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_cell(value) -> str:
-    text = _fmt(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+        writer.writerow(map(_fmt, cells))
+    return out.getvalue()
 
 
 def _fmt(value) -> str:
@@ -301,7 +298,10 @@ def _theta_from_args(args, default: float | None = None) -> float:
             print("warning: --theta given, ignoring --digits", file=sys.stderr)
         return args.theta
     if args.digits is not None:
-        return 10.0 ** (-args.digits)
+        try:
+            return 10.0 ** (-args.digits)
+        except OverflowError:
+            raise ValidationError(f"--digits {args.digits} is out of range") from None
     if default is not None:
         return default
     raise ValidationError("need --theta or --digits")

@@ -27,6 +27,12 @@ from .model import (
 from .numerics import maximize_on_interval, std_normal_cdf
 
 
+def _require_nu(nu: float) -> None:
+    """Reject a distance nu that is negative, infinite or NaN."""
+    if not (0.0 <= nu < math.inf):
+        raise DomainError(f"nu must be nonnegative and finite, got {nu}")
+
+
 def _m1(params: MarketParams) -> float:
     return params.mu - 0.5 * params.sigma * params.sigma
 
@@ -79,8 +85,7 @@ def turning_point(params: MarketParams, nu: float) -> float | None:
     t_p = (nu*sigma / (2*mu1))^2. When mu1 = 0 the curves are monotone in
     t and there is no stationary point; returns None in that case.
     """
-    if nu < 0.0:
-        raise DomainError(f"nu must be nonnegative, got {nu}")
+    _require_nu(nu)
     m1 = _m1(params)
     if m1 == 0.0:
         return None
@@ -95,8 +100,6 @@ def s_ml_flat(params: MarketParams, level: float, nu: float) -> tuple[float, flo
     so the maximum sits at T; the same happens when the stationary time
     t_p lies at or beyond T. Otherwise the interior stationary point wins.
     """
-    if nu < 0.0:
-        raise DomainError(f"nu must be nonnegative, got {nu}")
     m1 = _m1(params)
     T = params.T
     tp = turning_point(params, nu)
@@ -110,8 +113,6 @@ def s_ml_flat(params: MarketParams, level: float, nu: float) -> tuple[float, flo
 
 def s_mu_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
     """Minimum of the flat upper critical curve over [0, T] with its time."""
-    if nu < 0.0:
-        raise DomainError(f"nu must be nonnegative, got {nu}")
     m1 = _m1(params)
     T = params.T
     tp = turning_point(params, nu)
@@ -133,6 +134,7 @@ def critical_prices(
     """
     if not barriers.any_present:
         raise DomainError("no barriers present, nothing to extremize")
+    _require_nu(nu)
     s_ml = t_max = s_mu = t_min = None
     if barriers.lower is not None:
         lo = barriers.lower

@@ -59,32 +59,23 @@ def require_price_level(name: str, value: float) -> None:
 class MarketParams:
     """Lognormal market bundle: drift, volatility, rate, horizon.
 
-    The risk-neutral construction sets ``mu = r - dividend_yield``; with the
-    default zero dividend yield that is ``mu = r``. ``from_rate`` builds that
-    directly.
+    Under the risk-neutral measure ``mu = r``; for an asset paying a
+    continuous dividend yield q, pass ``mu = r - q``.
     """
 
     mu: float
     sigma: float
     r: float
     T: float
-    dividend_yield: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise DomainError(f"T must be positive and finite, got {self.T}")
-        for name in ("mu", "r", "dividend_yield"):
+        for name in ("mu", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-
-    @classmethod
-    def from_rate(
-        cls, sigma: float, r: float, T: float, dividend_yield: float = 0.0
-    ) -> "MarketParams":
-        """Risk-neutral parameters: drift pinned to r - dividend_yield."""
-        return cls(mu=r - dividend_yield, sigma=sigma, r=r, T=T, dividend_yield=dividend_yield)
 
 
 class BarrierShape(enum.Enum):
@@ -224,50 +215,6 @@ class OptionSpec:
             raise RebateError("lower rebate given but no lower barrier")
         if self.rebate_upper > 0.0 and self.barriers.upper is None:
             raise RebateError("upper rebate given but no upper barrier")
-
-
-@dataclass(frozen=True)
-class AccuracySpec:
-    """Accuracy triple: price digits m (theta = 10^-m), tail mass pi, cutoff nu.
-
-    nu must be consistent with pi: Phi(nu) >= 1 - pi while any materially
-    smaller cutoff fails. Use ``from_pi`` to construct a consistent triple.
-    """
-
-    digits: int
-    theta: float
-    pi: float
-    nu: float
-
-    NU_RESOLUTION = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.digits < 1:
-            raise DomainError(f"digits must be a positive integer, got {self.digits}")
-        if self.theta != 10.0 ** (-self.digits):
-            raise DomainError(
-                f"theta must equal 10^-digits exactly, got {self.theta} for m={self.digits}"
-            )
-        if not (0.0 < self.pi < 1.0):
-            raise DomainError(f"pi must lie in (0,1), got {self.pi}")
-        if not (self.nu > 0.0):
-            raise DomainError(f"nu must be positive, got {self.nu}")
-        from .numerics import std_normal_cdf
-
-        if std_normal_cdf(self.nu) < 1.0 - self.pi - 1e-15:
-            raise DomainError(
-                f"nu={self.nu} too small for pi={self.pi}: Phi(nu) < 1 - pi"
-            )
-        if std_normal_cdf(self.nu - self.NU_RESOLUTION) >= 1.0 - self.pi:
-            raise DomainError(
-                f"nu={self.nu} not minimal for pi={self.pi} at resolution {self.NU_RESOLUTION}"
-            )
-
-    @classmethod
-    def from_pi(cls, digits: int, pi: float) -> "AccuracySpec":
-        from .numerics import nu_for_accuracy
-
-        return cls(digits=digits, theta=10.0 ** (-digits), pi=pi, nu=nu_for_accuracy(pi))
 
 
 @dataclass(frozen=True)

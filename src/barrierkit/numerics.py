@@ -1,37 +1,22 @@
 """Standard-normal distribution functions and 1-D search primitives.
 
-The distribution pair (cdf, quantile) is accurate to well below 1e-12,
-which matters because the whole package hinges on resolving normal tail
-masses like 1e-6 and far smaller. Cheap polynomial cdf approximations
-with 1e-7 error would poison every downstream cutoff.
+The cdf (from erfc) and the quantile (the standard library's
+NormalDist) are accurate to well below 1e-12, which matters because the
+whole package hinges on resolving normal tail masses like 1e-6 and far
+smaller. Cheap polynomial cdf approximations with 1e-7 error would
+poison every downstream cutoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
+
+from .model import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-
-# rational approximation coefficients for the initial quantile guess
-# (relative error ~1e-9 before polishing)
-_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_P_LOW = 0.02425
+_STD_NORMAL = NormalDist()
 
 
 def std_normal_cdf(x: float) -> float:
@@ -49,56 +34,17 @@ def std_normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def _quantile_guess(p: float) -> float:
-    # piecewise rational map, lower tail / central / upper tail
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / (
-            (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        )
-    q = p - 0.5
-    s = q * q
-    return (((((_A[0] * s + _A[1]) * s + _A[2]) * s + _A[3]) * s + _A[4]) * s + _A[5]) * q / (
-        ((((_B[0] * s + _B[1]) * s + _B[2]) * s + _B[3]) * s + _B[4]) * s + 1.0
-    )
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse of std_normal_cdf on (0, 1).
-
-    A rational first guess refined by two Halley steps against the erfc
-    cdf; the round-trip |cdf(quantile(p)) - p| lands near machine noise,
-    far inside the 1e-12 contract.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"quantile defined on (0,1), got {p}")
-    x = _quantile_guess(p)
-    for _ in range(2):
-        err = std_normal_cdf(x) - p
-        if err == 0.0:
-            break
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        u = err / pdf
-        x -= u / (1.0 + 0.5 * x * u)  # Halley correction
-    return x
-
-
 def nu_for_accuracy(pi: float) -> float:
     """Smallest cutoff nu with Phi(nu) >= 1 - pi, i.e. upper-tail mass <= pi.
 
     Computed as -quantile(pi), which is identical to quantile(1 - pi) but
-    does not lose pi to rounding when it is tiny.
+    does not lose pi to rounding when it is tiny. The quantile is the
+    standard library's (Wichura's AS 241), within a few ulps of the exact
+    root down to the smallest subnormal pi.
     """
     if not (0.0 < pi < 0.5):
-        raise ValueError(f"pi must lie in (0, 0.5), got {pi}")
-    return -std_normal_quantile(pi)
+        raise DomainError(f"pi must lie in (0, 0.5), got {pi}")
+    return -_STD_NORMAL.inv_cdf(pi)
 
 
 @dataclass(frozen=True)

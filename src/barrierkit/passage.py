@@ -29,8 +29,8 @@ def breach_prob_closed_flat(
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     require_price_level("s0", s0)
     require_price_level("barrier", barrier)
-    if T < 0.0:
-        raise DomainError(f"T must be nonnegative, got {T}")
+    if not (0.0 <= T < math.inf):
+        raise DomainError(f"T must be nonnegative and finite, got {T}")
     if s0 == barrier:
         return 1.0
     if side == "lower" and s0 < barrier:

@@ -404,6 +404,37 @@ def test_exit_2_non_positive_or_non_finite_price_levels(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical", "--lower", "70", "--pi", "0.7", *MKT],
+        ["critical", "--lower", "70", "--pi", "nan", *MKT],
+        ["classify", "--s0", "110", "--lower", "70", "--pi", "0", *MKT],
+        ["sweep", "--strike", "100", "--lower", "70", "--pi", "0.5", *MKT],
+        ["critical", "--lower", "70", "--nu", "nan", *MKT],
+        ["critical", "--lower", "70", "--nu", "inf", *MKT],
+        ["critical", "--lower", "70", "--nu", "-1", *MKT],
+        ["critical", "--lower", "70", "--lower-growth", "0.05", "--nu", "-1", *MKT],
+        ["critical", "--upper", "130", "--upper-growth", "-0.05", "--nu", "nan", *MKT],
+        ["classify", "--s0", "110", "--lower", "70", "--nu", "nan", *MKT],
+        ["sweep", "--strike", "100", "--lower", "70", "--upper", "130", "--nu", "inf", *MKT],
+        ["calibrate", "--lower", "70", "--theta", "nan", *MKT],
+        ["calibrate", "--lower", "70", "--theta", "inf", *MKT],
+        ["calibrate", "--lower", "70", "--digits", "-400", *MKT],
+        ["table1", "--digits", "-400"],
+        ["table1", "--theta", "nan"],
+        ["table1", "--nu", "nan"],
+    ],
+)
+def test_exit_2_invalid_accuracy(capsys, argv):
+    # an exception escaping run() fails the test on its own
+    code, out, err = _call(capsys, *argv)
+    assert code == 2
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_exit_2_unknown_flag(capsys):
     code, _, _ = _call(capsys, "price", "--s0", "100", "--strike", "100",
                        "--bogus", "1", *MKT)

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from barrierkit.model import (
-    AccuracySpec,
     BarrierCurve,
     BarrierOrderError,
     BarrierSet,
@@ -40,12 +39,6 @@ class TestMarketParams:
             MarketParams(mu=math.nan, sigma=0.3, r=0.1, T=0.25)
         with pytest.raises(DomainError):
             MarketParams(mu=0.1, sigma=0.3, r=math.inf, T=0.25)
-
-    def test_from_rate_pins_drift(self):
-        p = MarketParams.from_rate(sigma=0.3, r=0.10, T=0.25)
-        assert p.mu == 0.10
-        q = MarketParams.from_rate(sigma=0.3, r=0.10, T=0.25, dividend_yield=0.03)
-        assert q.mu == pytest.approx(0.07, abs=1e-15)
 
 
 class TestBarrierCurve:
@@ -205,25 +198,6 @@ class TestOptionSpec:
         )
         with pytest.raises(KnotOrderError):
             validate(mk_params(T=0.25), spec)
-
-
-class TestAccuracySpec:
-    def test_from_pi_builds_consistent_triple(self):
-        acc = AccuracySpec.from_pi(digits=6, pi=1e-6)
-        assert acc.theta == 1e-6
-        assert acc.nu == pytest.approx(4.75342430882289895, abs=1e-9)
-
-    def test_theta_must_match_digits(self):
-        with pytest.raises(DomainError):
-            AccuracySpec(digits=6, theta=1e-5, pi=1e-6, nu=4.7534243)
-
-    def test_nu_too_small_rejected(self):
-        with pytest.raises(DomainError):
-            AccuracySpec(digits=6, theta=1e-6, pi=1e-6, nu=4.0)
-
-    def test_nu_not_minimal_rejected(self):
-        with pytest.raises(DomainError):
-            AccuracySpec(digits=6, theta=1e-6, pi=1e-6, nu=6.0)
 
 
 class TestPriceEstimate:

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from barrierkit.model import DomainError
 from barrierkit.numerics import (
     find_root_bisect,
     maximize_on_interval,
     nu_for_accuracy,
     std_normal_cdf,
-    std_normal_quantile,
     std_normal_sf,
 )
 
@@ -43,23 +43,23 @@ class TestNormalCdf:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-class TestQuantile:
-    def test_round_trip_central_and_tails(self):
-        for p in (1e-12, 1e-6, 0.02425, 0.1, 0.5, 0.9, 1 - 1e-6):
-            x = std_normal_quantile(p)
-            assert std_normal_cdf(x) == pytest.approx(p, rel=1e-12)
-
-    def test_median(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_domain(self):
-        for p in (0.0, 1.0, -0.1, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                std_normal_quantile(p)
-
-    def test_inverse_of_cdf(self):
-        for x in (-5.0, -1.3, 0.0, 0.7, 3.9):
-            assert std_normal_quantile(std_normal_cdf(x)) == pytest.approx(x, abs=1e-12)
+# nu at the two ends of the pi range, where a quantile built on the
+# pdf loses digits: the smallest subnormal (the pdf underflows there)
+# and the double just below 1/2 (Phi(nu) - pi cancels). Each is the
+# root of Phi(-nu) = pi for the exact value of the double pi, solved
+# at 50 digits:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 50
+#     p = mp.mpf(pi)
+#     f = lambda x: mp.log(mp.erfc(x / mp.sqrt(2)) / 2) - mp.log(p)
+#     nu = mp.findroot(f, mp.sqrt(-2 * mp.log(p)))  # start 1e-16 near 1/2
+#
+# The second agrees with -sqrt(2) erfinv(2 pi - 1) at 80 digits.
+NU_EDGE_CASES = [
+    (5e-324, 38.4674056171443462507843621685),
+    (0.4999999999999999, 2.78291642467176692223392340787e-16),
+]
 
 
 class TestNuForAccuracy:
@@ -67,14 +67,18 @@ class TestNuForAccuracy:
         assert nu_for_accuracy(1e-6) == pytest.approx(4.75342430882289895, abs=1e-12)
         assert nu_for_accuracy(2.3e-8) == pytest.approx(5.46611729879818702, abs=1e-12)
 
+    @pytest.mark.parametrize("pi,nu", NU_EDGE_CASES)
+    def test_ends_of_the_range(self, pi, nu):
+        assert nu_for_accuracy(pi) == pytest.approx(nu, rel=1e-15, abs=0.0)
+
     def test_defining_property(self):
         for pi in (1e-2, 1e-4, 1e-8, 0.3):
             nu = nu_for_accuracy(pi)
             assert std_normal_sf(nu) == pytest.approx(pi, rel=1e-12)
 
     def test_domain(self):
-        for pi in (0.0, 0.5, 0.7, -1e-3):
-            with pytest.raises(ValueError):
+        for pi in (0.0, 0.5, 0.7, -1e-3, math.nan):
+            with pytest.raises(DomainError):
                 nu_for_accuracy(pi)
 
 

@@ -75,8 +75,9 @@ class TestClosedFlat:
             breach_prob_closed_flat(p, "upper", 130.0, 140.0, 0.25)
         with pytest.raises(DomainError):
             breach_prob_closed_flat(p, "lower", -70.0, 100.0, 0.25)
-        with pytest.raises(DomainError):
-            breach_prob_closed_flat(p, "lower", 70.0, 100.0, -1.0)
+        for T in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                breach_prob_closed_flat(p, "lower", 70.0, 100.0, T)
 
 
 class TestMc:
