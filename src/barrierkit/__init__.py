@@ -7,6 +7,8 @@ boundaries, first-passage probabilities, and the calibration loop that
 measures where prices actually become indistinguishable.
 """
 
+import importlib
+
 from .calibrate import (
     FLOOR_THETA,
     CalibrationRow,
@@ -42,22 +44,34 @@ from .model import (
     validate,
 )
 from .numerics import nu_for_accuracy, std_normal_cdf
-from .passage import (
-    BreachEstimate,
-    PdeGrid,
-    breach_prob_closed_flat,
-    breach_prob_mc,
-    breach_prob_pde,
-    default_grid,
-)
 from .pricing import (
-    McConfig,
+    breach_prob_closed_flat,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
-    mc_price,
     up_and_out_call_closed,
 )
+
+# The simulation and PDE routes need NumPy and SciPy; they load on first
+# access (PEP 562), so the closed-form path imports neither.
+_LAZY = {
+    "BreachEstimate": "passage",
+    "PdeGrid": "passage",
+    "breach_prob_mc": "passage",
+    "breach_prob_pde": "passage",
+    "default_grid": "passage",
+    "McConfig": "pricing.mc",
+    "mc_price": "pricing.mc",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .critical import s_ml_flat, s_mu_flat
 from .model import DomainError, MarketParams, NumericsError, Payoff
 from .numerics import NoSignChangeError, find_root_bisect
@@ -46,6 +44,16 @@ def _check_theta(theta: float) -> None:
     m = -math.log10(theta)
     if abs(m - round(m)) > 1e-9:
         raise DomainError(f"theta must be a power of ten, got {theta}")
+
+
+def _sweep_grid(start: float, stop: float) -> list[float]:
+    """SWEEP_POINTS evenly spaced points from start to stop, both ends exact.
+
+    The same points, bit for bit, as numpy.linspace(start, stop,
+    SWEEP_POINTS): start + k*step for the inner points, stop itself last.
+    """
+    step = (stop - start) / (SWEEP_POINTS - 1)
+    return [start + k * step for k in range(SWEEP_POINTS - 1)] + [stop]
 
 
 def numeric_critical_price(
@@ -96,6 +104,8 @@ def numeric_critical_price(
         # invariant: close(good) holds, close(bad) does not
         while abs(good - bad) > BISECT_TOL_S:
             mid = 0.5 * (bad + good)
+            if mid == bad or mid == good:  # at large s one ulp exceeds BISECT_TOL_S
+                break
             if close(mid):
                 good = mid
             else:
@@ -104,13 +114,12 @@ def numeric_critical_price(
 
     s_star = bisect(near, far)
     for _ in range(SWEEP_POINTS):
-        pts = np.linspace(s_star, far, SWEEP_POINTS)
-        violations = [s for s in pts if not close(float(s))]
+        violations = [s for s in _sweep_grid(s_star, far) if not close(s)]
         if not violations:
             return s_star
         # worst violation is the one deepest into the supposed-close zone
         worst = max(violations) if side == "lower" else min(violations)
-        s_star = bisect(float(worst), far)
+        s_star = bisect(worst, far)
     raise NumericsError("verification sweep never stabilized")
 
 

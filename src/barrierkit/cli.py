@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import sys
+from dataclasses import dataclass
 
 from .calibrate import FLOOR_THETA, implied_nu, numeric_critical_price, reproduce_table1
 from .classify import classify_double, classify_down_and_out, classify_up_and_out
@@ -29,33 +30,13 @@ from .model import (
     ValidationError,
 )
 from .numerics import nu_for_accuracy
-from .passage import breach_prob_closed_flat, breach_prob_mc, breach_prob_pde, default_grid
-from .pricing import (
-    McConfig,
+from .pricing.closed import (
+    breach_prob_closed_flat,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
-    mc_price,
     up_and_out_call_closed,
 )
-
-_MARKET = ("sigma", "r", "T")
-_BARRIER = ("lower", "upper", "lower-growth", "upper-growth", "lower-file", "upper-file")
-_ACCURACY = ("nu", "pi")
-_MC = ("paths", "steps", "seed")
-_COMMON = ("csv", "config")
-
-ALLOWED_KEYS = {
-    "classify": set(_MARKET + _BARRIER + _ACCURACY + _COMMON + ("s0",)),
-    "critical": set(_MARKET + _BARRIER + _ACCURACY + _COMMON),
-    "price": set(_MARKET + _BARRIER + _MC + _COMMON + ("s0", "strike", "method")),
-    "breach": set(_MARKET + _BARRIER + _MC + _COMMON + ("s0", "method")),
-    "calibrate": set(_MARKET + _COMMON + ("strike", "lower", "upper", "theta", "digits")),
-    "table1": set(_COMMON + ("theta", "digits", "nu")),
-    "sweep": set(_MARKET + _BARRIER + _ACCURACY + _COMMON + ("strike",)),
-}
-_BOOL_KEYS = {"csv"}
-
 
 def emit_csv(rows, header) -> str:
     """RFC-4180-style CSV: '.' decimals, 10 significant digits, LF."""
@@ -95,7 +76,25 @@ def _read_config(path: str) -> list[tuple[str, str]]:
     return entries
 
 
-def _inject_config(argv: list[str]) -> list[str]:
+def _config_keys(parser: argparse.ArgumentParser, cmd: str) -> dict[str, bool] | None:
+    """A subcommand's --config keys, read from its own options.
+
+    Maps each long option's name to whether it is a switch (takes no
+    value); None for a name that is not a subcommand.
+    """
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if cmd not in sub.choices:
+        return None
+    return {
+        opt[2:]: action.nargs == 0
+        for action in sub.choices[cmd]._actions
+        if action.dest != "help"
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+
+
+def _inject_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Turn config-file entries into flags placed before the user's own.
 
     argparse keeps the last occurrence of a repeated flag, so inserting
@@ -111,16 +110,16 @@ def _inject_config(argv: list[str]) -> list[str]:
     if path is None:
         return argv
     cmd = next((tok for tok in argv if not tok.startswith("-")), None)
-    if cmd is None or cmd not in ALLOWED_KEYS:
+    allowed = None if cmd is None else _config_keys(parser, cmd)
+    if allowed is None:
         return argv  # let argparse produce its own diagnostic
-    allowed = ALLOWED_KEYS[cmd]
     extra: list[str] = []
     for key, value in _read_config(path):
         if key == "config":
             raise ValidationError("config files cannot nest another config")
         if key not in allowed:
             raise ValidationError(f"unknown config key for {cmd}: {key!r}")
-        if key in _BOOL_KEYS:
+        if allowed[key]:
             flag = value.strip().lower()
             if flag in ("1", "true", "yes", "on"):
                 extra.append(f"--{key}")
@@ -248,7 +247,10 @@ def _load_knots(path: str) -> tuple[tuple[float, float], ...]:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 't,level'")
-            knots.append((float(parts[0]), float(parts[1])))
+            try:
+                knots.append((float(parts[0]), float(parts[1])))
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: expected two numbers 't,level'") from None
     return tuple(knots)
 
 
@@ -328,7 +330,30 @@ def _closed_price(params: MarketParams, strike: float, barriers: BarrierSet, s0:
     return bs_vanilla(params, Payoff.CALL, strike, s0)
 
 
-def _cmd_classify(args) -> int:
+@dataclass(frozen=True)
+class _Report:
+    """What a command prints: CSV header and rows, or its text lines.
+
+    A note follows the text on stdout, or the CSV on stderr.
+    """
+
+    header: tuple[str, ...]
+    rows: list[tuple]
+    lines: list[str]
+    note: str = ""
+
+
+def _require_finite(rows) -> None:
+    """Refuse to print a NaN or infinite number as a result."""
+    for row in rows:
+        for cell in row:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise NumericsError(
+                    f"result {cell} is not finite: the inputs leave double precision"
+                )
+
+
+def _cmd_classify(args) -> _Report:
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
     if not barriers.any_present:
@@ -347,14 +372,10 @@ def _cmd_classify(args) -> int:
         label = classify_down_and_out(args.s0, barriers.lower.value_at(0.0, params.T), crit.s_ml)
     else:
         label = classify_up_and_out(args.s0, barriers.upper.value_at(0.0, params.T), crit.s_mu)
-    if args.csv:
-        sys.stdout.write(emit_csv([(label.value,)], ["classification"]))
-    else:
-        print(label.value)
-    return 0
+    return _Report(("classification",), [(label.value,)], [label.value])
 
 
-def _cmd_critical(args) -> int:
+def _cmd_critical(args) -> _Report:
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
     if not barriers.any_present:
@@ -366,34 +387,32 @@ def _cmd_critical(args) -> int:
         rows.append(("s_ml", crit.s_ml, crit.t_at_max))
     if crit.s_mu is not None:
         rows.append(("s_mu", crit.s_mu, crit.t_at_min))
-    if args.csv:
-        sys.stdout.write(emit_csv(rows, ["quantity", "value", "t_at_extremum"]))
-    else:
-        for name, value, t_at in rows:
-            print(f"{name} = {_fmt(value)}  (attained at t = {_fmt(t_at)})")
-    return 0
+    lines = [
+        f"{name} = {_fmt(value)}  (attained at t = {_fmt(t_at)})" for name, value, t_at in rows
+    ]
+    return _Report(("quantity", "value", "t_at_extremum"), rows, lines)
 
 
-def _cmd_price(args) -> int:
+def _cmd_price(args) -> _Report:
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
     if args.method == "closed":
         est = _closed_price(params, args.strike, barriers, args.s0)
     else:
+        from .pricing.mc import McConfig, mc_price
+
         spec = OptionSpec(payoff=Payoff.CALL, strike=args.strike, barriers=barriers)
         cfg = McConfig(paths=args.paths, steps_per_year=args.steps, seed=args.seed)
         est = mc_price(params, spec, args.s0, cfg)
-    if args.csv:
-        sys.stdout.write(
-            emit_csv([(est.value, est.std_error, est.method.value)], ["value", "std_error", "method"])
-        )
-    else:
-        tail = f" +- {_fmt(est.std_error)} (1 se)" if est.std_error else ""
-        print(f"price = {_fmt(est.value)}{tail}  [{est.method.value}]")
-    return 0
+    tail = f" +- {_fmt(est.std_error)} (1 se)" if est.std_error else ""
+    return _Report(
+        ("value", "std_error", "method"),
+        [(est.value, est.std_error, est.method.value)],
+        [f"price = {_fmt(est.value)}{tail}  [{est.method.value}]"],
+    )
 
 
-def _cmd_breach(args) -> int:
+def _cmd_breach(args) -> _Report:
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
     if not barriers.any_present:
@@ -412,25 +431,28 @@ def _cmd_breach(args) -> int:
         if len(rows) == 1:
             rows.append(("p_total", rows[0][1], 0.0))
     elif args.method == "mc":
+        from .passage import breach_prob_mc
+        from .pricing.mc import McConfig
+
         cfg = McConfig(paths=args.paths, steps_per_year=args.steps, seed=args.seed)
         est = breach_prob_mc(params, barriers, args.s0, cfg)
         rows.append(("p_lower", est.p_lower, est.se_lower))
         rows.append(("p_upper", est.p_upper, est.se_upper))
         rows.append(("p_total", est.p_total, math.hypot(est.se_lower, est.se_upper)))
     else:
+        from .passage import breach_prob_pde, default_grid
+
         grid = default_grid(params, barriers, args.s0, params.T)
         p = breach_prob_pde(params, barriers, args.s0, params.T, grid)
         rows.append(("p_total", p, 0.0))
-    if args.csv:
-        sys.stdout.write(emit_csv(rows, ["quantity", "value", "std_error"]))
-    else:
-        for name, value, se in rows:
-            tail = f" +- {_fmt(se)} (1 se)" if se else ""
-            print(f"{name} = {_fmt(value)}{tail}")
-    return 0
+    lines = [
+        f"{name} = {_fmt(value)}" + (f" +- {_fmt(se)} (1 se)" if se else "")
+        for name, value, se in rows
+    ]
+    return _Report(("quantity", "value", "std_error"), rows, lines)
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> _Report:
     params = _params_from_args(args)
     theta = _theta_from_args(args)
     if (args.lower is None) == (args.upper is None):
@@ -441,14 +463,11 @@ def _cmd_calibrate(args) -> int:
         side, level, pricer = "upper", args.upper, up_and_out_call_closed
     s_crit = numeric_critical_price(params, args.strike, level, side, theta, pricer)
     nu = implied_nu(params, level, side, s_crit)
-    if args.csv:
-        sys.stdout.write(
-            emit_csv([(theta, s_crit, nu)], ["theta", "numeric_critical", "implied_nu"])
-        )
-    else:
-        print(f"numeric critical price = {_fmt(s_crit)}")
-        print(f"implied nu = {_fmt(nu)}")
-    return 0
+    return _Report(
+        ("theta", "numeric_critical", "implied_nu"),
+        [(theta, s_crit, nu)],
+        [f"numeric critical price = {_fmt(s_crit)}", f"implied nu = {_fmt(nu)}"],
+    )
 
 
 _PRECISION_NOTE = (
@@ -458,24 +477,20 @@ _PRECISION_NOTE = (
 )
 
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> _Report:
     theta = _theta_from_args(args, default=FLOOR_THETA)
     rows = reproduce_table1(reference_nu=args.nu, theta=theta)
     data = [row.as_tuple() for row in rows]
-    if args.csv:
-        sys.stdout.write(
-            emit_csv(data, ["T", "sigma", "analytic_sml", "numeric_sml", "implied_nu"])
-        )
-        print(_PRECISION_NOTE, file=sys.stderr)
-    else:
-        print("T      sigma  analytic_sml  numeric_sml  implied_nu")
-        for T, sigma, analytic, numeric, nu in data:
-            print(f"{T:<6.2f} {sigma:<6.2f} {analytic:<13.6g} {numeric:<12.6g} {nu:.4g}")
-        print(_PRECISION_NOTE)
-    return 0
+    lines = ["T      sigma  analytic_sml  numeric_sml  implied_nu"] + [
+        f"{T:<6.2f} {sigma:<6.2f} {analytic:<13.6g} {numeric:<12.6g} {nu:.4g}"
+        for T, sigma, analytic, numeric, nu in data
+    ]
+    return _Report(
+        ("T", "sigma", "analytic_sml", "numeric_sml", "implied_nu"), data, lines, _PRECISION_NOTE
+    )
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> _Report:
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
     if not barriers.any_present:
@@ -504,15 +519,13 @@ def _cmd_sweep(args) -> int:
         barrier_price = _closed_price(params, args.strike, barriers, s0).value
         vanilla = bs_vanilla(params, Payoff.CALL, args.strike, s0).value
         rows.append((s0, label.value, barrier_price, vanilla, abs(barrier_price - vanilla)))
-    if args.csv:
-        sys.stdout.write(
-            emit_csv(rows, ["s0", "classification", "barrier_price", "vanilla_price", "abs_diff"])
-        )
-    else:
-        print("s0          classification        barrier_price  vanilla_price  abs_diff")
-        for s0, label, bp, vp, diff in rows:
-            print(f"{s0:<11.6g} {label:<21} {bp:<14.8g} {vp:<14.8g} {diff:.4g}")
-    return 0
+    lines = ["s0          classification        barrier_price  vanilla_price  abs_diff"] + [
+        f"{s0:<11.6g} {label:<21} {bp:<14.8g} {vp:<14.8g} {diff:.4g}"
+        for s0, label, bp, vp, diff in rows
+    ]
+    return _Report(
+        ("s0", "classification", "barrier_price", "vanilla_price", "abs_diff"), rows, lines
+    )
 
 
 _HANDLERS = {
@@ -530,9 +543,21 @@ def run(argv) -> int:
     """Dispatch one command; returns the process exit code."""
     argv = list(argv)
     try:
-        argv = _inject_config(argv)
-        args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        parser = build_parser()
+        argv = _inject_config(argv, parser)
+        args = parser.parse_args(argv)
+        report = _HANDLERS[args.command](args)
+        _require_finite(report.rows)
+        if args.csv:
+            sys.stdout.write(emit_csv(report.rows, report.header))
+            if report.note:
+                print(report.note, file=sys.stderr)
+        else:
+            for line in report.lines:
+                print(line)
+            if report.note:
+                print(report.note)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -542,6 +567,11 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, ValueError) as exc:
+        # admissible inputs whose formulas leave double precision: an
+        # overflow, a division by an underflowed zero, a log of one
+        print(f"numerical failure: the inputs leave double precision ({exc})", file=sys.stderr)
+        return 3
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -73,6 +73,10 @@ class MarketParams:
             raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.T > 0.0) or not math.isfinite(self.T):
             raise DomainError(f"T must be positive and finite, got {self.T}")
+        if not math.isfinite(self.sigma * self.sigma * self.T):
+            raise DomainError(
+                f"variance sigma^2*T must be finite, got sigma={self.sigma}, T={self.T}"
+            )
         for name in ("mu", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")

@@ -107,7 +107,8 @@ def maximize_on_interval(
     x2 = lo + _INV_PHI * (hi - lo)
     f1 = f(x1)
     f2 = f(x2)
-    while hi - lo > tol_t:
+    # a window at float resolution stops too: at large t one ulp exceeds tol_t
+    while hi - lo > tol_t and lo < x1 < x2 < hi:
         if f1 >= f2:  # ties move the window left, toward smaller t
             hi = x2
             x2, f2 = x1, f1

@@ -1,10 +1,11 @@
-"""Barrier breach probabilities by three independent routes.
+"""Barrier breach probabilities by simulation and by the backward equation.
 
-The closed form (reflection principle, flat barriers), the bridged
-Monte Carlo engine (any supported barrier, per-side first-breach-wins
-probabilities), and a finite-difference solve of the backward equation
-for the breach indicator's expectation. Having three routes lets each
-validate the others; they agree within their stated tolerances.
+The bridged Monte Carlo engine (any supported barrier, per-side
+first-breach-wins probabilities) and a finite-difference solve of the
+backward equation for the breach indicator's expectation. The closed
+reflection form for flat barriers lives with the other closed forms in
+`pricing.closed`; the three routes validate each other and agree within
+their stated tolerances.
 """
 
 from __future__ import annotations
@@ -16,39 +17,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import BarrierSet, DomainError, MarketParams, require_price_level
-from .numerics import std_normal_cdf
 from .pricing.engine import STATUS_LOWER, STATUS_UPPER, simulate_paths
 from .pricing.mc import McConfig
-
-
-def breach_prob_closed_flat(
-    params: MarketParams, side: str, barrier: float, s0: float, T: float
-) -> float:
-    """P(flat barrier breached before T) for one side, reflection form."""
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    require_price_level("s0", s0)
-    require_price_level("barrier", barrier)
-    if not (0.0 <= T < math.inf):
-        raise DomainError(f"T must be nonnegative and finite, got {T}")
-    if s0 == barrier:
-        return 1.0
-    if side == "lower" and s0 < barrier:
-        raise DomainError(f"s0={s0} below lower barrier {barrier}")
-    if side == "upper" and s0 > barrier:
-        raise DomainError(f"s0={s0} above upper barrier {barrier}")
-    if T == 0.0:
-        return 0.0
-    sig_rt = params.sigma * math.sqrt(T)
-    m1 = params.mu - 0.5 * params.sigma**2
-    log_ratio = math.log(barrier / s0) if side == "lower" else math.log(s0 / barrier)
-    drift = m1 * T if side == "lower" else -m1 * T
-    # reflection weight is (B/s0)^(2*m1/sigma^2) on both sides
-    weight = math.exp(2.0 * m1 * math.log(barrier / s0) / params.sigma**2)
-    p = std_normal_cdf((log_ratio - drift) / sig_rt) + weight * std_normal_cdf(
-        (log_ratio + drift) / sig_rt
-    )
-    return min(max(p, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

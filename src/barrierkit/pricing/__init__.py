@@ -1,20 +1,22 @@
-"""Pricing engines: closed forms plus the bridged Monte Carlo pricer."""
+"""Pricing: the closed forms here, the bridged Monte Carlo pricer in `mc`.
+
+Only the closed forms are re-exported, so importing this package loads
+no NumPy or SciPy; `McConfig` and `mc_price` come from `pricing.mc`,
+`simulate_paths` from `pricing.engine`.
+"""
 
 from .closed import (
+    breach_prob_closed_flat,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
     up_and_out_call_closed,
 )
-from .engine import simulate_paths
-from .mc import McConfig, mc_price
 
 __all__ = [
-    "McConfig",
+    "breach_prob_closed_flat",
     "bs_vanilla",
     "double_knockout_closed",
     "down_and_out_call_closed",
-    "mc_price",
-    "simulate_paths",
     "up_and_out_call_closed",
 ]

@@ -1,4 +1,7 @@
-"""Closed-form prices: vanilla, single-barrier knock-outs, double knock-out.
+"""Closed forms: vanilla, single-barrier knock-outs, double knock-out, breach.
+
+This module and everything it imports use only the standard library,
+so the closed-form commands never load NumPy or SciPy.
 
 All formulas price European payoffs under lognormal dynamics with
 continuous barrier monitoring and zero rebates. Knocked-at-inception
@@ -10,7 +13,8 @@ the risk-neutral density of the surviving path is the free density minus
 a drift-weighted reflection about the barrier, and every price below is
 that density integrated against the payoff slab. The double knock-out
 uses the doubly-infinite image series with exponential-barrier exponents,
-truncated adaptively.
+truncated adaptively. The breach probability is the reflection
+principle's first-passage law for one flat barrier.
 """
 
 from __future__ import annotations
@@ -249,3 +253,33 @@ def double_knockout_closed(
 
     value = disc * (s0 * asset_sum - strike * cash_sum)
     return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
+
+
+def breach_prob_closed_flat(
+    params: MarketParams, side: str, barrier: float, s0: float, T: float
+) -> float:
+    """P(flat barrier breached before T) for one side, reflection form."""
+    if side not in ("lower", "upper"):
+        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    require_price_level("s0", s0)
+    require_price_level("barrier", barrier)
+    if not (0.0 <= T < math.inf):
+        raise DomainError(f"T must be nonnegative and finite, got {T}")
+    if s0 == barrier:
+        return 1.0
+    if side == "lower" and s0 < barrier:
+        raise DomainError(f"s0={s0} below lower barrier {barrier}")
+    if side == "upper" and s0 > barrier:
+        raise DomainError(f"s0={s0} above upper barrier {barrier}")
+    if T == 0.0:
+        return 0.0
+    sig_rt = params.sigma * math.sqrt(T)
+    m1 = params.mu - 0.5 * params.sigma**2
+    log_ratio = math.log(barrier / s0) if side == "lower" else math.log(s0 / barrier)
+    drift = m1 * T if side == "lower" else -m1 * T
+    # reflection weight is (B/s0)^(2*m1/sigma^2) on both sides
+    weight = math.exp(2.0 * m1 * math.log(barrier / s0) / params.sigma**2)
+    p = std_normal_cdf((log_ratio - drift) / sig_rt) + weight * std_normal_cdf(
+        (log_ratio + drift) / sig_rt
+    )
+    return min(max(p, 0.0), 1.0)

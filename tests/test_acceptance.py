@@ -46,20 +46,15 @@ from barrierkit.model import (
     Payoff,
 )
 from barrierkit.numerics import std_normal_cdf
-from barrierkit.passage import (
+from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
+from barrierkit.pricing.closed import (
     breach_prob_closed_flat,
-    breach_prob_mc,
-    breach_prob_pde,
-    default_grid,
-)
-from barrierkit.pricing import (
-    McConfig,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
-    mc_price,
     up_and_out_call_closed,
 )
+from barrierkit.pricing.mc import McConfig, mc_price
 from oracles import (
     FLOOR_CROSSINGS,
     QUOTED_FLOOR_NU,

@@ -6,11 +6,17 @@ so they are independent of the bisection logic under test; they and the
 floor crossings live in oracles.py with their derivation.
 """
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from barrierkit.calibrate import (
     FLOOR_THETA,
+    SWEEP_POINTS,
     CalibrationRow,
+    _sweep_grid,
     implied_nu,
     numeric_critical_price,
     reproduce_table1,
@@ -42,6 +48,22 @@ class TestThetaValidation:
             numeric_critical_price(
                 mk_params(), 100.0, -70.0, "lower", 1e-2, down_and_out_call_closed
             )
+
+
+class TestSweepGrid:
+    def test_bit_identical_to_linspace(self):
+        # brackets as the search makes them: s_star on either side of the
+        # far end, which sits e^(10 sigma sqrt(T)) from a barrier of any size
+        rng = random.Random(20240611)
+        brackets = [(70.0, 70.0), (70.0000001, 1306.4), (130.0, 9.1)]
+        for _ in range(20_000):
+            barrier = 10.0 ** rng.uniform(-3.0, 6.0)
+            span = math.exp(10.0 * rng.uniform(0.01, 2.0) * math.sqrt(rng.uniform(0.01, 5.0)))
+            far = barrier * span if rng.random() < 0.5 else barrier / span
+            brackets.append((rng.uniform(barrier, far), far))
+        for start, far in brackets:
+            want = np.linspace(start, far, SWEEP_POINTS).tolist()
+            assert _sweep_grid(start, far) == want, (start, far)
 
 
 class TestLowerCrossings:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,15 +13,33 @@ import barrierkit
 from barrierkit.cli import _PRECISION_NOTE, emit_csv, run
 from barrierkit.critical import s_mu_flat
 from barrierkit.model import MarketParams, ValidationError
-from barrierkit.passage import breach_prob_closed_flat
+from barrierkit.pricing.closed import breach_prob_closed_flat
 
 MKT = ["--sigma", "0.30", "--r", "0.10", "--T", "0.25"]
+
+
+def _mkt(sigma="0.30", r="0.10", T="0.25"):
+    return ["--sigma", sigma, "--r", r, "--T", T]
 
 
 def _call(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_child(argv, timeout):
+    """Run the CLI in a fresh interpreter on the barrierkit tree this process imported."""
+    src = str(Path(barrierkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "barrierkit", *argv],
+        capture_output=True, text=True, timeout=timeout, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def _has_non_finite(text):
+    return re.search(r"\b(nan|inf)\b", text.lower()) is not None
 
 
 # ---------------------------------------------------------------- dispatch
@@ -435,6 +454,85 @@ def test_exit_2_invalid_accuracy(capsys, argv):
     assert "Traceback" not in err
 
 
+S0_K = ["--s0", "100", "--strike", "100"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sigma^2*T overflows: rejected as input
+        ["price", *S0_K, "--lower", "70", *_mkt(sigma="1e200")],
+        ["price", *S0_K, "--upper", "130", *_mkt(sigma="1e300")],
+        ["breach", "--s0", "100", "--lower", "70", *_mkt(sigma="1e200")],
+        ["sweep", "--strike", "100", "--lower", "70", "--nu", "3", *_mkt(sigma="1e200")],
+        ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(sigma="1e200")],
+        ["critical", "--lower", "70", "--upper", "130", "--nu", "3", *_mkt(sigma="1e200")],
+        ["classify", "--s0", "100", "--lower", "70", "--upper", "130", "--nu", "3",
+         *_mkt(sigma="1e308")],
+        # a critical curve or a price overflows
+        ["critical", "--lower", "70", "--nu", "3", *_mkt(sigma="1e20")],
+        ["classify", "--s0", "100", "--lower", "70", "--nu", "3", *_mkt(sigma="100")],
+        ["calibrate", "--upper", "130", "--theta", "1e-6", *_mkt(sigma="100")],
+        # sigma*sqrt(T) underflows to zero
+        ["price", *S0_K, "--lower", "70", *_mkt(sigma="1e-300")],
+        ["price", *S0_K, *_mkt(sigma="5e-324")],
+        ["breach", "--s0", "100", "--lower", "70", "--upper", "130", *_mkt(sigma="1e-200")],
+        ["sweep", "--strike", "100", "--lower", "70", "--nu", "3", *_mkt(sigma="1e-300")],
+        ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(sigma="1e-300")],
+        # rates
+        ["price", *S0_K, "--upper", "130", *_mkt(r="1e20")],
+        ["price", *S0_K, "--upper", "130", *_mkt(r="1e308")],
+        ["breach", "--s0", "100", "--lower", "70", "--upper", "130", *_mkt(r="1e308")],
+        ["calibrate", "--upper", "130", "--theta", "1e-6", *_mkt(r="100")],
+        # horizons
+        ["critical", "--lower", "70", "--lower-growth", "0.05", "--nu", "3", *_mkt(T="1e20")],
+        ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(T="1e20")],
+        ["sweep", "--strike", "100", "--lower", "70", "--nu", "3", *_mkt(T="1e20")],
+        ["price", *S0_K, "--lower", "70", "--upper", "130", *_mkt(T="5e-324")],
+        # barrier levels
+        ["price", *S0_K, "--lower", "1e-300", *MKT],
+        ["price", *S0_K, "--upper", "1e150", *MKT],
+        ["price", *S0_K, "--upper", "1e300", *MKT],
+        ["breach", "--s0", "100", "--lower", "5e-324", *MKT],
+        ["breach", "--s0", "100", "--upper", "1e300", *MKT],
+        ["sweep", "--strike", "100", "--lower", "1e-300", "--nu", "3", *MKT],
+        ["calibrate", "--lower", "1e-300", "--theta", "1e-6", *MKT],
+        # barrier growths
+        ["critical", "--lower", "70", "--lower-growth", "1e20", "--nu", "3", *MKT],
+        ["classify", "--s0", "100", "--lower", "70", "--upper", "130", "--upper-growth", "1e20",
+         "--nu", "3", *MKT],
+        ["price", *S0_K, "--lower", "70", "--upper", "130", "--lower-growth", "1e200", *MKT],
+        ["breach", "--s0", "100", "--lower", "70", "--upper", "130", "--upper-growth", "1e20",
+         *MKT],
+        ["sweep", "--strike", "100", "--lower", "70", "--lower-growth", "1e20", "--nu", "3",
+         *MKT],
+    ],
+)
+def test_exit_2_or_3_beyond_double_precision(capsys, argv):
+    # an exception escaping run() fails the test on its own
+    code, out, err = _call(capsys, *argv)
+    assert code in (2, 3)
+    assert not _has_non_finite(out)
+    assert err.startswith(("error: ", "numerical failure: "))
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # bisection on s0 where adjacent floats lie more than 1e-6 apart
+        ["calibrate", "--upper", "1e20", "--theta", "1e-6", *MKT],
+        # golden section on t where adjacent floats lie more than 1e-10 apart
+        ["critical", "--lower", "70", "--lower-growth", "1e-30", "--nu", "1",
+         *_mkt(sigma="0.1", r="0.005", T="1e7")],
+    ],
+)
+def test_searches_end_at_float_resolution(argv):
+    proc = _run_child(argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and not _has_non_finite(proc.stdout)
+
+
 def test_exit_2_unknown_flag(capsys):
     code, _, _ = _call(capsys, "price", "--s0", "100", "--strike", "100",
                        "--bogus", "1", *MKT)
@@ -697,14 +795,10 @@ def test_help_exits_zero(capsys, cmd):
 
 
 def test_console_script_entry_point():
-    # the child imports the same barrierkit tree as this process
-    src = str(Path(barrierkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "barrierkit", "classify", "--s0", "110",
-         "--lower", "70", "--sigma", "0.15", "--r", "0.10", "--T", "0.25",
-         "--nu", "4.9"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    proc = _run_child(
+        ["classify", "--s0", "110", "--lower", "70", "--sigma", "0.15", "--r", "0.10",
+         "--T", "0.25", "--nu", "4.9"],
+        timeout=60,
     )
     assert proc.returncode == 0
     assert proc.stdout == "Vanilla\n"

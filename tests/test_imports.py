@@ -1,0 +1,60 @@
+"""The closed-form path imports neither NumPy nor SciPy.
+
+Each check runs in a fresh interpreter, because this test process has
+long since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import barrierkit
+
+MKT = ["--sigma", "0.30", "--r", "0.10", "--T", "0.25"]
+CLOSED_COMMANDS = [
+    ["classify", "--s0", "110", "--lower", "70", *MKT, "--nu", "4.9"],
+    ["critical", "--lower", "70", "--upper", "130", *MKT, "--pi", "1e-6"],
+    ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--upper", "130", *MKT],
+    ["breach", "--s0", "100", "--lower", "70", *MKT],
+    ["calibrate", "--lower", "70", "--strike", "100", *MKT, "--theta", "1e-6"],
+    ["table1", "--csv"],
+    ["sweep", "--strike", "100", "--lower", "70", *MKT, "--nu", "4.9", "--csv"],
+]
+
+CHILD = """
+import contextlib, io, json, sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+
+import barrierkit
+report = {"import": heavy(), "commands": {}}
+from barrierkit.cli import run
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    report["commands"][argv[0]] = [code, heavy()]
+missing = [name for name in barrierkit.__all__ if getattr(barrierkit, name, None) is None]
+import barrierkit.pricing.mc
+report["missing"] = missing
+report["lazy_is_original"] = barrierkit.mc_price is barrierkit.pricing.mc.mc_price
+print(json.dumps(report))
+"""
+
+
+def test_closed_commands_import_neither_numpy_nor_scipy():
+    src = str(Path(barrierkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(CLOSED_COMMANDS)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    assert report["commands"] == {argv[0]: [0, []] for argv in CLOSED_COMMANDS}
+    # the lazy names still resolve, to the objects their modules define
+    assert report["missing"] == []
+    assert report["lazy_is_original"] is True

@@ -8,11 +8,11 @@ from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
 from barrierkit.passage import (
     BreachEstimate,
     PdeGrid,
-    breach_prob_closed_flat,
     breach_prob_mc,
     breach_prob_pde,
     default_grid,
 )
+from barrierkit.pricing.closed import breach_prob_closed_flat
 from barrierkit.pricing.mc import McConfig
 
 

@@ -19,13 +19,9 @@ from barrierkit.model import (
     Payoff,
     PricingMethod,
 )
-from barrierkit.passage import (
-    breach_prob_closed_flat,
-    breach_prob_mc,
-    breach_prob_pde,
-    default_grid,
-)
+from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
 from barrierkit.pricing.closed import (
+    breach_prob_closed_flat,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
