@@ -21,14 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .critical import s_ml_flat, s_mu_flat
-from .model import DomainError, MarketParams, NumericsError, Payoff
-from .numerics import NoSignChangeError, find_root_bisect
+from .critical import s_ml_flat
+from .model import DomainError, MarketParams, NumericsError, Payoff, require_price_level
 from .pricing.closed import bs_vanilla, down_and_out_call_closed
 
 BISECT_TOL_S = 1e-6
 SWEEP_POINTS = 64
-NU_TOL = 1e-4
 NU_MAX = 20.0
 FLOOR_THETA = 1e-30
 
@@ -124,26 +122,34 @@ def numeric_critical_price(
 
 
 def implied_nu(params: MarketParams, barrier: float, side: str, s_crit: float) -> float:
-    """The nu whose analytic critical price equals the measured one.
+    """The nu in (0, 20] whose flat analytic critical price equals the measured one.
 
-    Bisection on nu in (0, 20] against the flat closed form (branch
-    logic included at every trial nu), tolerance 1e-4. The analytic
-    critical price moves monotonically in nu (outward from the barrier),
-    so a sign check at the ends decides attainability.
+    The exact inverse of s_ml_flat/s_mu_flat. Mirrored as they are, a
+    critical price sits x = ln(s_crit/barrier) from a lower barrier, or
+    x = ln(barrier/s_crit) from an upper one, with m = mu1 or -mu1. When
+    m > 0 and x < m*T the maximum lies at the interior turning point,
+    where x = (nu*sigma)^2/(4m); otherwise it lies at T, where
+    x = nu*sigma*sqrt(T) - m*T.
     """
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    flat = s_ml_flat if side == "lower" else s_mu_flat
-
-    def gap(nu: float) -> float:
-        return flat(params, barrier, nu)[0] - s_crit
-
-    try:
-        return find_root_bisect(gap, 1e-9, NU_MAX, tol_x=NU_TOL)
-    except NoSignChangeError:
+    require_price_level("barrier", barrier)
+    require_price_level("s_crit", s_crit)
+    sigma, T = params.sigma, params.T
+    m1 = params.mu - 0.5 * sigma * sigma
+    if side == "lower":
+        x, m = math.log(s_crit / barrier), m1
+    else:
+        x, m = math.log(barrier / s_crit), -m1
+    if m > 0.0 and x < m * T:
+        nu = 2.0 * math.sqrt(m * x) / sigma if x > 0.0 else 0.0
+    else:
+        nu = (x + m * T) / (sigma * math.sqrt(T))
+    if not (0.0 < nu <= NU_MAX):
         raise NumericsError(
             f"s_crit={s_crit} outside the attainable range for nu in (0, {NU_MAX}]"
-        ) from None
+        )
+    return nu
 
 
 @dataclass(frozen=True)

@@ -62,17 +62,25 @@ def _fmt(value) -> str:
     return f"{value:.10g}"
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; undecodable bytes are invalid input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text ({exc})") from None
+
+
 def _read_config(path: str) -> list[tuple[str, str]]:
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            entries.append((key.strip().replace("_", "-"), value.strip()))
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        entries.append((key.strip().replace("_", "-"), value.strip()))
     return entries
 
 
@@ -239,18 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_knots(path: str) -> tuple[tuple[float, float], ...]:
     knots = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 't,level'")
-            try:
-                knots.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: expected two numbers 't,level'") from None
+    for lineno, raw in enumerate(_read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 't,level'")
+        try:
+            knots.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: expected two numbers 't,level'") from None
     return tuple(knots)
 
 

@@ -93,35 +93,34 @@ def turning_point(params: MarketParams, nu: float) -> float | None:
     return half * half
 
 
-def s_ml_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
-    """Maximum of the flat lower critical curve over [0, T] with its time.
+def _flat_log_distance(params: MarketParams, nu: float, m: float) -> tuple[float, float]:
+    """Largest g(t) = nu*sigma*sqrt(t) - m*t over [0, T], with its time.
 
-    With nonpositive drift mu1 the curve rises through the whole horizon,
-    so the maximum sits at T; the same happens when the stationary time
-    t_p lies at or beyond T. Otherwise the interior stationary point wins.
+    g is the log-distance of a flat critical curve from its barrier: m is
+    mu1 on the lower side and -mu1 on the upper side, which mirrors one
+    side onto the other. With nonpositive m, g rises through the whole
+    horizon, so the maximum sits at T; the same happens when the
+    stationary time t_p = (nu*sigma / (2m))^2 lies at or beyond T.
+    Otherwise t_p wins.
     """
-    m1 = _m1(params)
-    T = params.T
-    tp = turning_point(params, nu)
-    if m1 <= 0.0 or tp >= T:
-        t_star = T
-    else:
-        t_star = tp
-    s = level * math.exp(nu * params.sigma * math.sqrt(t_star) - m1 * t_star)
-    return s, t_star
+    _require_nu(nu)
+    t_star = params.T
+    if m > 0.0:
+        half = nu * params.sigma / (2.0 * m)
+        t_star = min(half * half, t_star)
+    return nu * params.sigma * math.sqrt(t_star) - m * t_star, t_star
+
+
+def s_ml_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
+    """Maximum of the flat lower critical curve over [0, T] with its time."""
+    g, t_star = _flat_log_distance(params, nu, _m1(params))
+    return level * math.exp(g), t_star
 
 
 def s_mu_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
     """Minimum of the flat upper critical curve over [0, T] with its time."""
-    m1 = _m1(params)
-    T = params.T
-    tp = turning_point(params, nu)
-    if m1 >= 0.0 or tp >= T:
-        t_star = T
-    else:
-        t_star = tp
-    s = level * math.exp(-(nu * params.sigma * math.sqrt(t_star) + m1 * t_star))
-    return s, t_star
+    g, t_star = _flat_log_distance(params, nu, -_m1(params))
+    return level * math.exp(-g), t_star
 
 
 def critical_prices(

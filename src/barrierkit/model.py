@@ -42,10 +42,6 @@ class NumericsError(RuntimeError):
     """
 
 
-# grid used wherever "holds for all t" must be checked numerically
-ORDERING_GRID_POINTS = 1001
-
-
 def require_price_level(name: str, value: float) -> None:
     """Reject a price level (s0, strike, barrier) that is not positive and finite.
 
@@ -113,6 +109,8 @@ class BarrierCurve:
             if len(self.knots) < 2:
                 raise KnotOrderError("tabulated barrier needs at least two knots")
             ts = [t for t, _ in self.knots]
+            if not all(math.isfinite(t) for t in ts):
+                raise DomainError(f"tabulated barrier times must be finite, got {ts}")
             if any(b <= a for a, b in zip(ts, ts[1:])):
                 raise KnotOrderError(f"knot times must be strictly increasing, got {ts}")
             if any(not (lv > 0.0 and math.isfinite(lv)) for _, lv in self.knots):
@@ -155,6 +153,19 @@ class BarrierCurve:
                 return math.exp((1.0 - w) * math.log(v0) + w * math.log(v1))
         return knots[-1][1]  # unreachable, bounds checked above
 
+    def breakpoints(self, T: float) -> tuple[float, ...]:
+        """0, T and the knot times inside (0, T), in increasing order.
+
+        The log-level is linear in t between consecutive breakpoints, so
+        on [0, T] it takes its extremes at breakpoints.
+        """
+        return (0.0, *(t for t, _ in self.knots if 0.0 < t < T), T)
+
+    def extremes(self, T: float) -> tuple[float, float]:
+        """Lowest and highest level over [0, T]."""
+        levels = [self.value_at(t, T) for t in self.breakpoints(T)]
+        return min(levels), max(levels)
+
     def covers(self, T: float) -> bool:
         if self.shape is BarrierShape.TABULATED:
             return self.knots[-1][0] >= T
@@ -173,14 +184,14 @@ class BarrierSet:
         return self.lower is not None or self.upper is not None
 
     def check_ordering(self, T: float) -> None:
-        """Require lower(t) < upper(t) on a 1001-point grid plus all knots."""
+        """Require lower(t) < upper(t) for every t in [0, T].
+
+        Between the union of both curves' breakpoints the log gap is
+        linear, so checking those times is exact.
+        """
         if self.lower is None or self.upper is None:
             return
-        ts = {i * T / (ORDERING_GRID_POINTS - 1) for i in range(ORDERING_GRID_POINTS)}
-        for curve in (self.lower, self.upper):
-            if curve.shape is BarrierShape.TABULATED:
-                ts.update(t for t, _ in curve.knots if 0.0 <= t <= T)
-        for t in sorted(ts):
+        for t in sorted({*self.lower.breakpoints(T), *self.upper.breakpoints(T)}):
             lo = self.lower.value_at(t, T)
             hi = self.upper.value_at(t, T)
             if lo >= hi:

@@ -127,38 +127,3 @@ def maximize_on_interval(
     if best_v > v_star:
         t_star, v_star = min(a + best_i * h, b), best_v
     return IntervalResult(argument=t_star, value=v_star, iterations=iters)
-
-
-class NoSignChangeError(ValueError):
-    """find_root_bisect was given an interval on which f does not change sign."""
-
-
-def find_root_bisect(f, a: float, b: float, tol_x: float = 1e-12) -> float:
-    """Root of f on [a, b] by bisection; requires a sign change.
-
-    Returns an end whose value is exactly zero, a midpoint whose value
-    is exactly zero, or the midpoint of the last bracket once it is no
-    wider than tol_x.
-    """
-    if not (a < b):
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    fa = f(a)
-    fb = f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise NoSignChangeError(f"no sign change on [{a}, {b}]: f(a)={fa}, f(b)={fb}")
-    while b - a > tol_x:
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:  # interval at floating resolution
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)

@@ -95,9 +95,9 @@ def default_grid(
     low = s0
     high = s0
     if barriers.lower is not None:
-        low = min(low, min(barriers.lower.value_at(t, T) for t in np.linspace(0.0, T, 65)))
+        low = min(low, barriers.lower.extremes(T)[0])
     if barriers.upper is not None:
-        high = max(high, max(barriers.upper.value_at(t, T) for t in np.linspace(0.0, T, 65)))
+        high = max(high, barriers.upper.extremes(T)[1])
     return PdeGrid(s_min=low / span, s_max=high * span, n_space=n_space, n_time=n_time)
 
 
@@ -128,18 +128,8 @@ def breach_prob_pde(
     if has_u and s0 >= barriers.upper.value_at(0.0, T):
         raise DomainError("s0 at or above the upper barrier at inception")
 
-    n_levels = 129
-    ts = np.linspace(0.0, T, n_levels)
-    if has_l:
-        lo_logs = np.array([math.log(barriers.lower.value_at(t, T)) for t in ts])
-        x_min = float(lo_logs.min())
-    else:
-        x_min = math.log(grid.s_min)
-    if has_u:
-        hi_logs = np.array([math.log(barriers.upper.value_at(t, T)) for t in ts])
-        x_max = float(hi_logs.max())
-    else:
-        x_max = math.log(grid.s_max)
+    x_min = math.log(barriers.lower.extremes(T)[0] if has_l else grid.s_min)
+    x_max = math.log(barriers.upper.extremes(T)[1] if has_u else grid.s_max)
     if not x_min < math.log(s0) < x_max:
         raise DomainError("s0 outside the solver domain")
 

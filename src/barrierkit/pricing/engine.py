@@ -64,7 +64,8 @@ class PathResult:
 
 
 def _barrier_logs(curve, n: int, dt: float, T: float) -> np.ndarray:
-    return np.array([math.log(curve.value_at(i * dt, T)) for i in range(n + 1)])
+    # the last node is T itself: n*dt can round one ulp past it
+    return np.array([math.log(curve.value_at(t, T)) for t in [i * dt for i in range(n)] + [T]])
 
 
 def _resolve_tie(

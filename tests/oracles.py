@@ -98,3 +98,36 @@ FLOOR_CROSSINGS = {
 # (1.11e-16) of the vanilla price, so the two double prices are already
 # equal and no measurement at the floor can return it.
 QUOTED_FLOOR_NU = 4.347
+
+# Implied nu where the flat critical price peaks at the interior turning
+# point t_p = (nu sigma / (2m))^2 < T, one case per side, as (side, r,
+# sigma, T, barrier, measured price, nu). Here m = r - sigma^2/2 on the
+# lower side and sigma^2/2 - r on the upper, and the price sits
+# x = ln(s/B) (lower) or ln(B/s) (upper) from the barrier. nu is the root
+# of max_t g = x, where g(t) = nu sigma sqrt(t) - m t, bisected at 40 digits
+# from the maximum's own definition rather than from its inverse:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#
+#     def log_distance(nu, m, sig, T):  # max of g over [0, T]
+#         t = min((nu * sig / (2 * m)) ** 2, T) if m > 0 else T
+#         return nu * sig * mp.sqrt(t) - m * t
+#
+#     def oracle(side, r, sig, T, B, s):
+#         m = r - sig**2 / 2
+#         x = mp.log(s / B)
+#         if side == "upper":
+#             m, x = -m, -x
+#         lo, hi = mp.mpf(0), mp.mpf(20)
+#         while hi - lo > mp.mpf("1e-38"):
+#             mid = (lo + hi) / 2
+#             lo, hi = (mid, hi) if log_distance(mid, m, sig, T) < x else (lo, mid)
+#         return lo
+#
+# with every input as mp.mpf("...") of the decimals below. The turning
+# points are t_p = 2.8317 (T = 5) and 2.7842 (T = 4).
+INTERIOR_IMPLIED_NU = [
+    ("lower", 0.10, 0.15, 5.0, 70.0, 90.0, 1.9912767767855394249),
+    ("upper", 0.02, 0.40, 4.0, 130.0, 110.0, 0.50058078967809910153),
+]

@@ -24,7 +24,7 @@ from barrierkit.calibrate import (
 from barrierkit.critical import s_ml_flat, s_mu_flat
 from barrierkit.model import DomainError, MarketParams, NumericsError
 from barrierkit.pricing.closed import down_and_out_call_closed, up_and_out_call_closed
-from oracles import FLOOR_CROSSINGS, ORACLE_CROSSINGS
+from oracles import FLOOR_CROSSINGS, INTERIOR_IMPLIED_NU, ORACLE_CROSSINGS
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -89,7 +89,8 @@ class TestUpperSide:
         p = mk_params()
         s = numeric_critical_price(p, 100.0, 130.0, "upper", 1e-2, up_and_out_call_closed)
         assert s == pytest.approx(72.99353657342664, rel=1e-9)
-        assert implied_nu(p, 130.0, "upper", s) == pytest.approx(3.7560653694645403, rel=1e-6)
+        # (ln(130/s) - (r - sigma^2/2) T) / (sigma sqrt(T)) at 40 digits
+        assert implied_nu(p, 130.0, "upper", s) == pytest.approx(3.7560903554476166, rel=1e-8)
 
     def test_floor_unreachable(self):
         # the up-and-out correction never underflows to zero inside the
@@ -115,13 +116,18 @@ class TestImpliedNu:
     def test_round_trip_lower(self, nu0):
         p = mk_params()
         s_crit = s_ml_flat(p, 70.0, nu0)[0]
-        assert implied_nu(p, 70.0, "lower", s_crit) == pytest.approx(nu0, abs=1e-4)
+        assert implied_nu(p, 70.0, "lower", s_crit) == pytest.approx(nu0, rel=1e-10)
 
     @pytest.mark.parametrize("nu0", [0.5, 2.0, 4.9, 6.0])
     def test_round_trip_upper(self, nu0):
         p = mk_params()
         s_crit = s_mu_flat(p, 130.0, nu0)[0]
-        assert implied_nu(p, 130.0, "upper", s_crit) == pytest.approx(nu0, abs=1e-4)
+        assert implied_nu(p, 130.0, "upper", s_crit) == pytest.approx(nu0, rel=1e-10)
+
+    @pytest.mark.parametrize("side,r,sigma,T,barrier,s_crit,nu_ref", INTERIOR_IMPLIED_NU)
+    def test_interior_turning_point_matches_oracle(self, side, r, sigma, T, barrier, s_crit, nu_ref):
+        p = mk_params(sigma=sigma, T=T, r=r)
+        assert implied_nu(p, barrier, side, s_crit) == pytest.approx(nu_ref, rel=1e-14)
 
     def test_unattainable_raises(self):
         p = mk_params()
@@ -133,6 +139,8 @@ class TestImpliedNu:
     def test_side_validation(self):
         with pytest.raises(DomainError):
             implied_nu(mk_params(), 70.0, "both", 90.0)
+        with pytest.raises(DomainError):
+            implied_nu(mk_params(), 70.0, "lower", 0.0)
 
 
 class TestFloorTable:
@@ -153,16 +161,16 @@ class TestFloorTable:
                     112.600226384315822, 192.566627435925147]
         # measured onsets and implied nu at the precision floor; they
         # agree with the independent half-ulp oracle (oracles.py), the
-        # onsets to 1e-6 and nu within implied_nu's 1e-4 tolerance
+        # onsets to 1e-6 and nu, the exact inverse of the onset, to 1e-6
         numeric = [91.451143, 158.512737, 112.581003, 248.868203]
-        nus = [3.859978, 5.540581, 4.898415, 6.109047]
+        nus = [3.859962, 5.540598, 4.898390, 6.109064]
         for row, a, n, v in zip(rows, analytic, numeric, nus):
             s_ref, nu_ref = FLOOR_CROSSINGS[(row.T, row.sigma)]
             assert row.analytic_s_ml == pytest.approx(a, rel=1e-12)
             assert row.numeric_s_ml == pytest.approx(n, abs=1e-4)
             assert row.numeric_s_ml == pytest.approx(s_ref, abs=1e-4)
-            assert row.implied_nu == pytest.approx(v, abs=1e-4)
-            assert row.implied_nu == pytest.approx(nu_ref, abs=1e-4)
+            assert row.implied_nu == pytest.approx(v, abs=1e-6)
+            assert row.implied_nu == pytest.approx(nu_ref, abs=1e-6)
             assert row.as_tuple() == (
                 row.T, row.sigma, row.analytic_s_ml, row.numeric_s_ml, row.implied_nu
             )

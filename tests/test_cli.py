@@ -220,6 +220,24 @@ def test_breach_pde_matches_closed(capsys):
     assert p == pytest.approx(exact, abs=5e-4)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1000 * (T / 1000) rounds one ulp past this T
+        ["critical", "--lower", "70", "--upper", "130", "--nu", "3",
+         *_mkt(T="0.11738897078470452")],
+        # 335 * (T / 335) rounds one ulp past this T
+        ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--method", "mc",
+         "--paths", "2000", *_mkt(T="0.9169050509759932")],
+    ],
+    ids=["critical-double", "price-mc"],
+)
+def test_horizon_where_a_time_grid_overshoots(capsys, argv):
+    code, out, err = _call(capsys, *argv)
+    assert code == 0, err
+    assert out and not _has_non_finite(out)
+
+
 def test_calibrate_text_output(capsys):
     code, out, _ = _call(
         capsys, "calibrate", "--lower", "70", "--strike", "100",
@@ -596,6 +614,19 @@ def test_bad_knot_file_rejected(capsys, tmp_path):
     )
     assert code == 2
     assert "t,level" in err
+    knots.write_bytes(b"0,70\n\xff\xfe,80\n")
+    code, out, err = _call(capsys, "critical", "--lower-file", str(knots), "--nu", "3", *MKT)
+    assert (code, out) == (2, "")
+    assert "not UTF-8" in err
+    # NaN and infinite knot times pass every order check
+    for text in ("nan,70\n1,80\n", "0,70\ninf,80\n"):
+        knots.write_text(text, encoding="utf-8")
+        for cmd in (["classify", "--s0", "100", "--nu", "3"], ["critical", "--nu", "3"],
+                    ["price", "--s0", "100", "--strike", "100", "--method", "mc",
+                     "--paths", "1000"]):
+            code, out, err = _call(capsys, *cmd, "--lower-file", str(knots), *MKT)
+            assert (code, out) == (2, ""), (text, cmd)
+            assert "must be finite" in err
 
 
 def test_barrier_file_excludes_level_flags(capsys, tmp_path):
@@ -755,6 +786,10 @@ def test_config_malformed_line(capsys, tmp_path):
     assert code == 2
     assert "key=value" in err
     assert ":1:" in err
+    cfg.write_bytes(b"lower = 70\nnu = 4\xe9\n")
+    code, out, err = _call(capsys, "critical", "--config", str(cfg), *MKT)
+    assert (code, out) == (2, "")
+    assert "not UTF-8" in err
 
 
 # ---------------------------------------------------------------- determinism

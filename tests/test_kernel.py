@@ -39,7 +39,8 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
     vol = params.sigma * math.sqrt(dt)
     h = 0.5 * params.sigma**2 * dt
     sides = [c for c in (barriers.lower, barriers.upper) if c is not None]
-    logs = [np.array([math.log(c.value_at(i * dt, params.T)) for i in range(n + 1)]) for c in sides]
+    nodes = [i * dt for i in range(n)] + [params.T]  # n*dt can round past T
+    logs = [np.array([math.log(c.value_at(t, params.T)) for t in nodes]) for c in sides]
     bl = logs[0] if has_l else None
     bu = logs[-1] if has_u else None
     status = np.zeros(paths, dtype=np.uint8)
@@ -96,18 +97,22 @@ CORRIDOR = BarrierSet(
 
 class TestScalarReference:
     @pytest.mark.parametrize(
-        "barriers, steps, sigma, bridge",
+        "barriers, steps, sigma, bridge, T",
         [
-            (BarrierSet(lower=BarrierCurve.flat(90.0)), 100, 0.30, True),
-            (BarrierSet(upper=BarrierCurve.flat(110.0)), 100, 0.30, True),
-            (NEAR_DKO, 100, 0.30, True),
-            (CORRIDOR, 12, 0.40, True),
-            (NEAR_DKO, 100, 0.30, False),
+            (BarrierSet(lower=BarrierCurve.flat(90.0)), 100, 0.30, True, 0.25),
+            (BarrierSet(upper=BarrierCurve.flat(110.0)), 100, 0.30, True, 0.25),
+            (NEAR_DKO, 100, 0.30, True, 0.25),
+            (CORRIDOR, 12, 0.40, True, 0.25),
+            (NEAR_DKO, 100, 0.30, False, 0.25),
+            # 335 steps, and 335 * (T / 335) rounds one ulp past T
+            (BarrierSet(lower=BarrierCurve.exponential(80.0, 0.1)), 365, 0.30, True,
+             0.9169050509759932),
         ],
-        ids=["single-lower", "single-upper", "flat-double", "tie-corridor", "bridge-off"],
+        ids=["single-lower", "single-upper", "flat-double", "tie-corridor", "bridge-off",
+             "last-node-at-T"],
     )
-    def test_bit_identical_to_scalar_scan(self, barriers, steps, sigma, bridge):
-        p = mk_params(sigma=sigma)
+    def test_bit_identical_to_scalar_scan(self, barriers, steps, sigma, bridge, T):
+        p = mk_params(sigma=sigma, T=T)
         want_status, want_x, ties = reference_scan(p, barriers, 100.0, 1500, steps, 41, bridge)
         got = simulate_paths(
             p, barriers, 100.0, paths=1500, steps_per_year=steps, seed=41, chunk=512, bridge=bridge

@@ -90,6 +90,18 @@ class TestBarrierCurve:
             BarrierCurve.tabulated([(0.1, 70.0), (0.5, 71.0)])
         with pytest.raises(DomainError):
             BarrierCurve.tabulated([(0.0, 70.0), (0.5, -1.0)])
+        # every comparison with NaN is false, so the order checks alone pass these
+        for t0, t1 in ((math.nan, 1.0), (0.0, math.nan), (-math.inf, 1.0), (0.0, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                BarrierCurve.tabulated([(t0, 70.0), (t1, 80.0)])
+
+    def test_breakpoints_and_extremes(self):
+        c = BarrierCurve.tabulated([(-0.5, 70.0), (0.2, 66.0), (0.6, 75.0), (2.0, 71.0)])
+        assert c.breakpoints(1.0) == (0.0, 0.2, 0.6, 1.0)
+        assert c.extremes(1.0) == (66.0, 75.0)
+        e = BarrierCurve.exponential(70.0, -0.1)
+        assert e.breakpoints(1.0) == (0.0, 1.0)
+        assert e.extremes(1.0) == (e.value_at(1.0, 1.0), 70.0)
 
     def test_tabulated_coverage(self):
         c = BarrierCurve.tabulated([(0.0, 70.0), (0.5, 72.0)])
@@ -125,6 +137,16 @@ class TestBarrierSet:
             upper=BarrierCurve.flat(100.0),
         )
         with pytest.raises(BarrierOrderError):
+            bs.check_ordering(1.0)
+
+    def test_crossing_caught_at_the_other_curves_knot(self):
+        # the upper curve steps up just after its knot at 0.1234, where the
+        # lower curve, rising to its own knot, already lies above it
+        bs = BarrierSet(
+            lower=BarrierCurve.tabulated([(0.0, 90.0), (0.1234567, 101.0), (1.0, 90.0)]),
+            upper=BarrierCurve.tabulated([(0.0, 100.0), (0.1234, 100.0), (0.1235, 102.0), (1.0, 102.0)]),
+        )
+        with pytest.raises(BarrierOrderError, match="t=0.1234"):
             bs.check_ordering(1.0)
 
     def test_single_side_always_ordered(self):

@@ -1,4 +1,4 @@
-"""Normal distribution helpers and scalar optimization/root finding."""
+"""Normal distribution helpers and scalar optimization."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 
 from barrierkit.model import DomainError
 from barrierkit.numerics import (
-    find_root_bisect,
     maximize_on_interval,
     nu_for_accuracy,
     std_normal_cdf,
@@ -113,21 +112,3 @@ class TestMaximize:
             maximize_on_interval(lambda t: t, 0.0, 1.0, tol_t=0.0)
         with pytest.raises(ValueError):
             maximize_on_interval(lambda t: t, 0.0, 1.0, scan_points=2)
-
-
-class TestBisect:
-    def test_simple_root(self):
-        r = find_root_bisect(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert r == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-    def test_endpoint_roots_exact(self):
-        assert find_root_bisect(lambda x: x, 0.0, 1.0) == 0.0
-        assert find_root_bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-    def test_no_sign_change(self):
-        with pytest.raises(ValueError):
-            find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            find_root_bisect(lambda x: x, 2.0, 1.0)
