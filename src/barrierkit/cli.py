@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from .calibrate import FLOOR_THETA, implied_nu, numeric_critical_price, reproduce_table1
 from .classify import classify_double, classify_down_and_out, classify_up_and_out
-from .critical import critical_prices, s_ml_flat, s_mu_flat
+from .critical import critical_prices
 from .model import (
     BarrierCurve,
     BarrierSet,
     BarrierShape,
+    CriticalPrices,
     MarketParams,
     NumericsError,
     OptionSpec,
@@ -322,7 +323,7 @@ def _closed_price(params: MarketParams, strike: float, barriers: BarrierSet, s0:
     if has_l and has_u:
         if barriers.lower.shape is BarrierShape.TABULATED or barriers.upper.shape is BarrierShape.TABULATED:
             raise ValidationError("closed double-barrier form needs flat or exponential barriers")
-        curvature = (barriers.lower.growth or 0.0, barriers.upper.growth or 0.0)
+        curvature = (barriers.lower.growth, barriers.upper.growth)
         return double_knockout_closed(
             params, strike, barriers.lower.level, barriers.upper.level, s0, curvature
         )
@@ -360,6 +361,23 @@ def _require_finite(rows) -> None:
                 )
 
 
+def _initial_levels(barriers: BarrierSet, T: float) -> tuple[float | None, float | None]:
+    """Lower and upper barrier levels at t = 0; None for an absent side."""
+    return tuple(
+        None if curve is None else curve.value_at(0.0, T)
+        for curve in (barriers.lower, barriers.upper)
+    )
+
+
+def _classify(s0: float, bl0: float | None, bu0: float | None, crit: CriticalPrices):
+    """Effective option type at s0 for whichever barriers are present."""
+    if bl0 is not None and bu0 is not None:
+        return classify_double(s0, bl0, bu0, crit.s_ml, crit.s_mu)
+    if bl0 is not None:
+        return classify_down_and_out(s0, bl0, crit.s_ml)
+    return classify_up_and_out(s0, bu0, crit.s_mu)
+
+
 def _cmd_classify(args) -> _Report:
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
@@ -367,18 +385,7 @@ def _cmd_classify(args) -> _Report:
         raise ValidationError("classify needs at least one barrier")
     nu = _nu_from_args(args)
     crit = critical_prices(params, barriers, nu)
-    if barriers.lower is not None and barriers.upper is not None:
-        label = classify_double(
-            args.s0,
-            barriers.lower.value_at(0.0, params.T),
-            barriers.upper.value_at(0.0, params.T),
-            crit.s_ml,
-            crit.s_mu,
-        )
-    elif barriers.lower is not None:
-        label = classify_down_and_out(args.s0, barriers.lower.value_at(0.0, params.T), crit.s_ml)
-    else:
-        label = classify_up_and_out(args.s0, barriers.upper.value_at(0.0, params.T), crit.s_mu)
+    label = _classify(args.s0, *_initial_levels(barriers, params.T), crit)
     return _Report(("classification",), [(label.value,)], [label.value])
 
 
@@ -505,8 +512,7 @@ def _cmd_sweep(args) -> _Report:
     nu = _nu_from_args(args)
     crit = critical_prices(params, barriers, nu)
     span = math.exp(10.0 * params.sigma * math.sqrt(params.T))
-    bl0 = barriers.lower.value_at(0.0, params.T) if barriers.lower is not None else None
-    bu0 = barriers.upper.value_at(0.0, params.T) if barriers.upper is not None else None
+    bl0, bu0 = _initial_levels(barriers, params.T)
     if bl0 is not None and bu0 is not None:
         lo, hi = bl0 * 1.02, bu0 * 0.98
     elif bl0 is not None:
@@ -517,12 +523,7 @@ def _cmd_sweep(args) -> _Report:
     rows = []
     for i in range(n_points):
         s0 = lo + (hi - lo) * i / (n_points - 1)
-        if bl0 is not None and bu0 is not None:
-            label = classify_double(s0, bl0, bu0, crit.s_ml, crit.s_mu)
-        elif bl0 is not None:
-            label = classify_down_and_out(s0, bl0, crit.s_ml)
-        else:
-            label = classify_up_and_out(s0, bu0, crit.s_mu)
+        label = _classify(s0, bl0, bu0, crit)
         barrier_price = _closed_price(params, args.strike, barriers, s0).value
         vanilla = bs_vanilla(params, Payoff.CALL, args.strike, s0).value
         rows.append((s0, label.value, barrier_price, vanilla, abs(barrier_price - vanilla)))

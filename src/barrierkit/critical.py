@@ -7,9 +7,10 @@ the tail mass Phi(-nu); its maximum over [0, T] is s_ml, the smallest
 initial price for which the barrier never matters at the stated accuracy.
 The upper-barrier story is the mirror image and yields s_mu as a minimum.
 
-Flat barriers admit closed forms with a single interior stationary point
-(the turning point); every other shape goes through the generic interval
-optimizer.
+Every barrier is log-linear between its breakpoints, so on each segment
+the curve has the flat-barrier form with mu1 shifted by the segment's
+log-slope, and a single interior stationary point (the turning point).
+The extremum over [0, T] is the best of the segments' closed-form peaks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .model import (
     DomainError,
     MarketParams,
 )
-from .numerics import maximize_on_interval, std_normal_cdf
+from .numerics import std_normal_cdf
 
 
 def _require_nu(nu: float) -> None:
@@ -93,64 +94,75 @@ def turning_point(params: MarketParams, nu: float) -> float | None:
     return half * half
 
 
-def _flat_log_distance(params: MarketParams, nu: float, m: float) -> tuple[float, float]:
-    """Largest g(t) = nu*sigma*sqrt(t) - m*t over [0, T], with its time.
+def _log_slope(curve: BarrierCurve, a: float, b: float, T: float) -> float:
+    """Slope of log B over [a, b], two consecutive breakpoints of the curve.
 
-    g is the log-distance of a flat critical curve from its barrier: m is
-    mu1 on the lower side and -mu1 on the upper side, which mirrors one
-    side onto the other. With nonpositive m, g rises through the whole
-    horizon, so the maximum sits at T; the same happens when the
-    stationary time t_p = (nu*sigma / (2m))^2 lies at or beyond T.
-    Otherwise t_p wins.
+    Exact for a flat barrier (the difference is 0); an exponential one
+    returns its own growth, which the difference quotient would round.
     """
-    _require_nu(nu)
-    t_star = params.T
+    if curve.shape is BarrierShape.EXPONENTIAL:
+        return curve.growth
+    return (math.log(curve.value_at(b, T)) - math.log(curve.value_at(a, T))) / (b - a)
+
+
+def _peak_time(params: MarketParams, nu: float, m: float, a: float, b: float) -> float:
+    """Time in [a, b] where h(t) = nu*sigma*sqrt(t) - m*t is largest.
+
+    h is the log-distance of a critical curve from a barrier that is
+    log-linear on [a, b]: m is mu1 - g on the lower side and g - mu1 on
+    the upper side, g the barrier's log-slope, which mirrors one side
+    onto the other. h is concave. With nonpositive m it rises through
+    the segment, so it peaks at b; otherwise it peaks at the stationary
+    time t_p = (nu*sigma / (2m))^2, clamped into [a, b].
+    """
     if m > 0.0:
         half = nu * params.sigma / (2.0 * m)
-        t_star = min(half * half, t_star)
-    return nu * params.sigma * math.sqrt(t_star) - m * t_star, t_star
+        return min(max(half * half, a), b)
+    return b
+
+
+def _extremum(
+    params: MarketParams, curve: BarrierCurve, nu: float, side: float
+) -> tuple[float, float]:
+    """s_ml (side = 1) or s_mu (side = -1) of one barrier, with its time.
+
+    Walks the segments between the curve's breakpoints, evaluates the
+    critical curve at each segment's peak and keeps the best; ties go to
+    the earlier time.
+    """
+    _require_nu(nu)
+    crit = lower_critical_curve if side > 0.0 else upper_critical_curve
+    m1 = _m1(params)
+    ts = curve.breakpoints(params.T)
+    best = None
+    for a, b in zip(ts, ts[1:]):
+        m = side * (m1 - _log_slope(curve, a, b, params.T))
+        t = _peak_time(params, nu, m, a, b)
+        s = crit(params, curve, nu, t)
+        if best is None or side * s > side * best[0]:
+            best = (s, t)
+    return best
 
 
 def s_ml_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
     """Maximum of the flat lower critical curve over [0, T] with its time."""
-    g, t_star = _flat_log_distance(params, nu, _m1(params))
-    return level * math.exp(g), t_star
+    return _extremum(params, BarrierCurve.flat(level), nu, 1.0)
 
 
 def s_mu_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
     """Minimum of the flat upper critical curve over [0, T] with its time."""
-    g, t_star = _flat_log_distance(params, nu, -_m1(params))
-    return level * math.exp(-g), t_star
+    return _extremum(params, BarrierCurve.flat(level), nu, -1.0)
 
 
 def critical_prices(
     params: MarketParams, barriers: BarrierSet, nu: float
 ) -> CriticalPrices:
-    """Extremal critical prices for every barrier present.
-
-    Flat barriers use the closed forms above; any other shape runs the
-    coarse-scan plus golden-section optimizer on the corresponding curve.
-    """
+    """Extremal critical prices for every barrier present, exact for every shape."""
     if not barriers.any_present:
         raise DomainError("no barriers present, nothing to extremize")
-    _require_nu(nu)
     s_ml = t_max = s_mu = t_min = None
     if barriers.lower is not None:
-        lo = barriers.lower
-        if lo.shape is BarrierShape.FLAT:
-            s_ml, t_max = s_ml_flat(params, lo.level, nu)
-        else:
-            res = maximize_on_interval(
-                lambda t: lower_critical_curve(params, lo, nu, t), 0.0, params.T
-            )
-            s_ml, t_max = res.value, res.argument
+        s_ml, t_max = _extremum(params, barriers.lower, nu, 1.0)
     if barriers.upper is not None:
-        up = barriers.upper
-        if up.shape is BarrierShape.FLAT:
-            s_mu, t_min = s_mu_flat(params, up.level, nu)
-        else:
-            res = maximize_on_interval(
-                lambda t: -upper_critical_curve(params, up, nu, t), 0.0, params.T
-            )
-            s_mu, t_min = -res.value, res.argument
+        s_mu, t_min = _extremum(params, barriers.upper, nu, -1.0)
     return CriticalPrices(s_ml=s_ml, t_at_max=t_max, s_mu=s_mu, t_at_min=t_min)

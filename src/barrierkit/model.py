@@ -8,6 +8,7 @@ the cross-field checks that depend on more than one object.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -145,13 +146,13 @@ class BarrierCurve:
             )
         if t <= knots[0][0]:
             return knots[0][1]
-        for (t0, v0), (t1, v1) in zip(knots, knots[1:]):
-            if t <= t1:
-                if t == t1:
-                    return v1  # keep knots exact, exp(log v) can drift an ulp
-                w = (t - t0) / (t1 - t0)
-                return math.exp((1.0 - w) * math.log(v0) + w * math.log(v1))
-        return knots[-1][1]  # unreachable, bounds checked above
+        # the first knot at or after t; (t,) sorts before every (t, level)
+        i = bisect.bisect_left(knots, (t,))
+        (t0, v0), (t1, v1) = knots[i - 1], knots[i]
+        if t == t1:
+            return v1  # keep knots exact, exp(log v) can drift an ulp
+        w = (t - t0) / (t1 - t0)
+        return math.exp((1.0 - w) * math.log(v0) + w * math.log(v1))
 
     def breakpoints(self, T: float) -> tuple[float, ...]:
         """0, T and the knot times inside (0, T), in increasing order.

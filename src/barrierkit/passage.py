@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import BarrierSet, DomainError, MarketParams, require_price_level
+from .model import BarrierSet, DomainError, MarketParams, NumericsError, require_price_level
 from .pricing.engine import STATUS_LOWER, STATUS_UPPER, simulate_paths
 from .pricing.mc import McConfig
 
@@ -166,7 +166,15 @@ def breach_prob_pde(
         jb = jhi - 1 if has_u else N - 2
         m = jb - ja + 1
         if m < 16:
-            raise DomainError("grid too coarse: fewer than 16 nodes between barriers")
+            levels = ", ".join(
+                "{} barrier over [{:.6g}, {:.6g}]".format(side, *curve.extremes(T))
+                for side, curve in (("lower", barriers.lower), ("upper", barriers.upper))
+                if curve is not None
+            )
+            raise NumericsError(
+                f"grid too coarse: fewer than 16 of {N} nodes between barriers "
+                f"at t={t_new:.6g} ({levels})"
+            )
         if cache != (ja, jb, w):
             cache = (ja, jb, w)
             sub = np.full(m, lo_c)

@@ -131,3 +131,55 @@ INTERIOR_IMPLIED_NU = [
     ("lower", 0.10, 0.15, 5.0, 70.0, 90.0, 1.9912767767855394249),
     ("upper", 0.02, 0.40, 4.0, 130.0, 110.0, 0.50058078967809910153),
 ]
+
+# Extremal critical prices of curved barriers at r = mu = 0.10,
+# sigma = 0.15 and nu = 2, as (side, barrier, T, critical price, time
+# attained). A barrier is ("exp", level, growth) or ("tab", knots). With
+# mu1 = r - sigma^2/2 the log critical curves are
+#
+#     lower: log S(t) = log B(t) + nu sigma sqrt(t) - mu1 t
+#     upper: log S(t) = log B(t) - nu sigma sqrt(t) - mu1 t
+#
+# and log B is linear between knots, so on each segment the lower curve
+# is concave and the upper one convex. The extremum therefore lies at a
+# knot, at 0 or T, or at a zero of the derivative inside a segment,
+# solved at 40 digits:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     r, sig, nu = mp.mpf("0.10"), mp.mpf("0.15"), mp.mpf(2)
+#     m1 = r - sig**2 / 2
+#
+#     # 70 e^(0.02 t) over [0, 10]: S(0) = 70 and S(10) = 90.89 lie below
+#     g = mp.mpf("0.02")
+#     log_s = lambda t: mp.log(70) + g * t + nu * sig * mp.sqrt(t) - m1 * t
+#     tp = mp.findroot(lambda t: mp.diff(log_s, t), 4)
+#     s = mp.exp(log_s(tp))
+#
+#     # knots (0, 70), (1, 80), (2, 72), lower: the derivative is +0.195
+#     # just left of t = 1 and -0.044 just right of it, so the knot wins
+#     s = 80 * mp.exp(nu * sig - m1)
+#
+#     # knots (0, 130), (1, 120), (2, 200), upper: -0.319 left of t = 1
+#     # and +0.272 right of it, so the knot is the minimum
+#     s = 120 * mp.exp(-nu * sig - m1)
+CURVED_CRITICAL = [
+    ("lower", ("exp", 70.0, 0.02), 10.0, 97.102582314145674092, 4.7603305785123966942),
+    ("lower", ("tab", ((0.0, 70.0), (1.0, 80.0), (2.0, 72.0))), 2.0, 98.817689739550956732, 1.0),
+    ("upper", ("tab", ((0.0, 130.0), (1.0, 120.0), (2.0, 200.0))), 2.0, 81.348446971492273974, 1.0),
+]
+
+# s_ml of the lower barrier 70 e^(0.05 t) at r = mu = 0.1, sigma = 0.3,
+# nu = 3 and T = 1e20, as (s_ml, time attained). For the decimal inputs
+# the turning point (nu sigma / (2 (mu1 - g)))^2 is 8100 exactly and
+# s_ml = 27165928737053422681.622. At t = 8100, though, the 1e-17 gap
+# between each decimal and its double moves s_ml by 5.2e-14 relative, so
+# this entry takes the doubles themselves as inputs, mp.mpf(0.1) rather
+# than mp.mpf("0.1"), and solves as above at 40 digits:
+#
+#     r, sig, g, nu = mp.mpf(0.1), mp.mpf(0.3), mp.mpf(0.05), mp.mpf(3)
+#     m1 = r - sig**2 / 2
+#     log_s = lambda t: mp.log(70) + g * t + nu * sig * mp.sqrt(t) - m1 * t
+#     tp = mp.findroot(lambda t: mp.diff(log_s, t), 8000)
+#     s = mp.exp(log_s(tp))
+FAR_HORIZON_CRITICAL = (27165928737051997610.302, 8099.9999999999796163)

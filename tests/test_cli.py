@@ -220,6 +220,21 @@ def test_breach_pde_matches_closed(capsys):
     assert p == pytest.approx(exact, abs=5e-4)
 
 
+def test_breach_pde_grid_too_coarse_is_a_numerical_failure(capsys, tmp_path):
+    # a valid barrier that dips to 1e-300 stretches the log grid until
+    # fewer than 16 nodes lie between the barriers; Monte Carlo prices it
+    knots = tmp_path / "dip.csv"
+    knots.write_text("0,70\n0.5,1e-300\n1,80\n", encoding="utf-8")
+    code, out, err = _call(capsys, "breach", "--s0", "100", "--method", "pde",
+                           "--lower-file", str(knots), *MKT)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: grid too coarse")
+    assert "lower barrier over [8.3666e-150, 70]" in err
+    code, out, _ = _call(capsys, "price", "--s0", "100", "--strike", "100", "--method", "mc",
+                         "--paths", "2000", "--lower-file", str(knots), *MKT)
+    assert code == 0 and out.startswith("price = ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -503,7 +518,6 @@ S0_K = ["--s0", "100", "--strike", "100"]
         ["breach", "--s0", "100", "--lower", "70", "--upper", "130", *_mkt(r="1e308")],
         ["calibrate", "--upper", "130", "--theta", "1e-6", *_mkt(r="100")],
         # horizons
-        ["critical", "--lower", "70", "--lower-growth", "0.05", "--nu", "3", *_mkt(T="1e20")],
         ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(T="1e20")],
         ["sweep", "--strike", "100", "--lower", "70", "--nu", "3", *_mkt(T="1e20")],
         ["price", *S0_K, "--lower", "70", "--upper", "130", *_mkt(T="5e-324")],
@@ -535,12 +549,21 @@ def test_exit_2_or_3_beyond_double_precision(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_critical_price_far_inside_a_huge_horizon(capsys):
+    # the maximum sits at the turning point t = 8100; the value is pinned
+    # to 1e-14 in tests/test_critical.py
+    code, out, err = _call(capsys, "critical", "--lower", "70", "--lower-growth", "0.05",
+                           "--nu", "3", *_mkt(T="1e20"))
+    assert (code, out, err) == (0, "s_ml = 2.716592874e+19  (attained at t = 8100)\n", "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         # bisection on s0 where adjacent floats lie more than 1e-6 apart
         ["calibrate", "--upper", "1e20", "--theta", "1e-6", *MKT],
-        # golden section on t where adjacent floats lie more than 1e-10 apart
+        # a curved barrier at a horizon where adjacent floats in t lie more
+        # than 1e-10 apart, which once stalled a search on t
         ["critical", "--lower", "70", "--lower-growth", "1e-30", "--nu", "1",
          *_mkt(sigma="0.1", r="0.005", T="1e7")],
     ],

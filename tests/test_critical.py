@@ -1,6 +1,7 @@
 """Critical curves, their flat-barrier extrema, and pointwise probabilities."""
 
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,8 @@ from barrierkit.critical import (
 )
 from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
 from barrierkit.numerics import std_normal_cdf
+
+from oracles import CURVED_CRITICAL, FAR_HORIZON_CRITICAL
 
 
 def mk_params(sigma, T, r=0.10):
@@ -176,15 +179,15 @@ class TestCriticalPrices:
         with pytest.raises(DomainError):
             critical_prices(mk_params(0.3, 0.25), BarrierSet(), 4.9)
 
-    def test_curved_lower_runs_optimizer(self):
-        # growing barrier keeps the curve increasing; maximum at the horizon.
-        # At the second horizon the last scan point a + 1000*h rounds one
-        # ulp past T; the reference values are 40-digit evaluations.
+    def test_growing_lower_peaks_at_horizon(self):
+        # a growing barrier keeps the curve increasing, so the maximum sits
+        # at the horizon; at the second horizon a 1000-step grid on [0, T]
+        # ends one ulp past T. The reference values are 40-digit evaluations.
         bs = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.05))
         for T, expected in ((0.25, 100.1138203323573), (0.995325888840994, 140.2191584441792181)):
             cp = critical_prices(mk_params(0.15, T), bs, 4.9)
-            assert cp.s_ml == pytest.approx(expected, rel=1e-10)
-            assert cp.t_at_max == pytest.approx(T, abs=1e-6)
+            assert cp.s_ml == pytest.approx(expected, rel=1e-14)
+            assert cp.t_at_max == T
 
     def test_curved_matches_flat_when_growth_zero(self):
         p = mk_params(0.30, 0.25)
@@ -192,10 +195,75 @@ class TestCriticalPrices:
         curved = critical_prices(
             p, BarrierSet(lower=BarrierCurve.exponential(70.0, 0.0)), 4.9
         )
-        assert curved.s_ml == pytest.approx(flat.s_ml, rel=1e-9)
+        assert (curved.s_ml, curved.t_at_max) == (flat.s_ml, flat.t_at_max)
 
     def test_tabulated_upper_dispatch(self):
         p = mk_params(0.30, 0.25)
         up = BarrierCurve.tabulated([(0.0, 130.0), (0.25, 131.0)])
         cp = critical_prices(p, BarrierSet(upper=up), 4.9)
         assert cp.s_mu is not None and cp.s_mu < 130.0
+
+
+def _curve(barrier):
+    if barrier[0] == "exp":
+        return BarrierCurve.exponential(barrier[1], barrier[2])
+    return BarrierCurve.tabulated(barrier[1])
+
+
+def _side(cp, side):
+    return (cp.s_ml, cp.t_at_max) if side == "lower" else (cp.s_mu, cp.t_at_min)
+
+
+def _interior_exponential_cases(n):
+    """Exponential lower barriers whose turning point lies inside (0, T)."""
+    rng = random.Random(11)
+    cases = []
+    while len(cases) < n:
+        sigma, r, g, nu = rng.uniform(0.05, 1.0), rng.uniform(-0.1, 0.5), rng.uniform(-1, 1), rng.uniform(0.5, 6)
+        m = r - 0.5 * sigma * sigma - g
+        if m > 0.0 and (nu * sigma / (2.0 * m)) ** 2 < 10.0:
+            cases.append((mk_params(sigma, 10.0, r=r), g, nu))
+    return cases
+
+
+class TestCurvedExtrema:
+    @pytest.mark.parametrize("side,barrier,T,expected,t_expected", CURVED_CRITICAL)
+    def test_matches_oracle(self, side, barrier, T, expected, t_expected):
+        cp = critical_prices(mk_params(0.15, T), BarrierSet(**{side: _curve(barrier)}), 2.0)
+        value, t_at = _side(cp, side)
+        assert value == pytest.approx(expected, rel=1e-14)
+        assert t_at == pytest.approx(t_expected, rel=1e-14)
+
+    def test_far_horizon(self):
+        # the maximum sits at t = 8100 of a horizon of 1e20 years
+        bs = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.05))
+        cp = critical_prices(mk_params(0.3, 1e20), bs, 3.0)
+        s_ml, t_at = FAR_HORIZON_CRITICAL
+        assert cp.s_ml == pytest.approx(s_ml, rel=1e-14)
+        assert cp.t_at_max == pytest.approx(t_at, rel=1e-14)
+
+    def test_exponential_turning_point_is_exact(self):
+        for p, g, nu in _interior_exponential_cases(50):
+            cp = critical_prices(p, BarrierSet(lower=BarrierCurve.exponential(70.0, g)), nu)
+            mu1 = p.mu - 0.5 * p.sigma * p.sigma
+            assert cp.t_at_max == (nu * p.sigma / (2.0 * (mu1 - g))) ** 2
+
+    def test_time_stable_under_one_ulp_of_nu(self):
+        # the attained time is a formula or a knot, so a one-ulp change of
+        # nu moves it by a few ulps, never by the width of a search bracket
+        knots = ((0.0, 70.0), (2.5, 74.0), (6.0, 69.0), (10.0, 75.0))
+        for p, g, nu in _interior_exponential_cases(200):
+            for curve in (BarrierCurve.exponential(70.0, g), BarrierCurve.tabulated(knots)):
+                bs = BarrierSet(lower=curve)
+                t0 = critical_prices(p, bs, nu).t_at_max
+                t1 = critical_prices(p, bs, math.nextafter(nu, math.inf)).t_at_max
+                assert t1 == pytest.approx(t0, rel=1e-12, abs=0.0)
+
+    def test_ties_go_to_the_earlier_segment(self):
+        # zero drift (sigma^2/2 == mu exactly in binary) and nu = 0 leave
+        # the curve at 70 everywhere; each segment offers its end, and the
+        # first one keeps the tie
+        p = mk_params(0.5, 2.0, r=0.125)
+        knotted = BarrierCurve.tabulated([(0.0, 70.0), (1.0, 70.0), (2.0, 70.0)])
+        cp = critical_prices(p, BarrierSet(lower=knotted, upper=knotted), 0.0)
+        assert (cp.s_ml, cp.t_at_max, cp.s_mu, cp.t_at_min) == (70.0, 1.0, 70.0, 1.0)

@@ -1,4 +1,4 @@
-"""Normal distribution helpers and scalar optimization."""
+"""Normal distribution helpers."""
 
 import math
 
@@ -6,7 +6,6 @@ import pytest
 
 from barrierkit.model import DomainError
 from barrierkit.numerics import (
-    maximize_on_interval,
     nu_for_accuracy,
     std_normal_cdf,
     std_normal_sf,
@@ -80,35 +79,3 @@ class TestNuForAccuracy:
             with pytest.raises(DomainError):
                 nu_for_accuracy(pi)
 
-
-class TestMaximize:
-    def test_parabola(self):
-        res = maximize_on_interval(lambda t: -(t - 0.3) ** 2, 0.0, 1.0)
-        assert res.argument == pytest.approx(0.3, abs=1e-9)
-        assert res.value == pytest.approx(0.0, abs=1e-17)
-
-    def test_boundary_maximum(self):
-        res = maximize_on_interval(lambda t: t, 0.0, 2.0)
-        assert res.argument == pytest.approx(2.0, abs=1e-9)
-        assert res.value == pytest.approx(2.0, abs=1e-9)
-
-    def test_flat_tie_breaks_to_smaller_argument(self):
-        res = maximize_on_interval(lambda t: 1.0, 0.0, 1.0)
-        assert res.argument <= 2.0 / 1000.0  # pinned to the first scan cell
-
-    def test_never_below_scan_best(self):
-        # narrow spike the golden stage could skate past; scan must keep it
-        def f(t):
-            return math.exp(-((t - 0.5) / 1e-5) ** 2)
-
-        res = maximize_on_interval(f, 0.0, 1.0)
-        assert res.value >= f(0.5) * 0.999 or res.value >= f(res.argument)
-        assert res.value >= max(f(i / 1000.0) for i in range(1001))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            maximize_on_interval(lambda t: t, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            maximize_on_interval(lambda t: t, 0.0, 1.0, tol_t=0.0)
-        with pytest.raises(ValueError):
-            maximize_on_interval(lambda t: t, 0.0, 1.0, scan_points=2)

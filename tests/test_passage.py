@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
+from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError
 from barrierkit.passage import (
     BreachEstimate,
     PdeGrid,
@@ -177,14 +177,14 @@ class TestPde:
         p = mk_params()
         # minimum legal grid leaves 14 interior nodes, one short of usable
         grid = PdeGrid(s_min=50.0, s_max=200.0, n_space=16, n_time=16)
-        with pytest.raises(DomainError, match="grid too coarse"):
+        with pytest.raises(NumericsError, match="grid too coarse"):
             breach_prob_pde(p, DKO, 100.0, 0.25, grid)
         # a barrier sweeping through most of the corridor pinches the live
         # band near expiry even on the default grid
         sweep = BarrierSet(
             lower=BarrierCurve.exponential(70.0, 3.0), upper=BarrierCurve.flat(150.0)
         )
-        with pytest.raises(DomainError, match="grid too coarse"):
+        with pytest.raises(NumericsError, match="grid too coarse"):
             breach_prob_pde(p, sweep, 100.0, 0.25, default_grid(p, sweep, 100.0, 0.25))
 
     def test_domain(self):
