@@ -4,28 +4,41 @@ Reproducibility design: every path owns a fixed, pre-sized block of
 words in a single counter-based random stream (Philox keyed by the
 seed). A path's block holds its normal increments, one bridge uniform
 per step and barrier side, and a small reserve used only if both sides
-fire within one step. Chunks of paths map to counter offsets, so the
+fire within one step. Any run of paths maps to a counter offset, so the
 draws a path sees depend only on (seed, path index, layout), never on
 chunk size or worker count; per-path outputs land at fixed offsets of
 preallocated arrays and are reduced once at the end. Re-chunking or
 adding workers therefore cannot change a single bit of the result.
 
-The scan is vectorised per chunk. Log-paths are one row-wise
-`np.add.accumulate` over `drift + vol*z`; the accumulate runs along the
-row in order, so each node rounds exactly like a per-step `x + t`
-loop. Each barrier side then yields a boolean (paths, steps) hit
-matrix: a step fires when its far endpoint is at or past the barrier,
-or when the product of its two endpoint log-distances falls below the
-step's bridge threshold. A path's first hit is the argmax over the
-union of the sides' matrices; it freezes the path at the start of that
-step. A step that fires on both sides is a tie, which the path's
-reserve words resolve to one side; the tie paths' reserve rows are
-gathered from the chunk's word matrix before it is freed.
+Scheduling: `chunk` bounds the paths in flight across all workers. The
+paths are cut into blocks of ceil(min(chunk, paths) / workers), and
+each worker takes the next block from one shared list until none is
+left. Every worker owns one set of block buffers (word matrix,
+log-paths, distances, products, one hit mask per side and a scratch
+mask), allocated once per call in the calling thread and reused for
+each block it scans; a short last block uses their leading rows. Peak
+memory is therefore one chunk whatever the worker count, and the pool
+threads allocate nothing of size (paths, steps).
+
+The scan is vectorised per block. The normal transform and the bridge
+thresholds are computed in place in the word matrix's own columns.
+Log-paths are one row-wise `np.add.accumulate` over `drift + vol*z`;
+the accumulate runs along the row in order, so each node rounds exactly
+like a per-step `x + t` loop. Each barrier side then yields a boolean
+(paths, steps) hit mask: a step fires when its far endpoint is at or
+past the barrier, or when the product of its two endpoint
+log-distances falls below the step's bridge threshold. A path's first
+hit is the argmax over the union of the sides' masks; it freezes the
+path at the start of that step. A step that fires on both sides is a
+tie, which the path's reserve words resolve to one side; those words
+are read from the block's word matrix before the buffer is reused.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -111,6 +124,20 @@ def _resolve_tie(
     return STATUS_LOWER if first_l <= first_u else STATUS_UPPER
 
 
+class _BlockBuffers:
+    """One worker's block arrays, reused for every block it scans."""
+
+    def __init__(self, rows: int, wpp: int, n: int, has_l: bool, has_u: bool) -> None:
+        self.u = np.empty((rows, wpp))  # the block's words, transformed in place
+        self.x = np.empty((rows, n + 1))  # log-paths
+        if has_l or has_u:
+            self.dist = np.empty((rows, n + 1))
+            self.prod = np.empty((rows, n))
+            self.scratch = np.empty((rows, n), dtype=bool)
+        self.hit_l = np.empty((rows, n), dtype=bool) if has_l else None
+        self.hit_u = np.empty((rows, n), dtype=bool) if has_u else None
+
+
 def simulate_paths(
     params: MarketParams,
     barriers: BarrierSet,
@@ -119,7 +146,7 @@ def simulate_paths(
     steps_per_year: int,
     seed: int,
     chunk: int,
-    workers: int = 1,
+    workers: int | None = None,
     bridge: bool = True,
 ) -> PathResult:
     """Scan `paths` exact-lognormal paths against the barrier set.
@@ -127,11 +154,21 @@ def simulate_paths(
     Monitoring is discrete on the step grid with a Brownian-bridge
     crossing test between nodes (disabled when bridge=False, which
     leaves the draw layout untouched so runs stay pairwise comparable).
-    Assumes s0 is strictly inside the barriers at t=0; callers handle
-    knocked-at-inception states before simulating.
+    `chunk` is the number of paths in flight across all `workers`
+    threads; workers=None uses every CPU this process may run on (its
+    affinity mask, so `taskset` limits it). Neither changes a bit of the
+    result. Assumes s0 is strictly inside the barriers at t=0; callers
+    handle knocked-at-inception states before simulating.
     """
     if paths < 1:
         raise DomainError(f"paths must be >= 1, got {paths}")
+    if chunk < 1:
+        raise DomainError(f"chunk must be >= 1, got {chunk}")
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     n = n_steps_for(steps_per_year, params.T)
     has_l = barriers.lower is not None
     has_u = barriers.upper is not None
@@ -149,43 +186,49 @@ def simulate_paths(
     status = np.zeros(paths, dtype=np.uint8)
     x_final = np.empty(paths, dtype=np.float64)
 
-    def side_hits(X: np.ndarray, u: np.ndarray, b: np.ndarray, upper: bool, col: int) -> np.ndarray:
-        # one distance matrix serves both ends: step i starts where step
-        # i-1 ends. Freeing it before the thresholds are built keeps two
-        # (paths, steps) float arrays alive here, not three.
-        D = b - X if upper else X - b
-        hit = D[:, 1:] <= 0.0
-        prod = D[:, :-1] * D[:, 1:]
-        del D
+    def side_hits(buf: _BlockBuffers, m: int, b: np.ndarray, upper: bool, col: int) -> np.ndarray:
+        X, D, fired = buf.x[:m], buf.dist[:m], buf.scratch[:m]
+        hit = (buf.hit_u if upper else buf.hit_l)[:m]
+        # one distance matrix serves both ends: step i starts where step i-1 ends
+        if upper:
+            np.subtract(b, X, out=D)
+        else:
+            np.subtract(X, b, out=D)
+        np.less_equal(D[:, 1:], 0.0, out=hit)
+        prod = np.multiply(D[:, :-1], D[:, 1:], out=buf.prod[:m])
         if bridge:
-            w = u[:, col : col + n] + _U_SHIFT
+            w = buf.u[:m, col : col + n]
+            w += _U_SHIFT
             np.log(w, out=w)
             w *= -half_var_dt
         else:
             w = 0.0
-        hit |= prod < w
+        hit |= np.less(prod, w, out=fired)
         return hit
 
-    def run_chunk(lo: int, hi: int) -> None:
+    def run_block(buf: _BlockBuffers, lo: int, hi: int) -> None:
         m = hi - lo
+        u, X = buf.u[:m], buf.x[:m]
         gen = np.random.Generator(np.random.Philox(key=seed, counter=(lo * wpp) // 4))
-        u = gen.random((m, wpp))
-        X = np.empty((m, n + 1))
+        gen.random(out=u)
+        z = u[:, :n]
+        z += _U_SHIFT
+        np.minimum(z, _U_MAX, out=z)
+        ndtri(z, out=z)
         X[:, 0] = x0
-        q = u[:, :n] + _U_SHIFT
-        np.minimum(q, _U_MAX, out=q)
-        ndtri(q, out=X[:, 1:])
-        del q
-        X[:, 1:] *= vol
+        np.multiply(z, vol, out=X[:, 1:])
         X[:, 1:] += drift
         np.add.accumulate(X, axis=1, out=X)
         x_final[lo:hi] = X[:, n]
         if not (has_l or has_u):
             return
 
-        hl = side_hits(X, u, bl, False, n) if has_l else None
-        hu = side_hits(X, u, bu, True, n * (1 + int(has_l))) if has_u else None
-        hit = hu if hl is None else (hl if hu is None else hl | hu)
+        hl = side_hits(buf, m, bl, False, n) if has_l else None
+        hu = side_hits(buf, m, bu, True, n * (1 + int(has_l))) if has_u else None
+        if hl is None or hu is None:
+            hit = hu if hl is None else hl
+        else:
+            hit = np.logical_or(hl, hu, out=buf.scratch[:m])
         first = hit.argmax(axis=1)
         knocked = np.flatnonzero(hit[np.arange(m), first])
         step = first[knocked]
@@ -196,7 +239,6 @@ def simulate_paths(
         on_u = neither if hu is None else hu[knocked, step]
         ties = np.flatnonzero(on_l & on_u)
         reserve = u[knocked[ties], reserve_base : reserve_base + RESERVE_WORDS]
-        del u
         status[lo + knocked] = np.where(on_l, STATUS_LOWER, STATUS_UPPER)
         for k, r in zip(ties, reserve):
             p, i = int(knocked[k]), int(step[k])
@@ -204,12 +246,24 @@ def simulate_paths(
                 r, X[p, i], X[p, i + 1], params.sigma, dt, bl, bu, i
             )
 
-    bounds = [(lo, min(lo + chunk, paths)) for lo in range(0, paths, chunk)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
+    block = -(-min(chunk, paths) // workers)
+    blocks = iter([(lo, min(lo + block, paths)) for lo in range(0, paths, block)])
+    lock = threading.Lock()
+
+    def work(buf: _BlockBuffers) -> None:
+        while True:
+            with lock:
+                b = next(blocks, None)
+            if b is None:
+                return
+            run_block(buf, *b)
+
+    n_workers = min(workers, -(-paths // block))
+    bufs = [_BlockBuffers(block, wpp, n, has_l, has_u) for _ in range(n_workers)]
+    if len(bufs) == 1:
+        work(bufs[0])
     else:
-        for lo, hi in bounds:
-            run_chunk(lo, hi)
+        with ThreadPoolExecutor(max_workers=len(bufs)) as pool:
+            list(pool.map(work, bufs))
 
     return PathResult(status=status, x_final=x_final, n_steps=n, dt=dt)

@@ -32,7 +32,7 @@ class McConfig:
     paths: int = 100_000
     steps_per_year: int = 365
     seed: int = 0
-    chunk: int = 32_768  # paths per deterministic sub-stream
+    chunk: int = 32_768  # paths in flight across all workers: a memory budget
 
     def __post_init__(self) -> None:
         if self.paths < 1:
@@ -59,11 +59,12 @@ def mc_price(
     spec: OptionSpec,
     s0: float,
     cfg: McConfig,
-    workers: int = 1,
+    workers: int | None = None,
     bridge: bool = True,
 ) -> PriceEstimate:
     """Price spec by bridged Monte Carlo; deterministic in (seed, paths,
-    steps_per_year, chunk) regardless of chunking or worker count.
+    steps_per_year), whatever the chunk or the worker count. workers=None
+    runs on every CPU this process may use.
 
     bridge=False downgrades to naive discrete monitoring on the same
     draws, for measuring what the bridge correction is worth.

@@ -1,6 +1,8 @@
-"""Path engine: scan against a scalar reference, determinism, and step accounting."""
+"""Path engine: scan against a scalar reference, determinism, memory, and step accounting."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,11 +138,56 @@ class TestDeterminism:
         for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40)):
             p = mk_params(sigma=sigma)
             kw = dict(paths=15_000, steps_per_year=steps, seed=9)
-            base = simulate_paths(p, barriers, 100.0, chunk=15_000, **kw)
+            base = simulate_paths(p, barriers, 100.0, chunk=15_000, workers=1, **kw)
             for chunk, workers in ((512, 1), (4096, 2), (1000, 4)):
                 other = simulate_paths(p, barriers, 100.0, chunk=chunk, workers=workers, **kw)
                 assert np.array_equal(base.status, other.status)
                 assert np.array_equal(base.x_final, other.x_final)
+
+    @pytest.mark.parametrize(
+        "barriers, sigma, bridge, paths, chunk, workers",
+        [
+            # 9 paths in blocks of 2: five blocks for six workers
+            (CORRIDOR, 0.40, True, 9, 100, 6),
+            # blocks of 334: each worker scans twice, the last block is short
+            (CORRIDOR, 0.40, True, 1500, 1000, 3),
+            (NEAR_DKO, 0.30, True, 3, 512, 8),
+            (NEAR_DKO, 0.30, False, 1500, 700, 2),
+            (CORRIDOR, 0.40, True, 1500, 512, None),
+        ],
+        ids=["workers-outnumber-blocks", "chunk-not-multiple-of-workers", "paths-below-workers",
+             "bridge-off", "default-workers"],
+    )
+    def test_block_schedule_matches_scalar_scan(
+        self, barriers, sigma, bridge, paths, chunk, workers
+    ):
+        # however the paths are cut into blocks and spread over workers,
+        # every path equals its one-at-a-time reference and its
+        # single-worker, single-block run
+        p = mk_params(sigma=sigma)
+        steps = 12 if barriers is CORRIDOR else 100
+        kw = dict(paths=paths, steps_per_year=steps, seed=7, bridge=bridge)
+        want_status, want_x, _ = reference_scan(p, barriers, 100.0, paths, steps, 7, bridge)
+        one = simulate_paths(p, barriers, 100.0, chunk=paths, workers=1, **kw)
+        got = simulate_paths(p, barriers, 100.0, chunk=chunk, workers=workers, **kw)
+        for res in (one, got):
+            assert np.array_equal(res.status, want_status)
+            assert np.array_equal(res.x_final, want_x)
+
+    def test_many_workers_share_the_block_list(self):
+        # more workers than CPUs race for 500 tiny blocks under a short
+        # switch interval: a block taken twice or skipped shows up
+        p = mk_params(sigma=0.40)
+        kw = dict(paths=4_000, steps_per_year=12, seed=5)
+        one = simulate_paths(p, CORRIDOR, 100.0, chunk=4_000, workers=1, **kw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = simulate_paths(p, CORRIDOR, 100.0, chunk=64, workers=8, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one.status, many.status)
+        assert np.array_equal(one.x_final, many.x_final)
 
     def test_paths_are_a_prefix_stream(self):
         # path i is a pure function of (seed, i): asking for fewer paths
@@ -150,6 +197,23 @@ class TestDeterminism:
         small = simulate_paths(p, DKO, 100.0, paths=3_000, steps_per_year=80, seed=14, chunk=1024)
         assert np.array_equal(big.status[:3000], small.status)
         assert np.array_equal(big.x_final[:3000], small.x_final)
+
+
+class TestMemory:
+    def test_peak_is_one_chunk_whatever_the_workers(self):
+        # chunk counts the paths in flight across all workers, so four
+        # workers share one chunk's worth of block buffers between them
+        p = mk_params()
+        kw = dict(paths=20_000, steps_per_year=400, seed=3, chunk=8192)
+        peaks = {}
+        for workers in (1, 4):
+            tracemalloc.start()
+            try:
+                simulate_paths(p, DKO, 100.0, workers=workers, **kw)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4] <= 1.05 * peaks[1]
 
 
 class TestStatuses:
@@ -222,3 +286,12 @@ class TestBudget:
         p = mk_params()
         with pytest.raises(DomainError):
             simulate_paths(p, DKO, 100.0, paths=0, steps_per_year=10, seed=0, chunk=16)
+
+    @pytest.mark.parametrize("kw", [dict(chunk=0), dict(workers=0), dict(workers=-1)],
+                             ids=["chunk-0", "workers-0", "workers-negative"])
+    def test_chunk_and_workers_positive(self, kw):
+        p = mk_params()
+        with pytest.raises(DomainError):
+            simulate_paths(
+                p, DKO, 100.0, paths=10, steps_per_year=10, seed=0, **{"chunk": 16, **kw}
+            )
