@@ -22,7 +22,6 @@ from .critical import (
     lower_critical_curve,
     s_ml_flat,
     s_mu_flat,
-    turning_point,
     upper_critical_curve,
 )
 from .model import (
@@ -116,7 +115,6 @@ __all__ = [
     "s_ml_flat",
     "s_mu_flat",
     "std_normal_cdf",
-    "turning_point",
     "up_and_out_call_closed",
     "upper_critical_curve",
     "validate",

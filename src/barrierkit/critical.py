@@ -60,38 +60,34 @@ def prob_below_upper(
     return std_normal_cdf(omega)
 
 
+def _times_barrier(curve: BarrierCurve, x: float, t: float, T: float) -> float:
+    """B(t) * exp(x); an exponential barrier folds its growth into the exponent.
+
+    L*exp(g*t + x) stays finite wherever the product is, even when
+    exp(g*t) alone overflows. A t outside [0, T] goes to value_at, which
+    rejects it.
+    """
+    if curve.shape is BarrierShape.EXPONENTIAL and 0.0 <= t <= T:
+        return curve.level * math.exp(curve.growth * t + x)
+    return curve.value_at(t, T) * math.exp(x)
+
+
 def lower_critical_curve(
     params: MarketParams, lower: BarrierCurve, nu: float, t: float
 ) -> float:
     """S_l(t) = B_l(t) * exp(nu*sigma*sqrt(t) - mu1*t); B_l(0) at t = 0."""
-    b = lower.value_at(t, params.T)
     if t == 0.0:
-        return b
-    return b * math.exp(nu * params.sigma * math.sqrt(t) - _m1(params) * t)
+        return lower.value_at(t, params.T)
+    return _times_barrier(lower, nu * params.sigma * math.sqrt(t) - _m1(params) * t, t, params.T)
 
 
 def upper_critical_curve(
     params: MarketParams, upper: BarrierCurve, nu: float, t: float
 ) -> float:
     """S_u(t) = B_u(t) * exp(-(nu*sigma*sqrt(t) + mu1*t)); B_u(0) at t = 0."""
-    b = upper.value_at(t, params.T)
     if t == 0.0:
-        return b
-    return b * math.exp(-(nu * params.sigma * math.sqrt(t) + _m1(params) * t))
-
-
-def turning_point(params: MarketParams, nu: float) -> float | None:
-    """Stationary time of the flat-barrier critical curves.
-
-    t_p = (nu*sigma / (2*mu1))^2. When mu1 = 0 the curves are monotone in
-    t and there is no stationary point; returns None in that case.
-    """
-    _require_nu(nu)
-    m1 = _m1(params)
-    if m1 == 0.0:
-        return None
-    half = nu * params.sigma / (2.0 * m1)
-    return half * half
+        return upper.value_at(t, params.T)
+    return _times_barrier(upper, -(nu * params.sigma * math.sqrt(t) + _m1(params) * t), t, params.T)
 
 
 def _log_slope(curve: BarrierCurve, a: float, b: float, T: float) -> float:

@@ -2,10 +2,11 @@
 
 The bridged Monte Carlo engine (any supported barrier, per-side
 first-breach-wins probabilities) and a finite-difference solve of the
-backward equation for the breach indicator's expectation. The closed
-reflection form for flat barriers lives with the other closed forms in
-`pricing.closed`; the three routes validate each other and agree within
-their stated tolerances.
+backward equation for the breach indicator's expectation, on a grid
+whose end nodes follow the barriers. The closed reflection form for
+flat barriers lives with the other closed forms in `pricing.closed`;
+the three routes validate each other and agree within their stated
+tolerances.
 """
 
 from __future__ import annotations
@@ -71,7 +72,11 @@ def breach_prob_mc(
 
 @dataclass(frozen=True)
 class PdeGrid:
-    """Uniform-in-log-space grid for the backward-equation solver."""
+    """Node counts for the backward-equation solver, and its far edges.
+
+    The solver spreads n_space nodes uniformly in log-price between the
+    barriers at every time; s_min or s_max closes a side without one.
+    """
 
     s_min: float
     s_max: float
@@ -86,137 +91,131 @@ class PdeGrid:
             raise DomainError("grid too coarse: n_space and n_time must be >= 16")
 
 
+def _reachable(params: MarketParams, barriers: BarrierSet, s0: float, T: float) -> BarrierSet:
+    """The barriers less any that stays out of reach of s0 over [0, T].
+
+    A barrier more than 6*sigma*sqrt(T) from s0 in log-price, plus mu1*T
+    when the drift mu1 heads its way, is breached with probability below
+    2*Phi(-6), about 2e-9: the margin the default grid's far edges accept.
+    """
+    reach, m = 6.0 * params.sigma * math.sqrt(T), (params.mu - 0.5 * params.sigma**2) * T
+    lower, upper = barriers.lower, barriers.upper
+    far_l = lower is not None and math.log(s0 / lower.extremes(T)[1]) > reach + max(0.0, -m)
+    far_u = upper is not None and math.log(upper.extremes(T)[0] / s0) > reach + max(0.0, m)
+    return BarrierSet(lower=None if far_l else lower, upper=None if far_u else upper)
+
+
 def default_grid(
     params: MarketParams, barriers: BarrierSet, s0: float, T: float,
     n_space: int = 400, n_time: int = 400,
 ) -> PdeGrid:
-    """Desk grid: barriers inside, 6 standard deviations of room outside."""
+    """Desk grid: s0 and every reachable barrier level inside, 6 sigma*sqrt(T) of room outside."""
     span = math.exp(6.0 * params.sigma * math.sqrt(T))
-    low = s0
-    high = s0
-    if barriers.lower is not None:
-        low = min(low, barriers.lower.extremes(T)[0])
-    if barriers.upper is not None:
-        high = max(high, barriers.upper.extremes(T)[1])
-    return PdeGrid(s_min=low / span, s_max=high * span, n_space=n_space, n_time=n_time)
+    reachable = _reachable(params, barriers, s0, T)
+    curves = [c for c in (reachable.lower, reachable.upper) if c is not None]
+    levels = [s0, *(v for c in curves for v in c.extremes(T))]
+    return PdeGrid(s_min=min(levels) / span, s_max=max(levels) * span,
+                   n_space=n_space, n_time=n_time)
+
+
+def _fitted_rows(adv: np.ndarray, dif: float, w: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """Sub-, main and super-diagonal of the operator in xi at corridor width w."""
+    d = dif / (w * w)
+    return d - adv / w, -2.0 * d, d + adv / w
 
 
 def breach_prob_pde(
     params: MarketParams, barriers: BarrierSet, s0: float, T: float, grid: PdeGrid
 ) -> float:
-    """Total breach probability from the backward equation.
+    """Total breach probability from the backward equation on a barrier-fitted grid.
 
-    The breach indicator's conditional expectation Q(S, t) satisfies
-    dQ/dt + mu*S*dQ/dS + (sigma^2/2)*S^2*d2Q/dS2 = 0 with Q(S, T) = 0
-    and Q = 1 on the barriers. In log-space the operator has constant
-    coefficients; the march is trapezoidal with centered differences.
-    Barrier nodes sit exactly on flat barriers; curved barriers are
-    enforced by pinning every node at or beyond the current level each
-    time step. One-sided problems close the far end with a vanishing
-    second derivative. Returns Q at (s0, 0) by linear interpolation in
-    log-space.
+    The breach indicator's conditional expectation Q(x, t), x = ln S,
+    satisfies Q_t + mu1*Q_x + (sigma^2/2)*Q_xx = 0 with Q(x, T) = 0 and
+    Q = 1 on the barriers, mu1 = mu - sigma^2/2. The solve runs in
+    xi = (x - lo(t)) / w(t) on [0, 1], w = hi - lo, where lo and hi are
+    the log levels of the barriers; an absent side takes the log of
+    grid.s_min or grid.s_max, fixed in x, and Q = 0 there. The barriers
+    then sit on the end nodes at every time, and the operator becomes
+    Q_t + ((mu1 - lo' - xi*w')/w)*Q_xi + (sigma^2/(2*w^2))*Q_xixi = 0.
+    The time nodes are the n_time uniform ones plus every barrier
+    breakpoint, so lo' and w' are exact step by step on log-linear
+    segments. The march is trapezoidal with centered differences, after
+    two fully implicit steps that damp the terminal corner jump. Returns
+    Q at (s0, 0) by linear interpolation in xi; a barrier out of reach
+    (_reachable) is left out, and with none left the answer is 0. A node
+    spacing h = w/(n-1) over sigma*sqrt(T), or a drift against the nodes
+    at either end of the corridor over sigma^2/h, which turns an
+    off-diagonal of the operator negative, leaves the solution unresolved
+    and raises NumericsError.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
     if T <= 0.0:
         raise DomainError(f"T must be positive, got {T}")
-    has_l = barriers.lower is not None
-    has_u = barriers.upper is not None
-    if has_l and s0 <= barriers.lower.value_at(0.0, T):
+    if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, T):
         raise DomainError("s0 at or below the lower barrier at inception")
-    if has_u and s0 >= barriers.upper.value_at(0.0, T):
+    if barriers.upper is not None and s0 >= barriers.upper.value_at(0.0, T):
         raise DomainError("s0 at or above the upper barrier at inception")
+    barriers = _reachable(params, barriers, s0, T)
+    if not barriers.any_present:
+        return 0.0
 
-    x_min = math.log(barriers.lower.extremes(T)[0] if has_l else grid.s_min)
-    x_max = math.log(barriers.upper.extremes(T)[1] if has_u else grid.s_max)
-    if not x_min < math.log(s0) < x_max:
-        raise DomainError("s0 outside the solver domain")
+    n = grid.n_time
+    times = {k * T / n for k in range(n)} | {T}
+    for curve in (barriers.lower, barriers.upper):
+        if curve is not None:
+            times.update(curve.breakpoints(T))
+    times = sorted(times)
 
+    def edge(curve, far: float) -> np.ndarray:
+        if curve is None:
+            return np.full(len(times), math.log(far))
+        return np.log([curve.value_at(t, T) for t in times])
+
+    lo = edge(barriers.lower, grid.s_min)
+    width = edge(barriers.upper, grid.s_max) - lo
+    if not np.all(width > 0.0) or not 0.0 < (math.log(s0) - lo[0]) / width[0] < 1.0:
+        raise DomainError("s0 or a barrier outside the solver domain")
     N = grid.n_space
-    x = np.linspace(x_min, x_max, N)
-    h = x[1] - x[0]
-    dt_ = T / grid.n_time
+    sig_rt = params.sigma * math.sqrt(T)
     c1 = params.mu - 0.5 * params.sigma**2
-    c2 = 0.5 * params.sigma**2
-    adv = c1 / (2.0 * h)
-    dif = c2 / (h * h)
-    lo_c, mid_c, hi_c = dif - adv, -2.0 * dif, dif + adv
+    dt = np.diff(times)
+    dlo, dw = np.diff(lo) / dt, np.diff(width) / dt  # lo' and w', exact over each step
+    h_x = np.maximum(width[:-1], width[1:]) / (N - 1)  # node spacing over each step
+    drift = np.maximum(np.abs(c1 - dlo), np.abs(c1 - dlo - dw))  # against the nodes at xi = 0, 1
+    excess = np.maximum(h_x / sig_rt, drift * h_x / params.sigma**2)
+    j = int(np.argmax(excess))
+    if excess[j] > 1.0:
+        sides = (("lower", barriers.lower), ("upper", barriers.upper))
+        levels = ", ".join("{} barrier over [{:.6g}, {:.6g}]".format(side, *curve.extremes(T))
+                           for side, curve in sides if curve is not None)
+        raise NumericsError(
+            f"grid too coarse: node spacing {h_x[j]:.6g} and drift {drift[j]:.6g} over t in "
+            f"[{times[j]:.6g}, {times[j + 1]:.6g}] need spacing <= sigma*sqrt(T) = {sig_rt:.6g} "
+            f"and drift*spacing <= sigma^2 ({levels})"
+        )
 
-    def lo_bound(t: float) -> int:
-        """Index of the highest node pinned to 1 by the lower barrier."""
-        lvl = math.log(barriers.lower.value_at(t, T))
-        return max(int(np.searchsorted(x, lvl + 1e-12, side="right") - 1), 0)
-
-    def hi_bound(t: float) -> int:
-        lvl = math.log(barriers.upper.value_at(t, T))
-        return min(int(np.searchsorted(x, lvl - 1e-12, side="left")), N - 1)
-
+    h = 1.0 / (N - 1)
+    xi = np.linspace(0.0, 1.0, N)
+    dif = 0.5 * params.sigma**2 / (h * h)
     q = np.zeros(N)
-    cache: tuple[int, int, float] | None = None
-    ab = None  # banded (I - w dt L) factor input
-    for k in range(grid.n_time - 1, -1, -1):
-        t_new = k * dt_
-        # two fully implicit startup steps damp the barrier/terminal
-        # corner jump; trapezoidal weighting thereafter
-        w = 1.0 if k >= grid.n_time - 2 else 0.5
-        jlo = lo_bound(t_new) if has_l else -1
-        jhi = hi_bound(t_new) if has_u else N
-        ja = jlo + 1 if has_l else 1
-        jb = jhi - 1 if has_u else N - 2
-        m = jb - ja + 1
-        if m < 16:
-            levels = ", ".join(
-                "{} barrier over [{:.6g}, {:.6g}]".format(side, *curve.extremes(T))
-                for side, curve in (("lower", barriers.lower), ("upper", barriers.upper))
-                if curve is not None
-            )
-            raise NumericsError(
-                f"grid too coarse: fewer than 16 of {N} nodes between barriers "
-                f"at t={t_new:.6g} ({levels})"
-            )
-        if cache != (ja, jb, w):
-            cache = (ja, jb, w)
-            sub = np.full(m, lo_c)
-            diag = np.full(m, mid_c)
-            sup = np.full(m, hi_c)
-            if not has_l:
-                # far-field: second derivative vanishes at the edge node
-                sub[0] = 0.0
-                diag[0] = -c1 / h
-                sup[0] = c1 / h
-            if not has_u:
-                sup[m - 1] = 0.0
-                diag[m - 1] = c1 / h
-                sub[m - 1] = -c1 / h
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -w * dt_ * sup[:-1]
-            ab[1, :] = 1.0 - w * dt_ * diag
-            ab[2, :-1] = -w * dt_ * sub[1:]
-        qw = q[ja : jb + 1]
-        rhs = qw.copy()
-        if w < 1.0:
-            left = q[ja - 1] if ja > 0 else 0.0
-            right = q[jb + 1] if jb < N - 1 else 0.0
-            ln_q = diag * qw
-            ln_q[1:] += sub[1:] * qw[:-1]
-            ln_q[0] += sub[0] * left
-            ln_q[:-1] += sup[:-1] * qw[1:]
-            ln_q[m - 1] += sup[m - 1] * right
-            rhs += (1.0 - w) * dt_ * ln_q
-        if has_l:
-            rhs[0] += w * dt_ * sub[0] * 1.0  # new-level boundary value
-        if has_u:
-            rhs[m - 1] += w * dt_ * sup[m - 1] * 1.0
-        sol = solve_banded((1, 1), ab, rhs)
-        q[ja : jb + 1] = sol
-        if has_l:
-            q[: ja] = 1.0
-        else:
-            q[0] = 2.0 * q[1] - q[2]
-        if has_u:
-            q[jb + 1 :] = 1.0
-        else:
-            q[N - 1] = 2.0 * q[N - 2] - q[N - 3]
-    val = float(np.interp(math.log(s0), x, q))
+    q[0] = 1.0 if barriers.lower is not None else 0.0
+    q[-1] = 1.0 if barriers.upper is not None else 0.0
+    ab = np.zeros((3, N - 2))  # banded (I - theta*dt*L) at the step's early end
+    for k in range(len(times) - 2, -1, -1):
+        adv = (c1 - dlo[k] - xi[1:-1] * dw[k]) / (2.0 * h)  # the xi drift's numerator over 2h
+        theta = 1.0 if k >= len(times) - 3 else 0.5
+        sub, diag, sup = _fitted_rows(adv, dif, width[k])
+        ab[0, 1:] = -theta * dt[k] * sup[:-1]
+        ab[1, :] = 1.0 - theta * dt[k] * diag
+        ab[2, :-1] = -theta * dt[k] * sub[1:]
+        rhs = q[1:-1].copy()
+        rhs[0] += theta * dt[k] * sub[0] * q[0]
+        rhs[-1] += theta * dt[k] * sup[-1] * q[-1]
+        if theta < 1.0:
+            sub, diag, sup = _fitted_rows(adv, dif, width[k + 1])
+            rhs += (1.0 - theta) * dt[k] * (sub * q[:-2] + diag * q[1:-1] + sup * q[2:])
+        q[1:-1] = solve_banded((1, 1), ab, rhs)
+    val = float(np.interp((math.log(s0) - lo[0]) / width[0], xi, q))
     return min(max(val, 0.0), 1.0)

@@ -11,14 +11,16 @@ preallocated arrays and are reduced once at the end. Re-chunking or
 adding workers therefore cannot change a single bit of the result.
 
 Scheduling: `chunk` bounds the paths in flight across all workers. The
-paths are cut into blocks of ceil(min(chunk, paths) / workers), and
-each worker takes the next block from one shared list until none is
-left. Every worker owns one set of block buffers (word matrix,
-log-paths, distances, products, one hit mask per side and a scratch
-mask), allocated once per call in the calling thread and reused for
-each block it scans; a short last block uses their leading rows. Peak
-memory is therefore one chunk whatever the worker count, and the pool
-threads allocate nothing of size (paths, steps).
+paths are cut into blocks of ceil(min(chunk, paths) / workers) rows,
+fewer if one block's buffers would pass _BLOCK_BYTES, and each worker
+takes the next block from one shared list until none is left. A path
+too long for the byte budget on its own is rejected. Every worker owns
+one set of block buffers (word matrix, log-paths, distances, products,
+one hit mask per side and a scratch mask), allocated once per call in
+the calling thread and reused for each block it scans; a short last
+block uses their leading rows. Peak memory is therefore one chunk
+whatever the worker count, and the pool threads allocate nothing of
+size (paths, steps).
 
 The scan is vectorised per block. The normal transform and the bridge
 thresholds are computed in place in the word matrix's own columns.
@@ -51,6 +53,7 @@ RESERVE_WORDS = 8
 _U_SHIFT = 2.0**-54
 _U_MAX = 1.0 - 2.0**-53
 _WORD_BUDGET = 2**48
+_BLOCK_BYTES = 2**28  # one worker's block buffers
 
 STATUS_ALIVE = 0
 STATUS_LOWER = 1
@@ -127,6 +130,14 @@ def _resolve_tie(
 class _BlockBuffers:
     """One worker's block arrays, reused for every block it scans."""
 
+    @staticmethod
+    def row_bytes(wpp: int, n: int, has_l: bool, has_u: bool) -> int:
+        """Bytes one path takes across the arrays allocated below."""
+        size = 8 * (wpp + n + 1)
+        if has_l or has_u:
+            size += 8 * (2 * n + 1) + n
+        return size + n * (int(has_l) + int(has_u))
+
     def __init__(self, rows: int, wpp: int, n: int, has_l: bool, has_u: bool) -> None:
         self.u = np.empty((rows, wpp))  # the block's words, transformed in place
         self.x = np.empty((rows, n + 1))  # log-paths
@@ -175,6 +186,10 @@ def simulate_paths(
     wpp = words_per_path(n, has_l, has_u)
     if paths * wpp > _WORD_BUDGET:
         raise DomainError(f"paths*steps budget exceeded: {paths} x {wpp} words per path")
+    row = _BlockBuffers.row_bytes(wpp, n, has_l, has_u)
+    if row > _BLOCK_BYTES:
+        raise DomainError(f"one path's {n} steps need {row} bytes, over the "
+                          f"{_BLOCK_BYTES}-byte block budget")
     dt = params.T / n
     drift = (params.mu - 0.5 * params.sigma**2) * dt
     vol = params.sigma * math.sqrt(dt)
@@ -246,7 +261,7 @@ def simulate_paths(
                 r, X[p, i], X[p, i + 1], params.sigma, dt, bl, bu, i
             )
 
-    block = -(-min(chunk, paths) // workers)
+    block = min(-(-min(chunk, paths) // workers), _BLOCK_BYTES // row)
     blocks = iter([(lo, min(lo + block, paths)) for lo in range(0, paths, block)])
     lock = threading.Lock()
 

@@ -221,8 +221,8 @@ def test_breach_pde_matches_closed(capsys):
 
 
 def test_breach_pde_grid_too_coarse_is_a_numerical_failure(capsys, tmp_path):
-    # a valid barrier that dips to 1e-300 stretches the log grid until
-    # fewer than 16 nodes lie between the barriers; Monte Carlo prices it
+    # a valid barrier that dips to 1e-300 stretches the corridor until
+    # its node spacing exceeds sigma*sqrt(T); Monte Carlo prices it
     knots = tmp_path / "dip.csv"
     knots.write_text("0,70\n0.5,1e-300\n1,80\n", encoding="utf-8")
     code, out, err = _call(capsys, "breach", "--s0", "100", "--method", "pde",
@@ -233,6 +233,15 @@ def test_breach_pde_grid_too_coarse_is_a_numerical_failure(capsys, tmp_path):
     code, out, _ = _call(capsys, "price", "--s0", "100", "--strike", "100", "--method", "mc",
                          "--paths", "2000", "--lower-file", str(knots), *MKT)
     assert code == 0 and out.startswith("price = ")
+
+
+def test_breach_pde_unreachable_barrier_prints_zero(capsys):
+    # 743 log units from s0 the barrier would stretch the corridor past
+    # what the nodes resolve; it is out of reach, so the answer is 0
+    for level in ("1e-320", "5e-324"):
+        code, out, _ = _call(capsys, "breach", "--s0", "100", "--lower", level,
+                             "--method", "pde", *MKT)
+        assert (code, out) == (0, "p_total = 0\n")
 
 
 @pytest.mark.parametrize(
@@ -555,6 +564,14 @@ def test_critical_price_far_inside_a_huge_horizon(capsys):
     code, out, err = _call(capsys, "critical", "--lower", "70", "--lower-growth", "0.05",
                            "--nu", "3", *_mkt(T="1e20"))
     assert (code, out, err) == (0, "s_ml = 2.716592874e+19  (attained at t = 8100)\n", "")
+
+
+def test_critical_price_of_a_barrier_that_overflows_alone(capsys):
+    # 70*exp(800) overflows, but mu1 = g leaves s_ml = 70*exp(0.9*sqrt(800))
+    code, out, err = _call(capsys, "critical", "--lower", "70", "--lower-growth", "1",
+                           "--nu", "3", *_mkt(r="1.045", T="800"))
+    assert (code, out, err) == (0, "s_ml = 7.95116333e+12  (attained at t = 800)\n", "")
+    assert float(out.split()[2]) == pytest.approx(70.0 * math.exp(0.9 * math.sqrt(800.0)), rel=1e-8)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from barrierkit.critical import (
     prob_below_upper,
     s_ml_flat,
     s_mu_flat,
-    turning_point,
     upper_critical_curve,
 )
 from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
@@ -38,17 +37,17 @@ SML_ROWS = [
 
 class TestTurningPoint:
     def test_reference_value(self):
-        p = mk_params(0.15, 0.25)
-        # (nu*sigma / (2*mu1))^2 with mu1 = 0.08875
-        assert turning_point(p, 4.9) == pytest.approx(17.1465978972426106, rel=1e-14)
+        # (nu*sigma / (2*mu1))^2 with mu1 = 0.08875, inside a 20-year horizon
+        p = mk_params(0.15, 20.0)
+        assert s_ml_flat(p, 70.0, 4.9)[1] == pytest.approx(17.1465978972426106, rel=1e-14)
 
-    def test_zero_drift_has_none(self):
+    def test_zero_drift_peaks_at_horizon(self):
         p = mk_params(0.5, 0.25, r=0.125)  # sigma^2/2 == mu exactly in binary
-        assert turning_point(p, 4.9) is None
+        assert s_ml_flat(p, 70.0, 4.9)[1] == 0.25
 
     def test_negative_nu_rejected(self):
         with pytest.raises(DomainError):
-            turning_point(mk_params(0.3, 0.25), -1.0)
+            s_ml_flat(mk_params(0.3, 0.25), 70.0, -1.0)
 
 
 class TestCurves:
@@ -122,8 +121,8 @@ class TestFlatExtrema:
     def test_interior_stationary_point_wins(self):
         # large nu keeps t_p inside a long horizon on the lower side
         p = MarketParams(mu=0.5, sigma=0.15, r=0.5, T=2.0)
-        tp = turning_point(p, 4.9)
-        assert tp is not None and tp < 2.0
+        tp = (4.9 * 0.15 / (2.0 * (0.5 - 0.5 * 0.15**2))) ** 2
+        assert tp < 2.0
         s, t_at = s_ml_flat(p, 70.0, 4.9)
         assert t_at == pytest.approx(tp, rel=1e-14)
         lo = BarrierCurve.flat(70.0)

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ndtri
 
 from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
+from barrierkit.pricing import engine
 from barrierkit.pricing.engine import (
     RESERVE_WORDS,
     STATUS_ALIVE,
@@ -281,6 +282,40 @@ class TestBudget:
         p = mk_params()
         with pytest.raises(DomainError):
             simulate_paths(p, DKO, 100.0, paths=2**44, steps_per_year=365, seed=0, chunk=1024)
+
+    @pytest.mark.parametrize("barriers", [BarrierSet(), BarrierSet(upper=BarrierCurve.flat(130.0)), DKO],
+                             ids=["none", "one-side", "two-sides"])
+    def test_row_bytes_counts_every_block_buffer(self, barriers):
+        has_l, has_u = barriers.lower is not None, barriers.upper is not None
+        wpp = words_per_path(37, has_l, has_u)
+        buf = engine._BlockBuffers(5, wpp, 37, has_l, has_u)
+        held = sum(a.nbytes for a in vars(buf).values() if a is not None)
+        assert held == 5 * engine._BlockBuffers.row_bytes(wpp, 37, has_l, has_u)
+
+    def test_block_byte_budget_cuts_blocks_without_changing_a_bit(self, monkeypatch):
+        # a budget of 10.5 paths cuts a chunk of 4096 on two workers into
+        # blocks of 10, so the buffers shrink from 17 MB to 83 kB
+        p = mk_params(sigma=0.40)
+        kw = dict(paths=3_000, steps_per_year=320, seed=11, chunk=4096, workers=2)
+        whole = simulate_paths(p, CORRIDOR, 100.0, **kw)
+        row = engine._BlockBuffers.row_bytes(words_per_path(80, True, True), 80, True, True)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 10 * row + row // 2)
+        tracemalloc.start()
+        try:
+            cut = simulate_paths(p, CORRIDOR, 100.0, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(whole.status, cut.status)
+        assert np.array_equal(whole.x_final, cut.x_final)
+
+    def test_path_over_block_byte_budget_rejected(self, monkeypatch):
+        # one path of 80 double-barrier steps needs more than 4000 bytes;
+        # the check runs before any buffer is allocated
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 4000)
+        with pytest.raises(DomainError, match="block budget"):
+            simulate_paths(mk_params(), DKO, 100.0, paths=10, steps_per_year=320, seed=0, chunk=16)
 
     def test_paths_positive(self):
         p = mk_params()

@@ -12,7 +12,7 @@ from barrierkit.passage import (
     breach_prob_pde,
     default_grid,
 )
-from barrierkit.pricing.closed import breach_prob_closed_flat
+from barrierkit.pricing.closed import breach_prob_closed_flat, double_knockout_closed
 from barrierkit.pricing.mc import McConfig
 
 
@@ -21,6 +21,24 @@ def mk_params(sigma=0.30, T=0.25, r=0.10):
 
 
 DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
+
+
+def _breach_exponential(p, side, level, g, s0=100.0):
+    """Exact P(breach of level*exp(g*t) before T): a line in log space, so
+    the flat reflection form under the drift mu - g."""
+    shifted = MarketParams(mu=p.mu - g, sigma=p.sigma, r=p.r, T=p.T)
+    return breach_prob_closed_flat(shifted, side, level, s0, p.T)
+
+
+def _survival_mass(p, lower, g_l, upper, g_u, s0=100.0):
+    """P(no breach of L*exp(g_l*t) or U*exp(g_u*t) before T), from the image series.
+
+    Below the terminal lower level the double knock-out is
+    disc*(s0*A - K*C), so two such strikes give the survival mass C.
+    """
+    k1, k2 = 1.0, 2.0
+    v1, v2 = (double_knockout_closed(p, k, lower, upper, s0, (g_l, g_u)).value for k in (k1, k2))
+    return (v1 - v2) / (math.exp(-p.r * p.T) * (k2 - k1))
 
 
 class TestClosedFlat:
@@ -155,13 +173,33 @@ class TestPde:
 
     def test_curved_barrier_accepted(self):
         p = mk_params()
+        for side, level, g in (("lower", 70.0, 0.1), ("lower", 70.0, 0.5), ("upper", 130.0, -0.2)):
+            bs = BarrierSet(**{side: BarrierCurve.exponential(level, g)})
+            got = breach_prob_pde(p, bs, 100.0, 0.25, default_grid(p, bs, 100.0, 0.25))
+            assert got == pytest.approx(_breach_exponential(p, side, level, g), abs=5e-5), (side, g)
+
+    @pytest.mark.parametrize(
+        "sigma,lower,g_l,upper,g_u",
+        [(0.30, 70.0, 0.4, 130.0, -0.3), (0.20, 90.0, 0.2, 115.0, 0.1)],
+    )
+    def test_unequal_growth_corridor_matches_series(self, sigma, lower, g_l, upper, g_u):
+        p = mk_params(sigma=sigma)
+        bs = BarrierSet(lower=BarrierCurve.exponential(lower, g_l),
+                        upper=BarrierCurve.exponential(upper, g_u))
+        got = breach_prob_pde(p, bs, 100.0, 0.25, default_grid(p, bs, 100.0, 0.25))
+        exact = 1.0 - _survival_mass(p, lower, g_l, upper, g_u)
+        assert got == pytest.approx(exact, abs=1e-5)
+
+    def test_curved_barrier_converges_at_second_order(self):
+        p = mk_params()
         bs = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.1))
-        grid = default_grid(p, bs, 100.0, 0.25)
-        got = breach_prob_pde(p, bs, 100.0, 0.25, grid)
-        # rising barrier is easier to hit than its starting level
-        flat_ref = breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25)
-        assert got > flat_ref
-        assert got < 1.0
+        exact = _breach_exponential(p, "lower", 70.0, 0.1)
+        errs = []
+        for n in (100, 200, 400):
+            grid = default_grid(p, bs, 100.0, 0.25, n_space=n, n_time=n)
+            errs.append(abs(breach_prob_pde(p, bs, 100.0, 0.25, grid) - exact))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert math.log2(coarse / fine) >= 1.5, errs
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -173,19 +211,61 @@ class TestPde:
         with pytest.raises(DomainError):
             PdeGrid(s_min=10.0, s_max=100.0, n_time=4)
 
-    def test_too_few_nodes_between_barriers(self):
+    def test_coarse_but_resolved_grids_solve(self):
         p = mk_params()
-        # minimum legal grid leaves 14 interior nodes, one short of usable
-        grid = PdeGrid(s_min=50.0, s_max=200.0, n_space=16, n_time=16)
-        with pytest.raises(NumericsError, match="grid too coarse"):
-            breach_prob_pde(p, DKO, 100.0, 0.25, grid)
-        # a barrier sweeping through most of the corridor pinches the live
-        # band near expiry even on the default grid
+        # the minimum legal grid still puts 14 interior nodes across the DKO
+        got = breach_prob_pde(p, DKO, 100.0, 0.25,
+                              PdeGrid(s_min=50.0, s_max=200.0, n_space=16, n_time=16))
+        assert got == pytest.approx(1.0 - _survival_mass(p, 70.0, 0.0, 130.0, 0.0), abs=1e-2)
+        # a barrier sweeping through most of the corridor narrows it to
+        # 1.2% near expiry, but the corridor always keeps its n_space nodes
         sweep = BarrierSet(
             lower=BarrierCurve.exponential(70.0, 3.0), upper=BarrierCurve.flat(150.0)
         )
-        with pytest.raises(NumericsError, match="grid too coarse"):
-            breach_prob_pde(p, sweep, 100.0, 0.25, default_grid(p, sweep, 100.0, 0.25))
+        got = breach_prob_pde(p, sweep, 100.0, 0.25, default_grid(p, sweep, 100.0, 0.25))
+        assert got == pytest.approx(1.0 - _survival_mass(p, 70.0, 3.0, 150.0, 0.0), abs=1e-7)
+
+    @pytest.mark.parametrize("mid,T", [(1e-300, 0.25), (1e-300, 1.0), (1e-30, 1.0), (1e-10, 1.0)])
+    def test_unresolved_grid_raises(self, mid, T):
+        # a valid barrier that dips to 1e-300 stretches the corridor to
+        # hundreds of log units, far wider than the nodes resolve; the
+        # shallower dips keep the spacing under sigma*sqrt(T), but the
+        # barrier falls ~100 log units a year, so the xi drift times the
+        # spacing exceeds sigma^2 and the centered rows lose their
+        # positive off-diagonals (unguarded, 1e-30 printed 0.214 against
+        # MC's 0.176)
+        p = mk_params(T=T)
+        dip = BarrierSet(lower=BarrierCurve.tabulated([(0.0, 70.0), (0.5, mid), (1.0, 80.0)]))
+        with pytest.raises(NumericsError, match="grid too coarse: .*lower barrier over"):
+            breach_prob_pde(p, dip, 100.0, T, default_grid(p, dip, 100.0, T))
+
+    @pytest.mark.parametrize("side,level,g", [("lower", 70.0, 10.0), ("upper", 130.0, -10.0)])
+    def test_fast_but_resolved_barrier_solves(self, side, level, g):
+        # the barrier moves ~3 node spacings a step, but the drift it adds
+        # in xi, net of mu, keeps drift*spacing under sigma^2
+        p = mk_params(r=g + 0.1)
+        bs = BarrierSet(**{side: BarrierCurve.exponential(level, g)})
+        got = breach_prob_pde(p, bs, 100.0, 0.25, default_grid(p, bs, 100.0, 0.25))
+        assert got == pytest.approx(_breach_exponential(p, side, level, g), abs=1e-4)
+
+    def test_unreachable_barrier_is_left_out(self):
+        p = mk_params()
+        far = BarrierSet(lower=BarrierCurve.flat(1e-320))
+        assert breach_prob_pde(p, far, 100.0, 0.25, default_grid(p, far, 100.0, 0.25)) == 0.0
+        # a far upper barrier changes neither the grid nor the answer
+        near = BarrierSet(lower=BarrierCurve.flat(70.0))
+        both = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(1e300))
+        assert default_grid(p, both, 100.0, 0.25) == default_grid(p, near, 100.0, 0.25)
+        grid = default_grid(p, near, 100.0, 0.25)
+        got = breach_prob_pde(p, both, 100.0, 0.25, grid)
+        assert got == breach_prob_pde(p, near, 100.0, 0.25, grid)
+        # 70 is 0.357 log units below 100, past 6*sigma*sqrt(T) = 0.3, so it
+        # is out of reach under an upward drift but not under a downward one
+        for mu in (2.0, -2.0):
+            q = MarketParams(mu=mu, sigma=0.1, r=0.1, T=0.25)
+            got = breach_prob_pde(q, near, 100.0, 0.25, default_grid(q, near, 100.0, 0.25))
+            exact = breach_prob_closed_flat(q, "lower", 70.0, 100.0, 0.25)
+            assert got == pytest.approx(exact, abs=2e-4) and (got == 0.0) == (mu > 0), (mu, got)
 
     def test_domain(self):
         p = mk_params()
@@ -209,3 +289,14 @@ class TestPde:
         span = math.exp(6.0 * 0.30 * math.sqrt(0.25))
         assert grid.s_min == pytest.approx(70.0 / span, rel=1e-12)
         assert grid.s_max == pytest.approx(130.0 * span, rel=1e-12)
+
+    def test_default_grid_covers_a_rising_lower_barrier(self):
+        # the far edge must clear the barrier's highest level, not just s0
+        p = mk_params()
+        bs = BarrierSet(lower=BarrierCurve.exponential(70.0, 10.0))
+        grid = default_grid(p, bs, 100.0, 0.25)
+        span = math.exp(6.0 * 0.30 * math.sqrt(0.25))
+        assert grid.s_min == pytest.approx(70.0 / span, rel=1e-12)
+        assert grid.s_max == pytest.approx(70.0 * math.exp(2.5) * span, rel=1e-12)
+        exact = _breach_exponential(p, "lower", 70.0, 10.0)
+        assert breach_prob_pde(p, bs, 100.0, 0.25, grid) == pytest.approx(exact, abs=1e-12)
