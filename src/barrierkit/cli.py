@@ -56,11 +56,7 @@ def emit_csv(rows, header) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.10g}"
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
 def _read_lines(path: str) -> list[str]:
@@ -283,8 +279,7 @@ def _barriers_from_args(args, T: float) -> BarrierSet:
     barriers = BarrierSet(
         lower=_curve_from_args(args, "lower"), upper=_curve_from_args(args, "upper")
     )
-    if barriers.lower is not None or barriers.upper is not None:
-        barriers.check_ordering(T)
+    barriers.check_ordering(T)
     return barriers
 
 
@@ -566,15 +561,12 @@ def run(argv) -> int:
             if report.note:
                 print(report.note)
         return 0
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ArithmeticError, ValueError) as exc:
         # admissible inputs whose formulas leave double precision: an
         # overflow, a division by an underflowed zero, a log of one

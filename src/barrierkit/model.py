@@ -184,6 +184,17 @@ class BarrierSet:
     def any_present(self) -> bool:
         return self.lower is not None or self.upper is not None
 
+    def side_at_inception(self, s0: float, T: float, past_ok: bool = True) -> str | None:
+        """The side ("lower"/"upper") s0 is on or past at t = 0, else None;
+        past it is a DomainError unless past_ok, as in the closed breach form."""
+        for side, curve, sign in (("lower", self.lower, 1.0), ("upper", self.upper, -1.0)):
+            gap = math.inf if curve is None else sign * (s0 - curve.value_at(0.0, T))
+            if gap < 0.0 and not past_ok:
+                raise DomainError(f"s0={s0} past the {side} barrier {curve.value_at(0.0, T)}")
+            if gap <= 0.0:
+                return side
+        return None
+
     def check_ordering(self, T: float) -> None:
         """Require lower(t) < upper(t) for every t in [0, T].
 

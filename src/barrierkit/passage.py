@@ -18,8 +18,11 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import BarrierSet, DomainError, MarketParams, NumericsError, require_price_level
+from .pricing.closed import breach_prob_closed_flat
 from .pricing.engine import STATUS_LOWER, STATUS_UPPER, simulate_paths
 from .pricing.mc import McConfig
+
+_OUT_OF_REACH = math.erfc(6.0 / math.sqrt(2.0))  # 2*Phi(-6): a breach this unlikely is left out
 
 
 @dataclass(frozen=True)
@@ -43,30 +46,22 @@ def breach_prob_mc(
 
     The events are exclusive by construction (a path knocks at most one
     side, ties resolved by the engine), so the probabilities sum to at
-    most 1.
+    most 1. An s0 on a barrier at t = 0 has breached it: 1, exactly.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
-    if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, params.T):
-        raise DomainError("s0 at or below the lower barrier at inception")
-    if barriers.upper is not None and s0 >= barriers.upper.value_at(0.0, params.T):
-        raise DomainError("s0 at or above the upper barrier at inception")
+    side = barriers.side_at_inception(s0, params.T, past_ok=False)
+    if side is not None:
+        hit_l = float(side == "lower")
+        return BreachEstimate(p_lower=hit_l, se_lower=0.0, p_upper=1.0 - hit_l, se_upper=0.0)
     res = simulate_paths(
         params, barriers, s0,
-        paths=cfg.paths, steps_per_year=cfg.steps_per_year,
-        seed=cfg.seed, chunk=cfg.chunk,
+        paths=cfg.paths, steps_per_year=cfg.steps_per_year, seed=cfg.seed,
     )
     n = cfg.paths
-
-    def side(code: int) -> tuple[float, float]:
-        hits = res.status == code
-        p = float(np.sum(hits)) / n
-        se = math.sqrt(p * (1.0 - p) / n) if n > 1 else 0.0
-        return p, se
-
-    p_l, se_l = side(STATUS_LOWER)
-    p_u, se_u = side(STATUS_UPPER)
+    p_l, p_u = (float(np.sum(res.status == code)) / n for code in (STATUS_LOWER, STATUS_UPPER))
+    se_l, se_u = (math.sqrt(p * (1.0 - p) / n) if n > 1 else 0.0 for p in (p_l, p_u))
     return BreachEstimate(p_lower=p_l, se_lower=se_l, p_upper=p_u, se_upper=se_u)
 
 
@@ -92,17 +87,28 @@ class PdeGrid:
 
 
 def _reachable(params: MarketParams, barriers: BarrierSet, s0: float, T: float) -> BarrierSet:
-    """The barriers less any that stays out of reach of s0 over [0, T].
+    """The barriers less those s0 breaches over [0, T] with probability below 2*Phi(-6).
 
-    A barrier more than 6*sigma*sqrt(T) from s0 in log-price, plus mu1*T
-    when the drift mu1 heads its way, is breached with probability below
-    2*Phi(-6), about 2e-9: the margin the default grid's far edges accept.
+    That is about 2e-9, the margin the default grid's far edges accept. A
+    barrier more than 6*sigma*sqrt(T) from s0 in log-price, plus mu1*T when
+    the drift mu1 heads its way, is left out. So is every barrier when the
+    drift heads away from each one left and the closed flat form at its
+    nearest level over [0, T], a bound for any curve on that side whose
+    reflection weight is then at most 1, is below 2*Phi(-6). A negligible
+    side next to a live one stays: a corridor between two barriers resolves
+    better than one stretched to a far edge.
     """
     reach, m = 6.0 * params.sigma * math.sqrt(T), (params.mu - 0.5 * params.sigma**2) * T
-    lower, upper = barriers.lower, barriers.upper
-    far_l = lower is not None and math.log(s0 / lower.extremes(T)[1]) > reach + max(0.0, -m)
-    far_u = upper is not None and math.log(upper.extremes(T)[0] / s0) > reach + max(0.0, m)
-    return BarrierSet(lower=None if far_l else lower, upper=None if far_u else upper)
+    kept, negligible = {}, True
+    for side, curve, up in (("lower", barriers.lower, False), ("upper", barriers.upper, True)):
+        if curve is not None:
+            near = curve.extremes(T)[0 if up else 1]
+            gap, toward = (math.log(near / s0), m) if up else (math.log(s0 / near), -m)
+            if gap <= reach + max(0.0, toward):
+                kept[side] = curve
+                negligible = negligible and toward < 0.0 < gap and (
+                    breach_prob_closed_flat(params, side, near, s0, T) < _OUT_OF_REACH)
+    return BarrierSet() if negligible else BarrierSet(**kept)
 
 
 def default_grid(
@@ -141,22 +147,20 @@ def breach_prob_pde(
     breakpoint, so lo' and w' are exact step by step on log-linear
     segments. The march is trapezoidal with centered differences, after
     two fully implicit steps that damp the terminal corner jump. Returns
-    Q at (s0, 0) by linear interpolation in xi; a barrier out of reach
-    (_reachable) is left out, and with none left the answer is 0. A node
-    spacing h = w/(n-1) over sigma*sqrt(T), or a drift against the nodes
-    at either end of the corridor over sigma^2/h, which turns an
-    off-diagonal of the operator negative, leaves the solution unresolved
-    and raises NumericsError.
+    Q at (s0, 0) by linear interpolation in xi, or 1 for s0 on a barrier;
+    a barrier out of reach (_reachable) is left out, and with none left
+    the answer is 0. A node spacing h = w/(n-1) over sigma*sqrt(T), or a
+    drift against the nodes at either end of the corridor over sigma^2/h,
+    which turns an off-diagonal of the operator negative, leaves the
+    solution unresolved and raises NumericsError.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
     if T <= 0.0:
         raise DomainError(f"T must be positive, got {T}")
-    if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, T):
-        raise DomainError("s0 at or below the lower barrier at inception")
-    if barriers.upper is not None and s0 >= barriers.upper.value_at(0.0, T):
-        raise DomainError("s0 at or above the upper barrier at inception")
+    if barriers.side_at_inception(s0, T, past_ok=False) is not None:
+        return 1.0
     barriers = _reachable(params, barriers, s0, T)
     if not barriers.any_present:
         return 0.0

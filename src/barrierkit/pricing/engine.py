@@ -6,21 +6,20 @@ seed). A path's block holds its normal increments, one bridge uniform
 per step and barrier side, and a small reserve used only if both sides
 fire within one step. Any run of paths maps to a counter offset, so the
 draws a path sees depend only on (seed, path index, layout), never on
-chunk size or worker count; per-path outputs land at fixed offsets of
-preallocated arrays and are reduced once at the end. Re-chunking or
+block size or worker count; per-path outputs land at fixed offsets of
+preallocated arrays and are reduced once at the end. Re-blocking or
 adding workers therefore cannot change a single bit of the result.
 
-Scheduling: `chunk` bounds the paths in flight across all workers. The
-paths are cut into blocks of ceil(min(chunk, paths) / workers) rows,
-fewer if one block's buffers would pass _BLOCK_BYTES, and each worker
-takes the next block from one shared list until none is left. A path
-too long for the byte budget on its own is rejected. Every worker owns
-one set of block buffers (word matrix, log-paths, distances, products,
-one hit mask per side and a scratch mask), allocated once per call in
-the calling thread and reused for each block it scans; a short last
-block uses their leading rows. Peak memory is therefore one chunk
-whatever the worker count, and the pool threads allocate nothing of
-size (paths, steps).
+Scheduling: the paths are cut into blocks of
+ceil(min(_PATHS_IN_FLIGHT, paths) / workers) rows, fewer if one block's
+buffers would pass _BLOCK_BYTES, and each worker takes the next block
+from one shared list until none is left. A path too long for the byte
+budget on its own is rejected. Every worker owns one set of block
+buffers (_BlockBuffers.layout), allocated once per call in the calling
+thread and reused for each block it scans; a short last block uses
+their leading rows. Peak memory is therefore the buffers of about
+_PATHS_IN_FLIGHT paths whatever the worker count, and the pool threads
+allocate nothing of size (paths, steps).
 
 The scan is vectorised per block. The normal transform and the bridge
 thresholds are computed in place in the word matrix's own columns.
@@ -54,6 +53,7 @@ _U_SHIFT = 2.0**-54
 _U_MAX = 1.0 - 2.0**-53
 _WORD_BUDGET = 2**48
 _BLOCK_BYTES = 2**28  # one worker's block buffers
+_PATHS_IN_FLIGHT = 16_384  # across all workers
 
 STATUS_ALIVE = 0
 STATUS_LOWER = 1
@@ -131,22 +131,25 @@ class _BlockBuffers:
     """One worker's block arrays, reused for every block it scans."""
 
     @staticmethod
-    def row_bytes(wpp: int, n: int, has_l: bool, has_u: bool) -> int:
-        """Bytes one path takes across the arrays allocated below."""
-        size = 8 * (wpp + n + 1)
+    def layout(wpp: int, n: int, has_l: bool, has_u: bool) -> dict[str, tuple[int, type]]:
+        """Columns and dtype of each array, by name: the words (transformed
+        in place), the log-paths and, with a barrier, distances, products,
+        a scratch mask and one hit mask per side."""
+        arrays = {"u": (wpp, np.float64), "x": (n + 1, np.float64)}
         if has_l or has_u:
-            size += 8 * (2 * n + 1) + n
-        return size + n * (int(has_l) + int(has_u))
+            arrays.update(dist=(n + 1, np.float64), prod=(n, np.float64), scratch=(n, np.bool_))
+        arrays.update({h: (n, np.bool_) for h, on in (("hit_l", has_l), ("hit_u", has_u)) if on})
+        return arrays
+
+    @staticmethod
+    def row_bytes(wpp: int, n: int, has_l: bool, has_u: bool) -> int:
+        """Bytes one path takes across the block's arrays."""
+        layout = _BlockBuffers.layout(wpp, n, has_l, has_u).values()
+        return sum(cols * np.dtype(dtype).itemsize for cols, dtype in layout)
 
     def __init__(self, rows: int, wpp: int, n: int, has_l: bool, has_u: bool) -> None:
-        self.u = np.empty((rows, wpp))  # the block's words, transformed in place
-        self.x = np.empty((rows, n + 1))  # log-paths
-        if has_l or has_u:
-            self.dist = np.empty((rows, n + 1))
-            self.prod = np.empty((rows, n))
-            self.scratch = np.empty((rows, n), dtype=bool)
-        self.hit_l = np.empty((rows, n), dtype=bool) if has_l else None
-        self.hit_u = np.empty((rows, n), dtype=bool) if has_u else None
+        for name, (cols, dtype) in self.layout(wpp, n, has_l, has_u).items():
+            setattr(self, name, np.empty((rows, cols), dtype=dtype))
 
 
 def simulate_paths(
@@ -156,7 +159,6 @@ def simulate_paths(
     paths: int,
     steps_per_year: int,
     seed: int,
-    chunk: int,
     workers: int | None = None,
     bridge: bool = True,
 ) -> PathResult:
@@ -165,16 +167,14 @@ def simulate_paths(
     Monitoring is discrete on the step grid with a Brownian-bridge
     crossing test between nodes (disabled when bridge=False, which
     leaves the draw layout untouched so runs stay pairwise comparable).
-    `chunk` is the number of paths in flight across all `workers`
-    threads; workers=None uses every CPU this process may run on (its
-    affinity mask, so `taskset` limits it). Neither changes a bit of the
+    The paths run in blocks on `workers` threads; workers=None uses
+    every CPU this process may run on (its affinity mask, so `taskset`
+    limits it). Neither the blocks nor the workers change a bit of the
     result. Assumes s0 is strictly inside the barriers at t=0; callers
-    handle knocked-at-inception states before simulating.
+    handle knocked-at-inception states (BarrierSet.side_at_inception) before simulating.
     """
     if paths < 1:
         raise DomainError(f"paths must be >= 1, got {paths}")
-    if chunk < 1:
-        raise DomainError(f"chunk must be >= 1, got {chunk}")
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
@@ -261,7 +261,7 @@ def simulate_paths(
                 r, X[p, i], X[p, i + 1], params.sigma, dt, bl, bu, i
             )
 
-    block = min(-(-min(chunk, paths) // workers), _BLOCK_BYTES // row)
+    block = min(-(-min(_PATHS_IN_FLIGHT, paths) // workers), _BLOCK_BYTES // row)
     blocks = iter([(lo, min(lo + block, paths)) for lo in range(0, paths, block)])
     lock = threading.Lock()
 

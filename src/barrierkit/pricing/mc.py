@@ -27,20 +27,17 @@ from .engine import STATUS_ALIVE, STATUS_LOWER, STATUS_UPPER, simulate_paths
 
 @dataclass(frozen=True)
 class McConfig:
-    """Simulation budget and reproducibility knobs."""
+    """Paths, steps and seed: all that a Monte Carlo result depends on."""
 
     paths: int = 100_000
     steps_per_year: int = 365
     seed: int = 0
-    chunk: int = 32_768  # paths in flight across all workers: a memory budget
 
     def __post_init__(self) -> None:
         if self.paths < 1:
             raise DomainError(f"paths must be >= 1, got {self.paths}")
         if self.steps_per_year < 1:
             raise DomainError(f"steps_per_year must be >= 1, got {self.steps_per_year}")
-        if self.chunk < 1:
-            raise DomainError(f"chunk must be >= 1, got {self.chunk}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
 
@@ -63,28 +60,23 @@ def mc_price(
     bridge: bool = True,
 ) -> PriceEstimate:
     """Price spec by bridged Monte Carlo; deterministic in (seed, paths,
-    steps_per_year), whatever the chunk or the worker count. workers=None
-    runs on every CPU this process may use.
+    steps_per_year), whatever the worker count. workers=None runs on
+    every CPU this process may use.
 
     bridge=False downgrades to naive discrete monitoring on the same
     draws, for measuring what the bridge correction is worth.
     """
     require_price_level("s0", s0)
     disc = math.exp(-params.r * params.T)
-    barriers = spec.barriers
-    if barriers.lower is not None and s0 <= barriers.lower.value_at(0.0, params.T):
-        return PriceEstimate(
-            value=disc * spec.rebate_lower, std_error=0.0, method=PricingMethod.MONTE_CARLO
-        )
-    if barriers.upper is not None and s0 >= barriers.upper.value_at(0.0, params.T):
-        return PriceEstimate(
-            value=disc * spec.rebate_upper, std_error=0.0, method=PricingMethod.MONTE_CARLO
-        )
+    side = spec.barriers.side_at_inception(s0, params.T)
+    if side is not None:
+        rebate = spec.rebate_lower if side == "lower" else spec.rebate_upper
+        return PriceEstimate(value=disc * rebate, std_error=0.0, method=PricingMethod.MONTE_CARLO)
 
     res = simulate_paths(
-        params, barriers, s0,
+        params, spec.barriers, s0,
         paths=cfg.paths, steps_per_year=cfg.steps_per_year,
-        seed=cfg.seed, chunk=cfg.chunk, workers=workers, bridge=bridge,
+        seed=cfg.seed, workers=workers, bridge=bridge,
     )
     payoff = np.empty(cfg.paths, dtype=np.float64)
     alive = res.status == STATUS_ALIVE

@@ -265,7 +265,7 @@ def test_a6_closed_forms_match_monte_carlo():
         for j, (name, barriers, closed) in enumerate(cases):
             spec = OptionSpec(payoff=Payoff.CALL, strike=strike, barriers=barriers)
             cfg = McConfig(paths=1_000_000, steps_per_year=200,
-                           seed=1000 + 10 * i + j, chunk=16384)
+                           seed=1000 + 10 * i + j)
             est = mc_price(params, spec, s0, cfg)
             z = (est.value - closed.value) / est.std_error
             if abs(z) > 3.0:
@@ -280,7 +280,8 @@ def test_a6_closed_forms_match_monte_carlo():
             up_and_out_call_closed(params, strike, 130.0, s0).value, abs=1e-8)
         assert no_upper.value == pytest.approx(
             down_and_out_call_closed(params, strike, 70.0, s0).value, abs=1e-8)
-    assert time.perf_counter() - t0 < 60.0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0, f"a6 took {elapsed:.1f} s, over its 60 s bound"
 
 
 def test_a7_first_passage_triangle():
@@ -288,7 +289,7 @@ def test_a7_first_passage_triangle():
     params = _mkt(0.25, 0.30)
     T, s0 = 0.25, 100.0
     t0 = time.perf_counter()
-    cfg = McConfig(paths=200_000, steps_per_year=200, seed=21, chunk=16384)
+    cfg = McConfig(paths=200_000, steps_per_year=200, seed=21)
     for side, level in (("lower", 70.0), ("upper", 130.0)):
         curve = BarrierCurve.flat(level)
         barriers = (BarrierSet(lower=curve) if side == "lower"
@@ -346,7 +347,7 @@ def test_a9_monte_carlo_worker_determinism():
     barriers = BarrierSet(lower=BarrierCurve.flat(70.0),
                           upper=BarrierCurve.flat(130.0))
     spec = OptionSpec(payoff=Payoff.CALL, strike=100.0, barriers=barriers)
-    cfg = McConfig(paths=100_000, steps_per_year=200, seed=123, chunk=16384)
+    cfg = McConfig(paths=100_000, steps_per_year=200, seed=123)
     runs = [mc_price(params, spec, 100.0, cfg, workers=w) for w in (1, 2, 8)]
     assert runs[0].value == runs[1].value == runs[2].value
     assert runs[0].std_error == runs[1].std_error == runs[2].std_error

@@ -244,6 +244,31 @@ def test_breach_pde_unreachable_barrier_prints_zero(capsys):
         assert (code, out) == (0, "p_total = 0\n")
 
 
+@pytest.mark.parametrize("s0, closed", [("100", 1.1e-225), ("80", 5.0e-121), ("70", 2.1e-58)])
+def test_breach_pde_negligible_under_strong_drift_prints_zero(capsys, s0, closed):
+    # the drift carries s0 away from a barrier within the 6-sigma reach;
+    # the closed form at the barrier bounds the breach far below 2*Phi(-6),
+    # so the barrier is out of reach instead of a grid too coarse
+    argv = ["--s0", s0, "--lower", "61.9", *_mkt(sigma="0.073", r="2.88", T="2")]
+    code, out, _ = _call(capsys, "breach", "--method", "pde", *argv)
+    assert (code, out) == (0, "p_total = 0\n")
+    code, out, _ = _call(capsys, "breach", "--method", "closed", *argv)
+    assert float(out.splitlines()[-1].split("=")[1]) == pytest.approx(closed, rel=0.05)
+
+
+def test_breach_s0_on_the_barrier_is_certain_under_every_method(capsys):
+    # s0 on the barrier has breached it at inception, as price and classify say
+    argv = ["breach", "--s0", "70", "--lower", "70", *MKT]
+    for method in ("closed", "mc", "pde"):
+        code, out, err = _call(capsys, *argv, "--method", method)
+        assert code == 0, err
+        assert "p_total = 1\n" in out
+    for method in ("closed", "mc", "pde"):  # strictly past it is invalid input
+        code, out, err = _call(capsys, "breach", "--s0", "69", "--lower", "70", *MKT,
+                               "--method", method)
+        assert (code, out) == (2, "")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -114,11 +114,12 @@ class TestScalarReference:
         ids=["single-lower", "single-upper", "flat-double", "tie-corridor", "bridge-off",
              "last-node-at-T"],
     )
-    def test_bit_identical_to_scalar_scan(self, barriers, steps, sigma, bridge, T):
+    def test_bit_identical_to_scalar_scan(self, barriers, steps, sigma, bridge, T, monkeypatch):
         p = mk_params(sigma=sigma, T=T)
         want_status, want_x, ties = reference_scan(p, barriers, 100.0, 1500, steps, 41, bridge)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 512)
         got = simulate_paths(
-            p, barriers, 100.0, paths=1500, steps_per_year=steps, seed=41, chunk=512, bridge=bridge
+            p, barriers, 100.0, paths=1500, steps_per_year=steps, seed=41, bridge=bridge
         )
         assert np.array_equal(got.status, want_status)
         assert np.array_equal(got.x_final, want_x)
@@ -133,20 +134,22 @@ class TestScalarReference:
 
 
 class TestDeterminism:
-    def test_chunk_and_worker_invariance(self):
+    def test_block_and_worker_invariance(self, monkeypatch):
         # the corridor makes many ties, whose reserve words are read from
-        # the chunk's word matrix: they must not depend on the chunking
+        # the block's word matrix: they must not depend on the blocking
         for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40)):
             p = mk_params(sigma=sigma)
             kw = dict(paths=15_000, steps_per_year=steps, seed=9)
-            base = simulate_paths(p, barriers, 100.0, chunk=15_000, workers=1, **kw)
-            for chunk, workers in ((512, 1), (4096, 2), (1000, 4)):
-                other = simulate_paths(p, barriers, 100.0, chunk=chunk, workers=workers, **kw)
+            monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 15_000)
+            base = simulate_paths(p, barriers, 100.0, workers=1, **kw)
+            for in_flight, workers in ((512, 1), (4096, 2), (1000, 4)):
+                monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", in_flight)
+                other = simulate_paths(p, barriers, 100.0, workers=workers, **kw)
                 assert np.array_equal(base.status, other.status)
                 assert np.array_equal(base.x_final, other.x_final)
 
     @pytest.mark.parametrize(
-        "barriers, sigma, bridge, paths, chunk, workers",
+        "barriers, sigma, bridge, paths, in_flight, workers",
         [
             # 9 paths in blocks of 2: five blocks for six workers
             (CORRIDOR, 0.40, True, 9, 100, 6),
@@ -156,11 +159,11 @@ class TestDeterminism:
             (NEAR_DKO, 0.30, False, 1500, 700, 2),
             (CORRIDOR, 0.40, True, 1500, 512, None),
         ],
-        ids=["workers-outnumber-blocks", "chunk-not-multiple-of-workers", "paths-below-workers",
+        ids=["workers-outnumber-blocks", "in-flight-not-multiple-of-workers", "paths-below-workers",
              "bridge-off", "default-workers"],
     )
     def test_block_schedule_matches_scalar_scan(
-        self, barriers, sigma, bridge, paths, chunk, workers
+        self, barriers, sigma, bridge, paths, in_flight, workers, monkeypatch
     ):
         # however the paths are cut into blocks and spread over workers,
         # every path equals its one-at-a-time reference and its
@@ -169,43 +172,47 @@ class TestDeterminism:
         steps = 12 if barriers is CORRIDOR else 100
         kw = dict(paths=paths, steps_per_year=steps, seed=7, bridge=bridge)
         want_status, want_x, _ = reference_scan(p, barriers, 100.0, paths, steps, 7, bridge)
-        one = simulate_paths(p, barriers, 100.0, chunk=paths, workers=1, **kw)
-        got = simulate_paths(p, barriers, 100.0, chunk=chunk, workers=workers, **kw)
+        one = simulate_paths(p, barriers, 100.0, workers=1, **kw)  # one block
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", in_flight)
+        got = simulate_paths(p, barriers, 100.0, workers=workers, **kw)
         for res in (one, got):
             assert np.array_equal(res.status, want_status)
             assert np.array_equal(res.x_final, want_x)
 
-    def test_many_workers_share_the_block_list(self):
+    def test_many_workers_share_the_block_list(self, monkeypatch):
         # more workers than CPUs race for 500 tiny blocks under a short
         # switch interval: a block taken twice or skipped shows up
         p = mk_params(sigma=0.40)
         kw = dict(paths=4_000, steps_per_year=12, seed=5)
-        one = simulate_paths(p, CORRIDOR, 100.0, chunk=4_000, workers=1, **kw)
+        one = simulate_paths(p, CORRIDOR, 100.0, workers=1, **kw)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = simulate_paths(p, CORRIDOR, 100.0, chunk=64, workers=8, **kw)
+            many = simulate_paths(p, CORRIDOR, 100.0, workers=8, **kw)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(one.status, many.status)
         assert np.array_equal(one.x_final, many.x_final)
 
-    def test_paths_are_a_prefix_stream(self):
+    def test_paths_are_a_prefix_stream(self, monkeypatch):
         # path i is a pure function of (seed, i): asking for fewer paths
         # must reproduce a prefix of the longer run
         p = mk_params()
-        big = simulate_paths(p, DKO, 100.0, paths=8_000, steps_per_year=80, seed=14, chunk=1024)
-        small = simulate_paths(p, DKO, 100.0, paths=3_000, steps_per_year=80, seed=14, chunk=1024)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 1024)
+        big = simulate_paths(p, DKO, 100.0, paths=8_000, steps_per_year=80, seed=14)
+        small = simulate_paths(p, DKO, 100.0, paths=3_000, steps_per_year=80, seed=14)
         assert np.array_equal(big.status[:3000], small.status)
         assert np.array_equal(big.x_final[:3000], small.x_final)
 
 
 class TestMemory:
-    def test_peak_is_one_chunk_whatever_the_workers(self):
-        # chunk counts the paths in flight across all workers, so four
-        # workers share one chunk's worth of block buffers between them
+    def test_peak_is_one_block_budget_whatever_the_workers(self, monkeypatch):
+        # _PATHS_IN_FLIGHT counts the paths in flight across all workers,
+        # so four workers share one budget's worth of block buffers
         p = mk_params()
-        kw = dict(paths=20_000, steps_per_year=400, seed=3, chunk=8192)
+        kw = dict(paths=20_000, steps_per_year=400, seed=3)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 8192)
         peaks = {}
         for workers in (1, 4):
             tracemalloc.start()
@@ -215,39 +222,43 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[4] <= 1.05 * peaks[1]
+        # the buffers of 8192 paths and 9 bytes of results per path, with
+        # 5% for the per-block index arrays
+        row = engine._BlockBuffers.row_bytes(words_per_path(100, True, True), 100, True, True)
+        assert peaks[1] <= 1.05 * (8192 * row + 9 * 20_000)
 
 
 class TestStatuses:
     def test_ties_resolved_and_codes_legal(self):
         p = mk_params()
-        res = simulate_paths(p, DKO, 100.0, paths=50_000, steps_per_year=12, seed=17, chunk=8192)
+        res = simulate_paths(p, DKO, 100.0, paths=50_000, steps_per_year=12, seed=17)
         assert res.status.dtype == np.uint8
         legal = {STATUS_ALIVE, STATUS_LOWER, STATUS_UPPER}
         assert set(np.unique(res.status)).issubset(legal)  # no unresolved tie (code 3)
 
     def test_no_barriers_all_alive(self):
         p = mk_params()
-        res = simulate_paths(p, BarrierSet(), 100.0, paths=5_000, steps_per_year=20, seed=1, chunk=5000)
+        res = simulate_paths(p, BarrierSet(), 100.0, paths=5_000, steps_per_year=20, seed=1)
         assert np.all(res.status == STATUS_ALIVE)
 
     def test_one_sided_never_reports_other_side(self):
         p = mk_params()
         lo = simulate_paths(
             p, BarrierSet(lower=BarrierCurve.flat(95.0)), 100.0,
-            paths=20_000, steps_per_year=50, seed=2, chunk=4096,
+            paths=20_000, steps_per_year=50, seed=2,
         )
         assert STATUS_UPPER not in lo.status
         assert STATUS_LOWER in lo.status  # close barrier, plenty of hits
         up = simulate_paths(
             p, BarrierSet(upper=BarrierCurve.flat(105.0)), 100.0,
-            paths=20_000, steps_per_year=50, seed=2, chunk=4096,
+            paths=20_000, steps_per_year=50, seed=2,
         )
         assert STATUS_LOWER not in up.status
         assert STATUS_UPPER in up.status
 
     def test_bridge_only_adds_knockouts(self):
         p = mk_params()
-        kw = dict(paths=30_000, steps_per_year=40, seed=23, chunk=8192)
+        kw = dict(paths=30_000, steps_per_year=40, seed=23)
         bridged = simulate_paths(p, DKO, 100.0, bridge=True, **kw)
         naive = simulate_paths(p, DKO, 100.0, bridge=False, **kw)
         alive_b = bridged.status == STATUS_ALIVE
@@ -261,7 +272,7 @@ class TestStatuses:
 class TestTerminalLaw:
     def test_moments_without_barriers(self):
         p = mk_params()
-        res = simulate_paths(p, BarrierSet(), 100.0, paths=200_000, steps_per_year=8, seed=31, chunk=65536)
+        res = simulate_paths(p, BarrierSet(), 100.0, paths=200_000, steps_per_year=8, seed=31)
         m1 = (0.10 - 0.5 * 0.09) * 0.25
         want_mean = math.log(100.0) + m1
         want_sd = 0.30 * math.sqrt(0.25)
@@ -272,7 +283,7 @@ class TestTerminalLaw:
 
     def test_dt_covers_horizon(self):
         p = mk_params(T=0.25)
-        res = simulate_paths(p, BarrierSet(), 100.0, paths=10, steps_per_year=200, seed=0, chunk=10)
+        res = simulate_paths(p, BarrierSet(), 100.0, paths=10, steps_per_year=200, seed=0)
         assert res.n_steps == 50
         assert res.n_steps * res.dt == pytest.approx(0.25, rel=1e-15)
 
@@ -281,7 +292,7 @@ class TestBudget:
     def test_word_budget_guard(self):
         p = mk_params()
         with pytest.raises(DomainError):
-            simulate_paths(p, DKO, 100.0, paths=2**44, steps_per_year=365, seed=0, chunk=1024)
+            simulate_paths(p, DKO, 100.0, paths=2**44, steps_per_year=365, seed=0)
 
     @pytest.mark.parametrize("barriers", [BarrierSet(), BarrierSet(upper=BarrierCurve.flat(130.0)), DKO],
                              ids=["none", "one-side", "two-sides"])
@@ -293,10 +304,10 @@ class TestBudget:
         assert held == 5 * engine._BlockBuffers.row_bytes(wpp, 37, has_l, has_u)
 
     def test_block_byte_budget_cuts_blocks_without_changing_a_bit(self, monkeypatch):
-        # a budget of 10.5 paths cuts a chunk of 4096 on two workers into
-        # blocks of 10, so the buffers shrink from 17 MB to 83 kB
+        # a budget of 10.5 paths cuts 3,000 paths on two workers into
+        # blocks of 10 instead of 1,500, so the buffers shrink from 12 MB to 83 kB
         p = mk_params(sigma=0.40)
-        kw = dict(paths=3_000, steps_per_year=320, seed=11, chunk=4096, workers=2)
+        kw = dict(paths=3_000, steps_per_year=320, seed=11, workers=2)
         whole = simulate_paths(p, CORRIDOR, 100.0, **kw)
         row = engine._BlockBuffers.row_bytes(words_per_path(80, True, True), 80, True, True)
         monkeypatch.setattr(engine, "_BLOCK_BYTES", 10 * row + row // 2)
@@ -315,18 +326,15 @@ class TestBudget:
         # the check runs before any buffer is allocated
         monkeypatch.setattr(engine, "_BLOCK_BYTES", 4000)
         with pytest.raises(DomainError, match="block budget"):
-            simulate_paths(mk_params(), DKO, 100.0, paths=10, steps_per_year=320, seed=0, chunk=16)
+            simulate_paths(mk_params(), DKO, 100.0, paths=10, steps_per_year=320, seed=0)
 
     def test_paths_positive(self):
         p = mk_params()
         with pytest.raises(DomainError):
-            simulate_paths(p, DKO, 100.0, paths=0, steps_per_year=10, seed=0, chunk=16)
+            simulate_paths(p, DKO, 100.0, paths=0, steps_per_year=10, seed=0)
 
-    @pytest.mark.parametrize("kw", [dict(chunk=0), dict(workers=0), dict(workers=-1)],
-                             ids=["chunk-0", "workers-0", "workers-negative"])
-    def test_chunk_and_workers_positive(self, kw):
+    @pytest.mark.parametrize("workers", [0, -1], ids=["workers-0", "workers-negative"])
+    def test_workers_positive(self, workers):
         p = mk_params()
         with pytest.raises(DomainError):
-            simulate_paths(
-                p, DKO, 100.0, paths=10, steps_per_year=10, seed=0, **{"chunk": 16, **kw}
-            )
+            simulate_paths(p, DKO, 100.0, paths=10, steps_per_year=10, seed=0, workers=workers)

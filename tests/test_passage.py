@@ -8,6 +8,7 @@ from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
 from barrierkit.passage import (
     BreachEstimate,
     PdeGrid,
+    _reachable,
     breach_prob_mc,
     breach_prob_pde,
     default_grid,
@@ -130,8 +131,13 @@ class TestMc:
         p = mk_params()
         with pytest.raises(DomainError):
             breach_prob_mc(p, BarrierSet(), 100.0, McConfig(paths=100, steps_per_year=10))
+        # on a barrier at inception is a certain breach; past one is invalid
+        est = breach_prob_mc(p, DKO, 70.0, McConfig(paths=100, steps_per_year=10))
+        assert (est.p_lower, est.se_lower, est.p_upper, est.se_upper) == (1.0, 0.0, 0.0, 0.0)
+        est = breach_prob_mc(p, DKO, 130.0, McConfig(paths=100, steps_per_year=10))
+        assert (est.p_lower, est.p_upper, est.p_total) == (0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            breach_prob_mc(p, DKO, 70.0, McConfig(paths=100, steps_per_year=10))
+            breach_prob_mc(p, DKO, 69.0, McConfig(paths=100, steps_per_year=10))
         with pytest.raises(DomainError):
             breach_prob_mc(p, DKO, 131.0, McConfig(paths=100, steps_per_year=10))
 
@@ -267,6 +273,21 @@ class TestPde:
             exact = breach_prob_closed_flat(q, "lower", 70.0, 100.0, 0.25)
             assert got == pytest.approx(exact, abs=2e-4) and (got == 0.0) == (mu > 0), (mu, got)
 
+    def test_drift_rule_leaves_out_only_a_negligible_answer(self):
+        # the drift carries s0 away from a lower barrier inside the 6-sigma
+        # reach (closed form 1.1e-225): alone it is left out, and next to a
+        # live upper barrier it stays
+        q = MarketParams(mu=2.88, sigma=0.073, r=2.88, T=2.0)
+        lower = BarrierSet(lower=BarrierCurve.flat(61.9))
+        both = BarrierSet(lower=BarrierCurve.flat(61.9), upper=BarrierCurve.flat(1000.0))
+        assert _reachable(q, lower, 100.0, 2.0) == BarrierSet()
+        assert _reachable(q, both, 100.0, 2.0) == both
+        # towards a barrier the closed form's reflection weight is e^800, so
+        # the bound is taken only with the drift heading away
+        p = MarketParams(mu=-3.995, sigma=0.1, r=-3.995, T=1.0)
+        towards = BarrierSet(lower=BarrierCurve.flat(36.8))
+        assert _reachable(p, towards, 100.0, 1.0) == towards
+
     def test_domain(self):
         p = mk_params()
         grid = PdeGrid(s_min=50.0, s_max=200.0)
@@ -276,6 +297,8 @@ class TestPde:
             breach_prob_pde(p, DKO, 100.0, 0.0, grid)
         with pytest.raises(DomainError):
             breach_prob_pde(p, DKO, 60.0, 0.25, grid)  # below the lower barrier
+        assert breach_prob_pde(p, DKO, 70.0, 0.25, grid) == 1.0  # on it
+        assert breach_prob_pde(p, DKO, 130.0, 0.25, grid) == 1.0
         # one-sided problems take the far edge from the grid; the start
         # value must sit inside it
         one_sided = BarrierSet(lower=BarrierCurve.flat(70.0))

@@ -17,6 +17,7 @@ from barrierkit.model import (
     Payoff,
     PricingMethod,
 )
+from barrierkit.pricing import engine
 from barrierkit.pricing.closed import (
     bs_vanilla,
     double_knockout_closed,
@@ -111,16 +112,20 @@ class TestBridge:
 
 
 class TestDeterminism:
-    def test_chunk_size_invariance(self):
+    def test_block_size_invariance(self, monkeypatch):
         p = mk_params()
-        a = mc_price(p, spec_dko(), 100.0, McConfig(paths=30_000, steps_per_year=100, seed=2, chunk=1024))
-        b = mc_price(p, spec_dko(), 100.0, McConfig(paths=30_000, steps_per_year=100, seed=2, chunk=30_000))
+        cfg = McConfig(paths=30_000, steps_per_year=100, seed=2)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 1024)
+        a = mc_price(p, spec_dko(), 100.0, cfg)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 30_000)
+        b = mc_price(p, spec_dko(), 100.0, cfg)
         assert a.value == b.value
         assert a.std_error == b.std_error
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
         p = mk_params()
-        cfg = McConfig(paths=30_000, steps_per_year=100, seed=2, chunk=4096)
+        cfg = McConfig(paths=30_000, steps_per_year=100, seed=2)
+        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 4096)
         a = mc_price(p, spec_dko(), 100.0, cfg, workers=1)
         b = mc_price(p, spec_dko(), 100.0, cfg, workers=3)
         assert a.value == b.value
@@ -162,7 +167,5 @@ class TestRebatesAndEdges:
             McConfig(paths=0)
         with pytest.raises(DomainError):
             McConfig(seed=2**64)
-        with pytest.raises(DomainError):
-            McConfig(chunk=0)
         with pytest.raises(DomainError):
             McConfig(steps_per_year=0)
