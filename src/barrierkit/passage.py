@@ -1,12 +1,11 @@
 """Barrier breach probabilities by simulation and by the backward equation.
 
-The bridged Monte Carlo engine (any supported barrier, per-side
-first-breach-wins probabilities) and a finite-difference solve of the
-backward equation for the breach indicator's expectation, on a grid
-whose end nodes follow the barriers. The closed reflection form for
-flat barriers lives with the other closed forms in `pricing.closed`;
-the three routes validate each other and agree within their stated
-tolerances.
+The conditional Monte Carlo engine (any supported barrier; each path's
+exact bridge chance of breaching each side first, averaged) and a
+finite-difference solve of the backward equation for the breach
+indicator's expectation, on a grid whose end nodes follow the barriers.
+The closed reflection form for flat barriers lives with the other closed
+forms in `pricing.closed`; the three routes validate each other.
 """
 
 from __future__ import annotations
@@ -18,8 +17,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import BarrierSet, DomainError, MarketParams, NumericsError, require_price_level
+from .numerics import std_normal_cdf
 from .pricing.closed import breach_prob_closed_flat
-from .pricing.engine import STATUS_LOWER, STATUS_UPPER, simulate_paths
+from .pricing.engine import path_moments
 from .pricing.mc import McConfig
 
 _OUT_OF_REACH = math.erfc(6.0 / math.sqrt(2.0))  # 2*Phi(-6): a breach this unlikely is left out
@@ -42,11 +42,10 @@ class BreachEstimate:
 def breach_prob_mc(
     params: MarketParams, barriers: BarrierSet, s0: float, cfg: McConfig
 ) -> BreachEstimate:
-    """Estimate P(lower first) and P(upper first) on bridged paths.
-
-    The events are exclusive by construction (a path knocks at most one
-    side, ties resolved by the engine), so the probabilities sum to at
-    most 1. An s0 on a barrier at t = 0 has breached it: 1, exactly.
+    """Estimate P(lower first) and P(upper first) as the mean of each path's
+    first-exit mass per side; the masses and the survival weight share one
+    unit, so the two sum to at most 1. An s0 on a barrier at t = 0 has
+    breached it: 1, exactly.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
@@ -55,13 +54,11 @@ def breach_prob_mc(
     if side is not None:
         hit_l = float(side == "lower")
         return BreachEstimate(p_lower=hit_l, se_lower=0.0, p_upper=1.0 - hit_l, se_upper=0.0)
-    res = simulate_paths(
-        params, barriers, s0,
-        paths=cfg.paths, steps_per_year=cfg.steps_per_year, seed=cfg.seed,
+    res = path_moments(
+        params, barriers, s0, paths=cfg.paths, steps_per_year=cfg.steps_per_year,
+        seed=cfg.seed, integrand=lambda x_T, weight, mass_l, mass_u: (mass_l, mass_u),
     )
-    n = cfg.paths
-    p_l, p_u = (float(np.sum(res.status == code)) / n for code in (STATUS_LOWER, STATUS_UPPER))
-    se_l, se_u = (math.sqrt(p * (1.0 - p) / n) if n > 1 else 0.0 for p in (p_l, p_u))
+    (p_l, p_u), (se_l, se_u) = res.mean.tolist(), res.std_error.tolist()
     return BreachEstimate(p_lower=p_l, se_lower=se_l, p_upper=p_u, se_upper=se_u)
 
 
@@ -147,7 +144,9 @@ def breach_prob_pde(
     breakpoint, so lo' and w' are exact step by step on log-linear
     segments. The march is trapezoidal with centered differences, after
     two fully implicit steps that damp the terminal corner jump. Returns
-    Q at (s0, 0) by linear interpolation in xi, or 1 for s0 on a barrier;
+    Q at (s0, 0) by linear interpolation in xi, or 1 for s0 on a barrier
+    or where P(S_T past a side's farthest level over [0, T]), a lower bound
+    for the breach of any curve on that side, passes 1 - 2*Phi(-6);
     a barrier out of reach (_reachable) is left out, and with none left
     the answer is 0. A node spacing h = w/(n-1) over sigma*sqrt(T), or a
     drift against the nodes at either end of the corridor over sigma^2/h,
@@ -161,6 +160,11 @@ def breach_prob_pde(
         raise DomainError(f"T must be positive, got {T}")
     if barriers.side_at_inception(s0, T, past_ok=False) is not None:
         return 1.0
+    m, sig_rt = (params.mu - 0.5 * params.sigma**2) * T, params.sigma * math.sqrt(T)
+    for curve, sign in ((barriers.lower, 1.0), (barriers.upper, -1.0)):
+        far = None if curve is None else curve.extremes(T)[sign < 0]
+        if far and std_normal_cdf(sign * (math.log(far) - math.log(s0) - m) / sig_rt) > 1.0 - _OUT_OF_REACH:
+            return 1.0
     barriers = _reachable(params, barriers, s0, T)
     if not barriers.any_present:
         return 0.0

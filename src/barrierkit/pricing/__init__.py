@@ -1,8 +1,8 @@
-"""Pricing: the closed forms here, the bridged Monte Carlo pricer in `mc`.
+"""Pricing: the closed forms here, the conditional Monte Carlo pricer in `mc`.
 
 Only the closed forms are re-exported, so importing this package loads
 no NumPy or SciPy; `McConfig` and `mc_price` come from `pricing.mc`,
-`simulate_paths` from `pricing.engine`.
+the path engine `path_moments` from `pricing.engine`.
 """
 
 from .closed import (

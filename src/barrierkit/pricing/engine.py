@@ -1,38 +1,28 @@
-"""Deterministic bridged path engine shared by pricing and breach estimation.
+"""Conditional Monte Carlo path engine shared by pricing and breach estimation.
 
-Reproducibility design: every path owns a fixed, pre-sized block of
-words in a single counter-based random stream (Philox keyed by the
-seed). A path's block holds its normal increments, one bridge uniform
-per step and barrier side, and a small reserve used only if both sides
-fire within one step. Any run of paths maps to a counter offset, so the
-draws a path sees depend only on (seed, path index, layout), never on
-block size or worker count; per-path outputs land at fixed offsets of
-preallocated arrays and are reduced once at the end. Re-blocking or
-adding workers therefore cannot change a single bit of the result.
+Between two nodes the log-price is a Brownian bridge and each barrier a
+line in log space (exact for flat and exponential barriers, and for
+tabulated ones with knots on nodes), so a step's chance of survival and
+of first exit through each side is an exact image series (`step_exits`).
+A path carries these chances instead of a knock-out test: its weight is
+the product of its steps' survival chances and its mass per side the sum
+of each step's exit chance times the weight before it, so monitoring is
+continuous (conditional Monte Carlo on the bridge: Glasserman, Monte
+Carlo Methods in Financial Engineering, 2004, 6.4). A cell counts only
+where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side (only paths with such
+a cell run the series); elsewhere 1 - p rounds to 1.0, an exact skip.
 
-Scheduling: the paths are cut into blocks of
-ceil(min(_PATHS_IN_FLIGHT, paths) / workers) rows, fewer if one block's
-buffers would pass _BLOCK_BYTES, and each worker takes the next block
-from one shared list until none is left. A path too long for the byte
-budget on its own is rejected. Every worker owns one set of block
-buffers (_BlockBuffers.layout), allocated once per call in the calling
-thread and reused for each block it scans; a short last block uses
-their leading rows. Peak memory is therefore the buffers of about
-_PATHS_IN_FLIGHT paths whatever the worker count, and the pool threads
-allocate nothing of size (paths, steps).
-
-The scan is vectorised per block. The normal transform and the bridge
-thresholds are computed in place in the word matrix's own columns.
-Log-paths are one row-wise `np.add.accumulate` over `drift + vol*z`;
-the accumulate runs along the row in order, so each node rounds exactly
-like a per-step `x + t` loop. Each barrier side then yields a boolean
-(paths, steps) hit mask: a step fires when its far endpoint is at or
-past the barrier, or when the product of its two endpoint
-log-distances falls below the step's bridge threshold. A path's first
-hit is the argmax over the union of the sides' masks; it freezes the
-path at the start of that step. A step that fires on both sides is a
-tie, which the path's reserve words resolve to one side; those words
-are read from the block's word matrix before the buffer is reused.
+Reproducibility: block b of _B paths draws its normals from
+PCG64(SeedSequence((seed, b))) through NumPy's ziggurat, row-major, one
+row of n_steps per path (one normal per path without a barrier, where
+only the end matters). A path's draws depend only on (seed, path index),
+so a shorter run is a prefix of a longer one by whole rows, and neither
+the worker count nor the row slices a block is scanned in change a bit.
+Each block reduces the integrand's outputs to (count, mean, M2), merged
+in block order: no per-path array outlives its block. Workers take the
+next block from one shared list, each on one set of buffers
+(_Buffers.layout), and their slices share _BLOCK_BYTES, so peak memory
+grows neither with the paths nor with the workers.
 """
 
 from __future__ import annotations
@@ -42,41 +32,93 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from ..model import BarrierSet, DomainError, MarketParams
 
-RESERVE_WORDS = 8
-_U_SHIFT = 2.0**-54
-_U_MAX = 1.0 - 2.0**-53
-_WORD_BUDGET = 2**48
-_BLOCK_BYTES = 2**28  # one worker's block buffers
-_PATHS_IN_FLIGHT = 16_384  # across all workers
-
-STATUS_ALIVE = 0
-STATUS_LOWER = 1
-STATUS_UPPER = 2
+_B = 4096  # paths per block; each block draws from its own stream
+_BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_bytes)
+# float64 columns per step the step kernel holds at once on a row near a line,
+# by sides (two sides add the image terms' copies of the cells near both)
+_KERNEL_COLS = (0, 7, 17)
+_CUTOFF = 54.0 * math.log(2.0)  # exp(-_CUTOFF) = 2^-54: past it 1 - p rounds to 1.0
 
 
 def n_steps_for(steps_per_year: int, T: float) -> int:
     return max(1, math.ceil(steps_per_year * T - 1e-12))
 
 
-def words_per_path(n_steps: int, has_l: bool, has_u: bool) -> int:
-    w = n_steps * (1 + int(has_l) + int(has_u)) + RESERVE_WORDS
-    return ((w + 3) // 4) * 4  # counter advances 4 words at a time
+def series_terms(w0: np.ndarray, w1: np.ndarray, c: float) -> int:
+    """Image pairs N the corridor series needs: every term past N is below
+    exp(-2*N*(N+1)*w0*w1/c), which is then below exp(-_CUTOFF)."""
+    ww, n = float(np.min(w0 * w1)), 1
+    while 2.0 * n * (n + 1) * ww < _CUTOFF * c:
+        n += 1
+    return n
 
 
-@dataclass
-class PathResult:
-    """Terminal state of every simulated path."""
+def _images(a0, a1, w0, w1, k: float, terms: int):
+    """sum_{n=1..N} (R_n - D_n): image terms of first exit through the line a0, a1 gap."""
+    p = np.zeros_like(a0)
+    for n in range(1, terms + 1):
+        p += np.exp(k * (n * w0 + a0) * (n * w1 + a1))
+        p -= np.exp(k * n * (n * w0 * w1 - w1 * a0 + w0 * a1))
+    return p
 
-    status: np.ndarray  # uint8, codes above (ties already resolved)
-    x_final: np.ndarray  # log-price at expiry, valid where alive
+
+def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1):
+    """Survival S and first-exit masses P_l, P_u of one bridged step.
+
+    d0, d1 are the log gaps above the lower line at the step's two ends,
+    w0, w1 the corridor widths (None without an upper line, which leaves
+    one side's exp(-2*d0*d1/c)), c = sigma^2*dt, and `terms` the image
+    pairs kept (series_terms). With both lines,
+    P_l = sum_{n>=0} e^{-2(n*w0+d0)(n*w1+d1)/c} - sum_{n>=1} e^{-2n(n*w0*w1-w1*d0+w0*d1)/c},
+    P_u is the same in the upper gaps w - d, and S = 1 - P_l - P_u; where
+    one line is past the cutoff, only the other's n = 0 term is kept. An end
+    at or past a line survives with 0, and its mass goes to that side less
+    the other side's first exit, which the series still gives there. A
+    start past a line (a path whose weight is already 0) stays finite.
+    """
+    k = -2.0 / c
+    if w0 is None:
+        p = np.exp(k * np.maximum(d0, 0.0) * np.maximum(d1, 0.0))
+        return 1.0 - p, p, np.zeros_like(p)
+    d0 = np.minimum(np.maximum(d0, 0.0), w0)
+    u0, u1 = w0 - d0, w1 - d1
+    e1, f1 = np.maximum(d1, 0.0), np.maximum(u1, 0.0)
+    p_l, p_u = np.exp(k * d0 * e1), np.exp(k * u0 * f1)
+    # the images matter only where both lines are near: past the cutoff on
+    # one side, that side's terms and every image term are below 2^-54
+    both = (p_l > math.exp(-_CUTOFF)) & (p_u > math.exp(-_CUTOFF))
+    if both.any():
+        v0, v1 = np.broadcast_to(w0, both.shape)[both], np.broadcast_to(w1, both.shape)[both]
+        p_l[both] += _images(d0[both], e1[both], v0, v1, k, terms)
+        p_u[both] += _images(u0[both], f1[both], v0, v1, k, terms)
+    past_l, past_u = d1 <= 0.0, u1 <= 0.0
+    np.subtract(1.0, p_u, out=p_l, where=past_l)
+    np.subtract(1.0, p_l, out=p_u, where=past_u)
+    s = np.maximum(1.0 - p_l - p_u, 0.0)
+    s[past_l | past_u] = 0.0
+    return s, p_l, p_u
+
+
+@dataclass(frozen=True)
+class PathMoments:
+    """Count, mean and sum of squared deviations (M2) of each integrand
+    output over every path, and the step grid they were taken on."""
+
+    count: int
+    mean: np.ndarray
+    m2: np.ndarray
     n_steps: int
     dt: float
+
+    @property
+    def std_error(self) -> np.ndarray:
+        return np.sqrt(self.m2 / max(self.count - 1, 1) / self.count)
 
 
 def _barrier_logs(curve, n: int, dt: float, T: float) -> np.ndarray:
@@ -84,94 +126,54 @@ def _barrier_logs(curve, n: int, dt: float, T: float) -> np.ndarray:
     return np.array([math.log(curve.value_at(t, T)) for t in [i * dt for i in range(n)] + [T]])
 
 
-def _resolve_tie(
-    r: np.ndarray,
-    xa: float,
-    xb: float,
-    sigma: float,
-    dt: float,
-    bl: np.ndarray | None,
-    bu: np.ndarray | None,
-    step: int,
-) -> int:
-    """Order two same-step crossings by subdividing the step once.
-
-    The step is split at its Brownian-bridge midpoint (reserve word 0);
-    each half is then tested per side with its own reserve bridge word,
-    in time order. Whichever side fires in the earlier half wins; a tie
-    inside one half (or a refinement that fires in neither) falls back
-    to the lower side, deterministically.
-    """
-    vol = sigma * math.sqrt(dt)
-    xm = 0.5 * (xa + xb) + 0.5 * vol * ndtri(min(r[0] + _U_SHIFT, _U_MAX))
-    quarter_var = 0.25 * sigma * sigma * dt
-
-    def half_hits(x_lo: float, x_hi: float, frac0: float, frac1: float, wl: float, wu: float):
-        hl = hu = False
-        if bl is not None:
-            b0 = (1.0 - frac0) * bl[step] + frac0 * bl[step + 1]
-            b1 = (1.0 - frac1) * bl[step] + frac1 * bl[step + 1]
-            w = -quarter_var * math.log(wl + _U_SHIFT)
-            hl = (x_hi <= b1) or ((x_lo - b0) * (x_hi - b1) < w)
-        if bu is not None:
-            b0 = (1.0 - frac0) * bu[step] + frac0 * bu[step + 1]
-            b1 = (1.0 - frac1) * bu[step] + frac1 * bu[step + 1]
-            w = -quarter_var * math.log(wu + _U_SHIFT)
-            hu = (x_hi >= b1) or ((b0 - x_lo) * (b1 - x_hi) < w)
-        return hl, hu
-
-    hl1, hu1 = half_hits(xa, xm, 0.0, 0.5, r[1], r[2])
-    hl2, hu2 = half_hits(xm, xb, 0.5, 1.0, r[3], r[4])
-    first_l = 1 if hl1 else (2 if hl2 else 3)
-    first_u = 1 if hu1 else (2 if hu2 else 3)
-    return STATUS_LOWER if first_l <= first_u else STATUS_UPPER
-
-
-class _BlockBuffers:
-    """One worker's block arrays, reused for every block it scans."""
+class _Buffers:
+    """One worker's slice arrays, reused for every slice it scans."""
 
     @staticmethod
-    def layout(wpp: int, n: int, has_l: bool, has_u: bool) -> dict[str, tuple[int, type]]:
-        """Columns and dtype of each array, by name: the words (transformed
-        in place), the log-paths and, with a barrier, distances, products,
-        a scratch mask and one hit mask per side."""
-        arrays = {"u": (wpp, np.float64), "x": (n + 1, np.float64)}
-        if has_l or has_u:
-            arrays.update(dist=(n + 1, np.float64), prod=(n, np.float64), scratch=(n, np.bool_))
-        arrays.update({h: (n, np.bool_) for h, on in (("hit_l", has_l), ("hit_u", has_u)) if on})
+    def layout(n_draw: int, n: int, sides: int) -> dict[str, tuple[int, type]]:
+        """Columns and dtype of each array, by name: the normals (turned in
+        place into cumulative log-returns) and, with barriers, the gaps to
+        each line, their products, the near-barrier masks and the weights."""
+        arrays = {"z": (n_draw, np.float64)}
+        if sides:
+            arrays.update(gap=(n + 1, np.float64), prod=(n, np.float64),
+                          near=(n, np.bool_), survive=(n + 1, np.float64))
+        if sides == 2:
+            arrays.update(gap_u=(n + 1, np.float64), near_u=(n, np.bool_))
         return arrays
 
     @staticmethod
-    def row_bytes(wpp: int, n: int, has_l: bool, has_u: bool) -> int:
-        """Bytes one path takes across the block's arrays."""
-        layout = _BlockBuffers.layout(wpp, n, has_l, has_u).values()
-        return sum(cols * np.dtype(dtype).itemsize for cols, dtype in layout)
+    def row_bytes(n_draw: int, n: int, sides: int) -> int:
+        """Bytes one path takes at most: the slice arrays, and the step
+        kernel's working arrays if the row comes near a line."""
+        held = sum(cols * np.dtype(dt).itemsize for cols, dt in _Buffers.layout(n_draw, n, sides).values())
+        return held + _KERNEL_COLS[sides] * n * 8
 
-    def __init__(self, rows: int, wpp: int, n: int, has_l: bool, has_u: bool) -> None:
-        for name, (cols, dtype) in self.layout(wpp, n, has_l, has_u).items():
+    def __init__(self, rows: int, n_draw: int, n: int, sides: int) -> None:
+        for name, (cols, dtype) in self.layout(n_draw, n, sides).items():
             setattr(self, name, np.empty((rows, cols), dtype=dtype))
 
 
-def simulate_paths(
+def path_moments(
     params: MarketParams,
     barriers: BarrierSet,
     s0: float,
     paths: int,
     steps_per_year: int,
     seed: int,
+    integrand: Callable[..., tuple],
     workers: int | None = None,
     bridge: bool = True,
-) -> PathResult:
-    """Scan `paths` exact-lognormal paths against the barrier set.
+) -> PathMoments:
+    """Moments of integrand(x_T, weight, mass_l, mass_u) over `paths` paths.
 
-    Monitoring is discrete on the step grid with a Brownian-bridge
-    crossing test between nodes (disabled when bridge=False, which
-    leaves the draw layout untouched so runs stay pairwise comparable).
-    The paths run in blocks on `workers` threads; workers=None uses
-    every CPU this process may run on (its affinity mask, so `taskset`
-    limits it). Neither the blocks nor the workers change a bit of the
-    result. Assumes s0 is strictly inside the barriers at t=0; callers
-    handle knocked-at-inception states (BarrierSet.side_at_inception) before simulating.
+    Per path: the log-price at expiry, the chance of never touching a
+    barrier, and the chances of touching the lower or upper one first; the
+    integrand returns a tuple of per-path arrays. bridge=False monitors the
+    nodes only, on the same draws (weights and masses of 0 or 1).
+    workers=None uses every CPU in this process's affinity mask; neither
+    the workers nor the blocks change a bit. Assumes s0 strictly inside the
+    barriers at t=0 (callers apply BarrierSet.side_at_inception first).
     """
     if paths < 1:
         raise DomainError(f"paths must be >= 1, got {paths}")
@@ -180,105 +182,108 @@ def simulate_paths(
                    else os.cpu_count() or 1)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    n = n_steps_for(steps_per_year, params.T)
-    has_l = barriers.lower is not None
-    has_u = barriers.upper is not None
-    wpp = words_per_path(n, has_l, has_u)
-    if paths * wpp > _WORD_BUDGET:
-        raise DomainError(f"paths*steps budget exceeded: {paths} x {wpp} words per path")
-    row = _BlockBuffers.row_bytes(wpp, n, has_l, has_u)
+    T, sigma = params.T, params.sigma
+    barriers.check_ordering(T)  # the corridor series needs a positive width
+    n = n_steps_for(steps_per_year, T)
+    dt = T / n
+    has_l, has_u = barriers.lower is not None, barriers.upper is not None
+    sides = int(has_l) + int(has_u)
+    n_draw = n if sides else 1  # without a barrier only the end matters
+    row = _Buffers.row_bytes(n_draw, n, sides)
     if row > _BLOCK_BYTES:
-        raise DomainError(f"one path's {n} steps need {row} bytes, over the "
-                          f"{_BLOCK_BYTES}-byte block budget")
-    dt = params.T / n
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * math.sqrt(dt)
-    x0 = math.log(s0)
-    bl = _barrier_logs(barriers.lower, n, dt, params.T) if has_l else None
-    bu = _barrier_logs(barriers.upper, n, dt, params.T) if has_u else None
-    half_var_dt = 0.5 * params.sigma**2 * dt
-    reserve_base = n * (1 + int(has_l) + int(has_u))
-    status = np.zeros(paths, dtype=np.uint8)
-    x_final = np.empty(paths, dtype=np.float64)
+        raise DomainError(f"one path's {n} steps need {row} bytes, over the {_BLOCK_BYTES}-byte block budget")
+    n_blocks = -(-paths // _B)
+    n_bufs = min(workers, n_blocks, _BLOCK_BYTES // row)
+    rows = min(_B, _BLOCK_BYTES // (row * n_bufs))
+    h = T / n_draw
+    drift, vol = (params.mu - 0.5 * sigma**2) * h, sigma * math.sqrt(h)
+    x0, c = math.log(s0), sigma**2 * dt
+    # gaps to the first line the scan measures: the lower one, else the upper
+    line = _barrier_logs(barriers.lower or barriers.upper, n, dt, T) if sides else None
+    x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
+    width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
+    terms = series_terms(width[:-1], width[1:], c) if sides == 2 else 0
 
-    def side_hits(buf: _BlockBuffers, m: int, b: np.ndarray, upper: bool, col: int) -> np.ndarray:
-        X, D, fired = buf.x[:m], buf.dist[:m], buf.scratch[:m]
-        hit = (buf.hit_u if upper else buf.hit_l)[:m]
-        # one distance matrix serves both ends: step i starts where step i-1 ends
-        if upper:
-            np.subtract(b, X, out=D)
+    def scan(buf: _Buffers, gen: np.random.Generator, m: int):
+        """(x_T, weight, mass_l, mass_u) for the next m rows of gen."""
+        z = buf.z[:m]
+        gen.standard_normal(out=z)
+        z *= vol
+        z += drift
+        np.add.accumulate(z, axis=1, out=z)  # log-return at each node after t=0
+        x_T = x0 + z[:, -1]
+        weight, mass_l, mass_u = np.ones(m), np.zeros(m), np.zeros(m)
+        if not sides:
+            return x_T, weight, mass_l, mass_u
+        gap, near = buf.gap[:m], buf.near[:m]
+        gap[:, 0] = x0_gap[0]
+        if has_l:
+            np.add(z, x0_gap[1:], out=gap[:, 1:])
         else:
-            np.subtract(X, b, out=D)
-        np.less_equal(D[:, 1:], 0.0, out=hit)
-        prod = np.multiply(D[:, :-1], D[:, 1:], out=buf.prod[:m])
-        if bridge:
-            w = buf.u[:m, col : col + n]
-            w += _U_SHIFT
-            np.log(w, out=w)
-            w *= -half_var_dt
+            np.subtract(x0_gap[1:], z, out=gap[:, 1:])
+        lines = [(gap, near)]
+        if sides == 2:
+            lines.append((np.subtract(width, gap, out=buf.gap_u[:m]), buf.near_u[:m]))
+        for g, g_near in lines:
+            if bridge:  # 2*d0*d1/c below the cutoff: the series counts
+                np.less(np.multiply(g[:, :-1], g[:, 1:], out=buf.prod[:m]), 0.5 * _CUTOFF * c, out=g_near)
+            else:
+                np.less_equal(g[:, 1:], 0.0, out=g_near)
+        if sides == 2:
+            near |= buf.near_u[:m]
+        hit = np.flatnonzero(near.any(axis=1))
+        if hit.size == 0:
+            return x_T, weight, mass_l, mass_u
+        g, on = gap[hit], near[hit]  # the rows with a cell near a line
+        d0, d1 = g[:, :-1], g[:, 1:]
+        if not bridge:  # an end on or past a line takes all the mass
+            p_l = (d1 <= 0.0) * 1.0
+            p_u = (d1 >= width[1:]) * 1.0 if sides == 2 else 0.0 * p_l
+            s = 1.0 - p_l - p_u
+        elif sides == 2:
+            s, p_l, p_u = step_exits(d0, d1, c, width[:-1], width[1:], terms)
         else:
-            w = 0.0
-        hit |= np.less(prod, w, out=fired)
-        return hit
+            s, p_l, p_u = step_exits(d0, d1, c)
+        if not has_l:
+            p_l, p_u = p_u, p_l
+        w = buf.survive[: hit.size]
+        w.fill(1.0)
+        np.copyto(w[:, 1:], s, where=on)  # a cell away from every line keeps 1 and adds 0
+        np.multiply.accumulate(w, axis=1, out=w)  # weight before each step, and at T
+        weight[hit] = w[:, -1]
+        for mass, p in ((mass_l, p_l), (mass_u, p_u)):
+            mass[hit] = np.add.accumulate(np.where(on, w[:, :-1] * p, 0.0), axis=1)[:, -1]
+        return x_T, weight, mass_l, mass_u
 
-    def run_block(buf: _BlockBuffers, lo: int, hi: int) -> None:
-        m = hi - lo
-        u, X = buf.u[:m], buf.x[:m]
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=(lo * wpp) // 4))
-        gen.random(out=u)
-        z = u[:, :n]
-        z += _U_SHIFT
-        np.minimum(z, _U_MAX, out=z)
-        ndtri(z, out=z)
-        X[:, 0] = x0
-        np.multiply(z, vol, out=X[:, 1:])
-        X[:, 1:] += drift
-        np.add.accumulate(X, axis=1, out=X)
-        x_final[lo:hi] = X[:, n]
-        if not (has_l or has_u):
-            return
+    block_stats: list = [None] * n_blocks
 
-        hl = side_hits(buf, m, bl, False, n) if has_l else None
-        hu = side_hits(buf, m, bu, True, n * (1 + int(has_l))) if has_u else None
-        if hl is None or hu is None:
-            hit = hu if hl is None else hl
-        else:
-            hit = np.logical_or(hl, hu, out=buf.scratch[:m])
-        first = hit.argmax(axis=1)
-        knocked = np.flatnonzero(hit[np.arange(m), first])
-        step = first[knocked]
-        # a knocked path freezes at the start of its first firing step
-        x_final[lo + knocked] = X[knocked, step]
-        neither = np.zeros(knocked.size, dtype=bool)
-        on_l = neither if hl is None else hl[knocked, step]
-        on_u = neither if hu is None else hu[knocked, step]
-        ties = np.flatnonzero(on_l & on_u)
-        reserve = u[knocked[ties], reserve_base : reserve_base + RESERVE_WORDS]
-        status[lo + knocked] = np.where(on_l, STATUS_LOWER, STATUS_UPPER)
-        for k, r in zip(ties, reserve):
-            p, i = int(knocked[k]), int(step[k])
-            status[lo + p] = _resolve_tie(
-                r, X[p, i], X[p, i + 1], params.sigma, dt, bl, bu, i
-            )
+    def run_block(buf: _Buffers, b: int) -> None:
+        m = min(_B, paths - b * _B)
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+        parts = [integrand(*scan(buf, gen, min(rows, m - lo))) for lo in range(0, m, rows)]
+        ys = [np.concatenate(col) if len(col) > 1 else col[0] for col in zip(*parts)]
+        means = np.array([np.sum(y) / m for y in ys])
+        m2 = np.array([np.sum((y - mu) ** 2) for y, mu in zip(ys, means)])
+        block_stats[b] = (m, means, m2)
 
-    block = min(-(-min(_PATHS_IN_FLIGHT, paths) // workers), _BLOCK_BYTES // row)
-    blocks = iter([(lo, min(lo + block, paths)) for lo in range(0, paths, block)])
+    blocks = iter(range(n_blocks))
     lock = threading.Lock()
 
-    def work(buf: _BlockBuffers) -> None:
+    def work(buf: _Buffers) -> None:
         while True:
             with lock:
                 b = next(blocks, None)
             if b is None:
                 return
-            run_block(buf, *b)
+            run_block(buf, b)
 
-    n_workers = min(workers, -(-paths // block))
-    bufs = [_BlockBuffers(block, wpp, n, has_l, has_u) for _ in range(n_workers)]
-    if len(bufs) == 1:
-        work(bufs[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(bufs)) as pool:
-            list(pool.map(work, bufs))
+    bufs = [_Buffers(rows, n_draw, n, sides) for _ in range(n_bufs)]
+    with ThreadPoolExecutor(max_workers=len(bufs)) as pool:
+        list(pool.map(work, bufs))
 
-    return PathResult(status=status, x_final=x_final, n_steps=n, dt=dt)
+    count, mean, m2 = block_stats[0]
+    for m, mean_b, m2_b in block_stats[1:]:  # Chan et al.'s update, in block order
+        delta, total = mean_b - mean, count + m
+        mean, m2 = mean + delta * (m / total), m2 + m2_b + delta * delta * (count * m / total)
+        count = total
+    return PathMoments(count=count, mean=mean, m2=m2, n_steps=n, dt=dt)

@@ -1,9 +1,11 @@
-"""Monte Carlo barrier pricing on exact lognormal path transitions.
+"""Monte Carlo barrier pricing: a thin integrand on the conditional path engine.
 
-The only discretization is barrier monitoring, and the bridge test
-corrects most of that; path transitions themselves are sampled from the
-exact terminal law of each step. Rebates are paid at expiry, so a single
-discount factor applies to every outcome.
+Path transitions are exact lognormal steps, and the engine's bridge
+weights make monitoring continuous and exact for barriers that are
+log-linear between nodes, so each path pays
+disc * (weight * payoff(S_T) + rebate_l * mass_l + rebate_u * mass_u).
+Rebates are paid at expiry, so a single discount factor applies to
+every outcome.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from ..model import (
     PricingMethod,
     require_price_level,
 )
-from .engine import STATUS_ALIVE, STATUS_LOWER, STATUS_UPPER, simulate_paths
+from .engine import path_moments
 
 
 @dataclass(frozen=True)
@@ -40,15 +42,6 @@ class McConfig:
             raise DomainError(f"steps_per_year must be >= 1, got {self.steps_per_year}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
-
-
-def _mean_se(y: np.ndarray) -> tuple[float, float]:
-    n = y.size
-    mean = float(np.sum(y) / n)
-    if n < 2:
-        return mean, 0.0
-    var = float(np.sum((y - mean) ** 2)) / (n - 1)
-    return mean, math.sqrt(max(var, 0.0) / n)
 
 
 def mc_price(
@@ -73,19 +66,16 @@ def mc_price(
         rebate = spec.rebate_lower if side == "lower" else spec.rebate_upper
         return PriceEstimate(value=disc * rebate, std_error=0.0, method=PricingMethod.MONTE_CARLO)
 
-    res = simulate_paths(
+    sign = 1.0 if spec.payoff is Payoff.CALL else -1.0
+
+    def discounted_payoff(x_T, weight, mass_l, mass_u):
+        payoff = np.maximum(sign * (np.exp(x_T) - spec.strike), 0.0)
+        return (disc * (weight * payoff + spec.rebate_lower * mass_l + spec.rebate_upper * mass_u),)
+
+    res = path_moments(
         params, spec.barriers, s0,
         paths=cfg.paths, steps_per_year=cfg.steps_per_year,
-        seed=cfg.seed, workers=workers, bridge=bridge,
+        seed=cfg.seed, integrand=discounted_payoff, workers=workers, bridge=bridge,
     )
-    payoff = np.empty(cfg.paths, dtype=np.float64)
-    alive = res.status == STATUS_ALIVE
-    s_T = np.exp(res.x_final[alive])
-    if spec.payoff is Payoff.CALL:
-        payoff[alive] = np.maximum(s_T - spec.strike, 0.0)
-    else:
-        payoff[alive] = np.maximum(spec.strike - s_T, 0.0)
-    payoff[res.status == STATUS_LOWER] = spec.rebate_lower
-    payoff[res.status == STATUS_UPPER] = spec.rebate_upper
-    mean, se = _mean_se(disc * payoff)
-    return PriceEstimate(value=mean, std_error=se, method=PricingMethod.MONTE_CARLO)
+    return PriceEstimate(value=float(res.mean[0]), std_error=float(res.std_error[0]),
+                         method=PricingMethod.MONTE_CARLO)

@@ -183,3 +183,30 @@ CURVED_CRITICAL = [
 #     tp = mp.findroot(lambda t: mp.diff(log_s, t), 8000)
 #     s = mp.exp(log_s(tp))
 FAR_HORIZON_CRITICAL = (27165928737051997610.302, 8099.9999999999796163)
+
+# The paper's criterion against first passage, on the Table-1 rows
+# (flat lower barrier B = 70, r = mu = 0.10): started at s_ml, the
+# pointwise tail P(S_T <= B) is Phi(-nu) by construction, but the chance
+# of touching the barrier at any time before T is larger by the reflection
+# term. Keyed by (T, sigma, nu), the ratio P(breach by T) / Phi(-nu) at
+# s_ml, at 40 digits. The turning point (nu sigma / (2 mu1))^2 lies past T
+# in every row, so s_ml = B exp(nu sigma sqrt(T) - mu1 T):
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     R, B = mp.mpf("0.10"), mp.mpf(70)
+#     T, sig, nu = mp.mpf("0.25"), mp.mpf("0.15"), mp.mpf("2.267")  # each row
+#     m1, srt = R - sig**2 / 2, sig * mp.sqrt(T)
+#     lr = mp.log(B / (B * mp.exp(nu * srt - m1 * T)))
+#     p = mp.ncdf((lr - m1 * T) / srt) + mp.exp(2 * m1 * lr / sig**2) * mp.ncdf((lr + m1 * T) / srt)
+#     ratio = p / mp.ncdf(-nu)
+KNOCKOUT_OVER_TAIL_AT_S_ML = {
+    (0.25, 0.15, 2.267): 2.2502040034850025757,
+    (0.25, 0.15, 4.9): 2.1259800177209358405,
+    (0.25, 0.30, 2.267): 2.0670778853430389276,
+    (0.25, 0.30, 4.9): 2.0360153264578307736,
+    (0.50, 0.15, 2.267): 2.3895201366455330326,
+    (0.50, 0.15, 4.9): 2.187562170408419452,
+    (0.50, 0.30, 2.267): 2.0973243136979002787,
+    (0.50, 0.30, 4.9): 2.0516786211648937295,
+}

@@ -256,6 +256,16 @@ def test_breach_pde_negligible_under_strong_drift_prints_zero(capsys, s0, closed
     assert float(out.splitlines()[-1].split("=")[1]) == pytest.approx(closed, rel=0.05)
 
 
+def test_breach_pde_certain_under_strong_drift_prints_one(capsys):
+    # the drift carries s0 far below the barrier: the PDE's grid would be
+    # too coarse (exit 3), but ending below it is already certain
+    argv = ["--s0", "100", "--lower", "62.4277", *_mkt(sigma="0.069299", r="-2.51542", T="2")]
+    for method in ("pde", "closed"):
+        code, out, err = _call(capsys, "breach", "--method", method, *argv)
+        assert code == 0, err
+        assert out.endswith("p_total = 1\n")
+
+
 def test_breach_s0_on_the_barrier_is_certain_under_every_method(capsys):
     # s0 on the barrier has breached it at inception, as price and classify say
     argv = ["breach", "--s0", "70", "--lower", "70", *MKT]

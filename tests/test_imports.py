@@ -58,3 +58,20 @@ def test_closed_commands_import_neither_numpy_nor_scipy():
     # the lazy names still resolve, to the objects their modules define
     assert report["missing"] == []
     assert report["lazy_is_original"] is True
+
+
+def test_monte_carlo_price_loads_no_scipy():
+    # the path engine draws its normals with NumPy's ziggurat
+    src = str(Path(barrierkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--upper", "130", *MKT,
+            "--method", "mc", "--paths", "2000", "--seed", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps([argv])],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, heavy = json.loads(proc.stdout)["commands"]["price"]
+    assert code == 0
+    assert "numpy" in heavy
+    assert not [m for m in heavy if m.partition(".")[0] == "scipy"]

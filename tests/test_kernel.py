@@ -1,25 +1,20 @@
-"""Path engine: scan against a scalar reference, determinism, memory, and step accounting."""
+"""Path engine: the bridge step kernel, the scan against a scalar reference,
+determinism, memory, and step accounting."""
 
 import math
 import sys
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
-from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
-from barrierkit.pricing import engine
-from barrierkit.pricing.engine import (
-    RESERVE_WORDS,
-    STATUS_ALIVE,
-    STATUS_LOWER,
-    STATUS_UPPER,
-    _resolve_tie,
-    n_steps_for,
-    simulate_paths,
-    words_per_path,
+from barrierkit.model import (
+    BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams, OptionSpec, Payoff,
 )
+from barrierkit.pricing import engine
+from barrierkit.pricing.engine import n_steps_for, path_moments, series_terms, step_exits
+from barrierkit.pricing.mc import McConfig, mc_price
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -27,75 +22,220 @@ def mk_params(sigma=0.30, T=0.25, r=0.10):
 
 
 DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
-
-
-def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=True):
-    """One path at a time, one step at a time, on draws re-derived from the
-    documented layout: path p reads words [p*wpp, (p+1)*wpp) of the Philox
-    stream keyed by the seed, as n normals, n bridge uniforms per side and
-    the tie reserve. Returns (status, x_final, number of ties)."""
-    n = n_steps_for(steps_per_year, params.T)
-    has_l, has_u = barriers.lower is not None, barriers.upper is not None
-    wpp = words_per_path(n, has_l, has_u)
-    dt = params.T / n
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * math.sqrt(dt)
-    h = 0.5 * params.sigma**2 * dt
-    sides = [c for c in (barriers.lower, barriers.upper) if c is not None]
-    nodes = [i * dt for i in range(n)] + [params.T]  # n*dt can round past T
-    logs = [np.array([math.log(c.value_at(t, params.T)) for t in nodes]) for c in sides]
-    bl = logs[0] if has_l else None
-    bu = logs[-1] if has_u else None
-    status = np.zeros(paths, dtype=np.uint8)
-    x_final = np.empty(paths)
-    ties = 0
-    for p in range(paths):
-        u = np.random.Generator(np.random.Philox(key=seed, counter=p * wpp // 4)).random(wpp)
-        z = ndtri(np.minimum(u[:n] + 2.0**-54, 1.0 - 2.0**-53))
-        ws = [-h * np.log(u[k * n : (k + 1) * n] + 2.0**-54) if bridge else np.zeros(n)
-              for k in range(1, 1 + len(sides))]
-        wl = ws[0] if has_l else None
-        wu = ws[-1] if has_u else None
-        x, st = math.log(s0), STATUS_ALIVE
-        for i in range(n):
-            x1 = x + (drift + vol * z[i])
-            hl = has_l and (x1 - bl[i + 1] <= 0.0 or (x - bl[i]) * (x1 - bl[i + 1]) < wl[i])
-            hu = has_u and (bu[i + 1] - x1 <= 0.0 or (bu[i] - x) * (bu[i + 1] - x1) < wu[i])
-            if hl and hu:
-                reserve = u[n * (1 + len(sides)) :][:RESERVE_WORDS]
-                st = _resolve_tie(reserve, x, x1, params.sigma, dt, bl, bu, i)
-                ties += 1
-            elif hl or hu:
-                st = STATUS_LOWER if hl else STATUS_UPPER
-            if hl or hu:
-                break
-            x = x1
-        status[p], x_final[p] = st, x
-    return status, x_final, ties
-
-
-class TestStepAccounting:
-    def test_n_steps(self):
-        assert n_steps_for(200, 0.25) == 50
-        assert n_steps_for(365, 1.0 / 365.0) == 1
-        assert n_steps_for(4, 0.25) == 1
-        assert n_steps_for(3, 0.5) == 2
-        assert n_steps_for(1, 0.01) == 1  # never below one step
-
-    def test_words_per_path_multiple_of_four(self):
-        for n in (1, 7, 50, 365):
-            for hl in (False, True):
-                for hu in (False, True):
-                    w = words_per_path(n, hl, hu)
-                    assert w % 4 == 0
-                    assert w >= n * (1 + hl + hu) + 8
-
-
 NEAR_DKO = BarrierSet(lower=BarrierCurve.flat(85.0), upper=BarrierCurve.flat(115.0))
-# three steps in a narrowing corridor: many steps fire on both sides
+# three steps in a narrowing corridor: many steps near both sides at once
 CORRIDOR = BarrierSet(
     lower=BarrierCurve.exponential(88.0, 0.2), upper=BarrierCurve.exponential(112.0, -0.2)
 )
+
+
+def kernel(d0, d1, c, w0=None, w1=None):
+    """step_exits on scalars, with the image pairs the engine would keep."""
+    args = (np.array([d0]), np.array([d1]), c)
+    if w0 is not None:
+        w0, w1 = np.array([w0]), np.array([w1])
+        args += (w0, w1, series_terms(w0, w1, c))
+    return tuple(float(v[0]) for v in step_exits(*args))
+
+
+def series_mp(d0, d1, w0, w1, c, images=40):
+    """(S, P_l, P_u) from the same sums at 30 digits, 2*images+1 images each."""
+    with mp.workdps(30):
+        d0, d1, w0, w1, c = (mp.mpf(v) for v in (d0, d1, w0, w1, c))
+
+        def exit_first(a0, a1):
+            direct = sum(mp.exp(-2 * n * (n * w0 * w1 - w1 * a0 + w0 * a1) / c)
+                         for n in range(1, images + 1))
+            return sum(mp.exp(-2 * (n * w0 + a0) * (n * w1 + a1) / c)
+                       for n in range(images + 1)) - direct
+
+        s = sum(mp.exp(-2 * n * (n * w0 * w1 - w1 * d0 + w0 * d1) / c)
+                - mp.exp(-2 * (n * w0 + d0) * (n * w1 + d1) / c)
+                for n in range(-images, images + 1))
+        return s, exit_first(d0, d1), exit_first(w0 - d0, w1 - d1)
+
+
+def subdivided_bridges(d0, d1, w0, w1, c, bridges=20_000, sub=400, seed=0):
+    """(S, P_l, P_u) estimated on bridges cut into `sub` pieces, with
+    standard errors. Lower line 0 -> l1, upper w0 -> l1 + w1 over unit time,
+    variance c; each piece carries its own one-line bridge chance per side,
+    which is exact up to touching both lines within one piece."""
+    l1 = 0.2 * (w0 - w1)  # the lower line's move; the upper moves l1 + w1 - w0
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, sub + 1)
+    walk = np.zeros((bridges, sub + 1))
+    walk[:, 1:] = np.cumsum(rng.standard_normal((bridges, sub)) * math.sqrt(c / sub), axis=1)
+    x = d0 + walk - t * (walk[:, -1:] - (l1 + d1 - d0))
+    lo = x - t * l1
+    up = (w0 + t * (l1 + w1 - w0)) - x
+    h = c / sub
+    p_l = np.exp(-2.0 * np.maximum(lo[:, :-1], 0.0) * np.maximum(lo[:, 1:], 0.0) / h)
+    p_u = np.exp(-2.0 * np.maximum(up[:, :-1], 0.0) * np.maximum(up[:, 1:], 0.0) / h)
+    s = np.maximum(1.0 - p_l - p_u, 0.0)
+    before = np.cumprod(np.hstack([np.ones((bridges, 1)), s]), axis=1)
+    outs = (before[:, -1], (before[:, :-1] * p_l).sum(axis=1), (before[:, :-1] * p_u).sum(axis=1))
+    return [(float(y.mean()), float(y.std() / math.sqrt(bridges))) for y in outs]
+
+
+class TestStepKernel:
+    # (d0, d1, w0, w1, c): flat, equal-growth and unequal-growth corridors,
+    # a wide step (many images), a narrow one and a near-crossing
+    GEOMETRIES = [
+        (0.15, 0.20, 0.40, 0.40, 0.04),
+        (0.10, 0.32, 0.40, 0.40, 0.04),
+        (0.15, 0.20, 0.40, 0.30, 0.04),
+        (0.05, 0.25, 0.30, 0.40, 0.09),
+        (0.20, 0.01, 0.30, 0.35, 0.50),
+        (0.30, 0.05, 0.40, 0.40, 1.00),
+        (0.39, 0.01, 0.40, 0.38, 0.01),
+        (0.01, 0.02, 0.62, 0.62, 4.5e-4),
+    ]
+
+    @pytest.mark.parametrize("d0, d1, w0, w1, c", GEOMETRIES)
+    def test_against_mpmath(self, d0, d1, w0, w1, c):
+        # S = 1 - P_l - P_u is a difference of terms near 1: a few ulps of 1
+        got = kernel(d0, d1, c, w0, w1)
+        for g, want in zip(got, series_mp(d0, d1, w0, w1, c)):
+            assert g == pytest.approx(float(want), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("d0, d1, w0, w1", [
+        (0.15, 0.20, 0.40, 0.40),  # flat
+        (0.12, 0.23, 0.40, 0.40),  # equal growth: a parallel corridor
+        (0.15, 0.20, 0.40, 0.30),  # growth +0.2 / -0.2 over a quarter year
+    ], ids=["flat", "equal-growth", "unequal-growth"])
+    def test_against_subdivided_bridges(self, d0, d1, w0, w1):
+        # sigma = 0.4 over dt = 0.25; the split between the sides of a
+        # narrowing corridor follows only from the time change
+        c = 0.04
+        got = kernel(d0, d1, c, w0, w1)
+        assert min(got) > 0.05  # every outcome has real mass
+        for g, (est, se) in zip(got, subdivided_bridges(d0, d1, w0, w1, c)):
+            assert abs(g - est) <= 4.0 * se + 1e-3
+
+    @pytest.mark.parametrize("d0, d1, w0, w1, c", GEOMETRIES)
+    def test_identities(self, d0, d1, w0, w1, c):
+        s, p_l, p_u = kernel(d0, d1, c, w0, w1)
+        assert s + p_l + p_u == pytest.approx(1.0, abs=4e-16)
+        # mirror: the same corridor seen from the upper line
+        m_s, m_l, m_u = kernel(w0 - d0, w1 - d1, c, w0, w1)
+        # (to a few ulps: the mirrored gaps w - d are rounded)
+        assert (m_s, m_l, m_u) == pytest.approx((s, p_u, p_l), abs=4e-15)
+        # a far upper line leaves the one-line form
+        one = math.exp(-2.0 * d0 * d1 / c)
+        assert kernel(d0, d1, c, 40.0, 40.0)[1] == pytest.approx(one, rel=1e-13)
+        assert kernel(d0, d1, c) == pytest.approx((1.0 - one, one, 0.0), rel=1e-13)
+
+    def test_cutoff_skips_only_what_rounds_away(self):
+        c = 0.01
+        past = 54.0 * math.log(2.0) * (1.0 + 1e-9)  # 2*d0*d1/c just past the cutoff
+        d0 = d1 = math.sqrt(0.5 * past * c)
+        s, p, _ = kernel(d0, d1, c)
+        assert 0.0 < p and 1.0 - p == 1.0 and s == 1.0
+        d1 *= 0.99  # just inside it 1 - p is below 1.0
+        assert kernel(d0, d1, c)[0] < 1.0
+
+    @pytest.mark.parametrize("d1", [0.0, -0.05, -0.4])
+    def test_end_on_or_past_a_line(self, d1):
+        # survival 0; the mass goes to the line crossed less the other
+        # line's first exit, from the same series
+        d0, w0, w1, c = 0.3, 0.4, 0.35, 0.04
+        s, p_l, p_u = kernel(d0, d1, c, w0, w1)
+        _, _, want_u = series_mp(d0, d1, w0, w1, c)
+        assert s == 0.0
+        assert p_u == pytest.approx(float(want_u), rel=1e-13, abs=2e-16)
+        assert p_l == 1.0 - p_u
+        # the mirror case: an end past the upper line
+        s, m_l, m_u = kernel(w0 - d0, w1 - d1, c, w0, w1)
+        assert (s, m_l, m_u) == (0.0, p_u, p_l)
+        assert kernel(d0, d1, c) == (0.0, 1.0, 0.0)
+
+    def test_start_past_a_line_stays_finite(self):
+        # a path already knocked out has weight 0: its later steps must not be NaN
+        out = step_exits(np.array([-0.5, -0.5, 0.9]), np.array([0.1, -0.2, 0.1]), 0.04,
+                         np.array([0.4] * 3), np.array([0.4] * 3), 2)
+        assert all(np.all(np.isfinite(v)) for v in out)
+
+    def test_series_terms_bound_the_first_image_left_out(self):
+        w = np.array([0.3, 0.25, 0.4])
+        for c in (1e-4, 0.04, 1.0, 10.0):
+            n = series_terms(w[:-1], w[1:], c)
+            assert 2.0 * n * (n + 1) * 0.3 * 0.25 / c >= 54.0 * math.log(2.0)
+            assert n == 1 or 2.0 * (n - 1) * n * 0.3 * 0.25 / c < 54.0 * math.log(2.0)
+
+
+def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=True):
+    """One path at a time, one step at a time, on normals re-derived from the
+    documented layout: path p is row p % B of block p // B, and block b
+    draws (rows, n) normals from PCG64(SeedSequence((seed, b))). Each step
+    whose gaps to a line satisfy 2*d0*d1/c < 54*ln 2 (or, without the
+    bridge, whose end is on or past a line) takes its survival and exit
+    masses from step_exits. Returns per-path (x_T, weight, mass_l, mass_u)."""
+    n = n_steps_for(steps_per_year, params.T)
+    has_l, has_u = barriers.lower is not None, barriers.upper is not None
+    n_draw = n if has_l or has_u else 1
+    h, dt = params.T / n_draw, params.T / n
+    drift = (params.mu - 0.5 * params.sigma**2) * h
+    vol = params.sigma * math.sqrt(h)
+    c = params.sigma**2 * dt
+    near = 0.5 * 54.0 * math.log(2.0) * c
+    nodes = [i * dt for i in range(n)] + [params.T]  # n*dt can round past T
+    logs = {side: np.array([math.log(curve.value_at(t, params.T)) for t in nodes])
+            for side, curve in (("l", barriers.lower), ("u", barriers.upper)) if curve is not None}
+    width = logs["u"] - logs["l"] if has_l and has_u else None
+    terms = series_terms(width[:-1], width[1:], c) if width is not None else 0
+    x0 = math.log(s0)
+    out = np.empty((paths, 4))
+    B = engine._B
+    for p in range(paths):
+        b, row = divmod(p, B)
+        rows = min(B, paths - b * B)
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+        z = gen.standard_normal((rows, n_draw))[row]
+        cum, w, m_l, m_u = 0.0, 1.0, 0.0, 0.0
+        for i in range(n_draw):
+            prev, cum = cum, cum + (z[i] * vol + drift)
+            if n_draw < n:
+                continue
+            # gaps to each line at the step's two nodes; node 0 has cum 0.0
+            gaps = {}
+            if has_l:
+                gaps["l"] = ((x0 - logs["l"][i]) + prev, (x0 - logs["l"][i + 1]) + cum)
+            elif has_u:
+                gaps["u"] = ((logs["u"][i] - x0) - prev, (logs["u"][i + 1] - x0) - cum)
+            if width is not None:
+                gaps["u"] = (width[i] - gaps["l"][0], width[i + 1] - gaps["l"][1])
+            fired = any((g0 * g1 < near) if bridge else (g1 <= 0.0) for g0, g1 in gaps.values())
+            if not fired:
+                continue
+            if not bridge:
+                p_l = float(has_l and gaps["l"][1] <= 0.0)
+                p_u = float(has_u and gaps["u"][1] <= 0.0)
+                s = 1.0 - p_l - p_u
+            elif width is not None:
+                s, p_l, p_u = kernel(*gaps["l"], c, width[i], width[i + 1])
+            else:
+                s, p_one, _ = kernel(*gaps["l" if has_l else "u"], c)
+                p_l, p_u = (p_one, 0.0) if has_l else (0.0, p_one)
+            m_l += w * p_l
+            m_u += w * p_u
+            w *= s
+        out[p] = (x0 + cum, w, m_l, m_u)
+    return out
+
+
+def engine_paths(params, barriers, s0, paths, steps_per_year, seed, bridge=True):
+    """Per-path (x_T, weight, mass_l, mass_u) as the engine hands them to its
+    integrand; one worker scans the blocks and their slices in order."""
+    seen = []
+    res = path_moments(params, barriers, s0, paths, steps_per_year, seed,
+                       lambda *state: seen.append(np.column_stack(state)) or (state[1],),
+                       workers=1, bridge=bridge)
+    return np.vstack(seen), res
+
+
+def slice_bytes(rows, barriers, steps):
+    sides = (barriers.lower is not None) + (barriers.upper is not None)
+    return rows * engine._Buffers.row_bytes(steps if sides else 1, steps, sides)
 
 
 class TestScalarReference:
@@ -107,234 +247,264 @@ class TestScalarReference:
             (NEAR_DKO, 100, 0.30, True, 0.25),
             (CORRIDOR, 12, 0.40, True, 0.25),
             (NEAR_DKO, 100, 0.30, False, 0.25),
+            (BarrierSet(), 100, 0.30, True, 0.25),
             # 335 steps, and 335 * (T / 335) rounds one ulp past T
             (BarrierSet(lower=BarrierCurve.exponential(80.0, 0.1)), 365, 0.30, True,
              0.9169050509759932),
         ],
-        ids=["single-lower", "single-upper", "flat-double", "tie-corridor", "bridge-off",
-             "last-node-at-T"],
+        ids=["single-lower", "single-upper", "flat-double", "corridor", "bridge-off",
+             "no-barrier", "last-node-at-T"],
     )
-    def test_bit_identical_to_scalar_scan(self, barriers, steps, sigma, bridge, T, monkeypatch):
+    def test_matches_scalar_scan(self, barriers, steps, sigma, bridge, T, monkeypatch):
+        # 1500 paths in blocks of 512, scanned in slices of 200 rows
         p = mk_params(sigma=sigma, T=T)
-        want_status, want_x, ties = reference_scan(p, barriers, 100.0, 1500, steps, 41, bridge)
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 512)
-        got = simulate_paths(
-            p, barriers, 100.0, paths=1500, steps_per_year=steps, seed=41, bridge=bridge
-        )
-        assert np.array_equal(got.status, want_status)
-        assert np.array_equal(got.x_final, want_x)
-        # every outcome the scan can produce shows up
-        assert STATUS_ALIVE in want_status
-        if barriers.lower is not None:
-            assert STATUS_LOWER in want_status
-        if barriers.upper is not None:
-            assert STATUS_UPPER in want_status
-        if barriers is CORRIDOR:
-            assert ties > 0
+        monkeypatch.setattr(engine, "_B", 512)
+        want = reference_scan(p, barriers, 100.0, 1500, steps, 41, bridge)
+        n = n_steps_for(steps, T)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(200, barriers, n))
+        got, _ = engine_paths(p, barriers, 100.0, 1500, steps, 41, bridge)
+        assert np.array_equal(got[:, 0], want[:, 0])  # the walk: additions only
+        assert np.allclose(got[:, 1:], want[:, 1:], rtol=0.0, atol=1e-15)
+        # every outcome shows up: survivors, knock-outs on each side, and
+        # with the bridge, paths partly knocked out
+        w, m_l, m_u = want[:, 1], want[:, 2], want[:, 3]
+        assert np.any(w > 0.0)
+        assert np.any(m_l > 0.0) == (barriers.lower is not None)
+        assert np.any(m_u > 0.0) == (barriers.upper is not None)
+        if barriers.any_present:
+            assert np.any((w > 0.0) & (w < 1.0)) == bridge
+
+
+class TestWeights:
+    def test_weight_and_masses_share_one_unit(self):
+        for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40)):
+            got, _ = engine_paths(mk_params(sigma=sigma), barriers, 100.0, 5_000, steps, 17)
+            # sums of products: a mass may round one ulp past 1
+            assert np.all((got[:, 1:] >= 0.0) & (got[:, 1:] <= 1.0 + 4e-16))
+            # a mass below 2^-54 per step is skipped, nothing more
+            assert np.allclose(got[:, 1:].sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+
+    def test_one_sided_never_reports_other_side(self):
+        p = mk_params()
+        lo, _ = engine_paths(p, BarrierSet(lower=BarrierCurve.flat(95.0)), 100.0, 20_000, 50, 2)
+        assert np.all(lo[:, 3] == 0.0) and np.any(lo[:, 2] > 0.5)
+        up, _ = engine_paths(p, BarrierSet(upper=BarrierCurve.flat(105.0)), 100.0, 20_000, 50, 2)
+        assert np.all(up[:, 2] == 0.0) and np.any(up[:, 3] > 0.5)
+
+    def test_bridge_only_lowers_weights(self):
+        p = mk_params()
+        bridged, _ = engine_paths(p, DKO, 100.0, 30_000, 40, 23)
+        naive, _ = engine_paths(p, DKO, 100.0, 30_000, 40, 23, bridge=False)
+        assert np.array_equal(bridged[:, 0], naive[:, 0])  # the same walks
+        assert set(np.unique(naive[:, 1:])) <= {0.0, 1.0}
+        assert np.all(bridged[:, 1] <= naive[:, 1])
+        assert bridged[:, 1].sum() < naive[:, 1].sum()
 
 
 class TestDeterminism:
-    def test_block_and_worker_invariance(self, monkeypatch):
-        # the corridor makes many ties, whose reserve words are read from
-        # the block's word matrix: they must not depend on the blocking
-        for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40)):
+    def test_slice_and_worker_invariance(self, monkeypatch):
+        for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40), (BarrierSet(), 80, 0.3)):
             p = mk_params(sigma=sigma)
-            kw = dict(paths=15_000, steps_per_year=steps, seed=9)
-            monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 15_000)
-            base = simulate_paths(p, barriers, 100.0, workers=1, **kw)
-            for in_flight, workers in ((512, 1), (4096, 2), (1000, 4)):
-                monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", in_flight)
-                other = simulate_paths(p, barriers, 100.0, workers=workers, **kw)
-                assert np.array_equal(base.status, other.status)
-                assert np.array_equal(base.x_final, other.x_final)
+            kw = dict(paths=15_000, steps_per_year=steps, seed=9,
+                      integrand=lambda x, w, m_l, m_u: (w * x, m_l, m_u))
+            base = path_moments(p, barriers, 100.0, workers=1, **kw)
+            n = n_steps_for(steps, p.T)
+            # budgets of 100 rows on one worker, 1000 on two, 4096 on four
+            for rows, workers in ((100, 1), (1000, 2), (4096, 4)):
+                monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(rows, barriers, n))
+                other = path_moments(p, barriers, 100.0, workers=workers, **kw)
+                assert other.count == base.count
+                assert np.array_equal(base.mean, other.mean)
+                assert np.array_equal(base.m2, other.m2)
 
     @pytest.mark.parametrize(
-        "barriers, sigma, bridge, paths, in_flight, workers",
+        "barriers, sigma, bridge, paths, block, budget_rows, workers",
         [
-            # 9 paths in blocks of 2: five blocks for six workers
-            (CORRIDOR, 0.40, True, 9, 100, 6),
-            # blocks of 334: each worker scans twice, the last block is short
-            (CORRIDOR, 0.40, True, 1500, 1000, 3),
-            (NEAR_DKO, 0.30, True, 3, 512, 8),
-            (NEAR_DKO, 0.30, False, 1500, 700, 2),
-            (CORRIDOR, 0.40, True, 1500, 512, None),
+            # 9 paths in blocks of 2: five blocks for six workers, a row each
+            (CORRIDOR, 0.40, True, 9, 2, 6, 6),
+            # a budget of three rows runs three of the six workers
+            (CORRIDOR, 0.40, True, 9, 2, 3, 6),
+            # a budget of 300 rows on three workers: slices of 100, each
+            # block of 512 cut in six, the last short
+            (CORRIDOR, 0.40, True, 1500, 512, 300, 3),
+            (NEAR_DKO, 0.30, True, 3, 512, 512, 8),
+            (NEAR_DKO, 0.30, False, 1500, 700, 333, 2),
+            (CORRIDOR, 0.40, True, 1500, 512, 512, None),
         ],
-        ids=["workers-outnumber-blocks", "in-flight-not-multiple-of-workers", "paths-below-workers",
+        ids=["workers-outnumber-blocks", "budget-below-workers", "slices-cut-blocks", "paths-below-workers",
              "bridge-off", "default-workers"],
     )
     def test_block_schedule_matches_scalar_scan(
-        self, barriers, sigma, bridge, paths, in_flight, workers, monkeypatch
+        self, barriers, sigma, bridge, paths, block, budget_rows, workers, monkeypatch
     ):
-        # however the paths are cut into blocks and spread over workers,
-        # every path equals its one-at-a-time reference and its
-        # single-worker, single-block run
+        # however the blocks are sliced and spread over workers, the moments
+        # equal those of the one-at-a-time reference, merged block by block
         p = mk_params(sigma=sigma)
         steps = 12 if barriers is CORRIDOR else 100
-        kw = dict(paths=paths, steps_per_year=steps, seed=7, bridge=bridge)
-        want_status, want_x, _ = reference_scan(p, barriers, 100.0, paths, steps, 7, bridge)
-        one = simulate_paths(p, barriers, 100.0, workers=1, **kw)  # one block
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", in_flight)
-        got = simulate_paths(p, barriers, 100.0, workers=workers, **kw)
-        for res in (one, got):
-            assert np.array_equal(res.status, want_status)
-            assert np.array_equal(res.x_final, want_x)
+        monkeypatch.setattr(engine, "_B", block)
+        want = reference_scan(p, barriers, 100.0, paths, steps, 7, bridge)
+        one, _ = engine_paths(p, barriers, 100.0, paths, steps, 7, bridge)
+        assert np.allclose(one, want, rtol=0.0, atol=1e-15)
+        kw = dict(integrand=lambda x, w, m_l, m_u: (w, m_l), bridge=bridge)
+        whole = path_moments(p, barriers, 100.0, paths, steps, 7, workers=1, **kw)
+        n = n_steps_for(steps, p.T)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(budget_rows, barriers, n))
+        got = path_moments(p, barriers, 100.0, paths, steps, 7, workers=workers, **kw)
+        assert np.array_equal(got.mean, whole.mean)
+        assert np.array_equal(got.m2, whole.m2)
+        y = want[:, 1:3]
+        assert got.mean == pytest.approx(y.mean(axis=0), rel=1e-13, abs=1e-16)
+        assert got.m2 == pytest.approx(((y - y.mean(axis=0)) ** 2).sum(axis=0), rel=1e-10, abs=1e-14)
 
     def test_many_workers_share_the_block_list(self, monkeypatch):
-        # more workers than CPUs race for 500 tiny blocks under a short
+        # more workers than CPUs race for 63 tiny blocks under a short
         # switch interval: a block taken twice or skipped shows up
         p = mk_params(sigma=0.40)
-        kw = dict(paths=4_000, steps_per_year=12, seed=5)
-        one = simulate_paths(p, CORRIDOR, 100.0, workers=1, **kw)
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 64)
+        monkeypatch.setattr(engine, "_B", 64)
+        kw = dict(paths=4_000, steps_per_year=12, seed=5, integrand=lambda x, w, m_l, m_u: (w, m_l))
+        one = path_moments(p, CORRIDOR, 100.0, workers=1, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            many = simulate_paths(p, CORRIDOR, 100.0, workers=8, **kw)
+            many = path_moments(p, CORRIDOR, 100.0, workers=8, **kw)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(one.status, many.status)
-        assert np.array_equal(one.x_final, many.x_final)
+        assert np.array_equal(one.mean, many.mean)
+        assert np.array_equal(one.m2, many.m2)
 
-    def test_paths_are_a_prefix_stream(self, monkeypatch):
-        # path i is a pure function of (seed, i): asking for fewer paths
-        # must reproduce a prefix of the longer run
+    def test_paths_are_a_prefix_stream_by_whole_rows(self, monkeypatch):
+        # path i is a pure function of (seed, i): fewer paths reproduce a
+        # prefix of the longer run, even inside a block cut short
         p = mk_params()
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 1024)
-        big = simulate_paths(p, DKO, 100.0, paths=8_000, steps_per_year=80, seed=14)
-        small = simulate_paths(p, DKO, 100.0, paths=3_000, steps_per_year=80, seed=14)
-        assert np.array_equal(big.status[:3000], small.status)
-        assert np.array_equal(big.x_final[:3000], small.x_final)
+        monkeypatch.setattr(engine, "_B", 1024)
+        big, _ = engine_paths(p, DKO, 100.0, 8_000, 80, 14)
+        small, _ = engine_paths(p, DKO, 100.0, 3_000, 80, 14)
+        assert np.array_equal(big[:3000], small)
+
+    def test_blocks_draw_from_their_own_streams(self):
+        # block 1 of a run is block 1 whatever came before it: the first
+        # rows of a (k, n) draw are the rows of any longer draw
+        gen = lambda: np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, 1))))
+        assert np.array_equal(gen().standard_normal((1024, 50))[:7], gen().standard_normal((7, 50)))
 
 
 class TestMemory:
-    def test_peak_is_one_block_budget_whatever_the_workers(self, monkeypatch):
-        # _PATHS_IN_FLIGHT counts the paths in flight across all workers,
-        # so four workers share one budget's worth of block buffers
+    def test_peak_does_not_grow_with_paths(self):
+        # every per-path array lives and dies inside its block; one worker,
+        # since two workers' per-block results may or may not peak together
+        p = mk_params(T=1.0)
+        spec = OptionSpec(payoff=Payoff.CALL, strike=100.0, barriers=DKO)
+        peaks = {}
+        for blocks in (4, 64):
+            cfg = McConfig(paths=blocks * engine._B, steps_per_year=12, seed=3)
+            tracemalloc.start()
+            try:
+                mc_price(p, spec, 100.0, cfg, workers=1)
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.05 * peaks[4]
+
+    @pytest.mark.parametrize("barriers", [
+        DKO,
+        BarrierSet(lower=BarrierCurve.flat(99.0), upper=BarrierCurve.flat(101.0)),
+        BarrierSet(lower=BarrierCurve.flat(99.5)),
+    ], ids=["far-double", "every-row-near-double", "every-row-near-lower"])
+    def test_peak_is_one_budget_whatever_the_workers(self, barriers, monkeypatch):
+        # _BLOCK_BYTES counts the slices of all workers together, with the
+        # step kernel's temporaries on the rows that come near a line
         p = mk_params()
-        kw = dict(paths=20_000, steps_per_year=400, seed=3)
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 8192)
+        kw = dict(paths=20_000, steps_per_year=400, seed=3, integrand=lambda x, w, m_l, m_u: (w,))
+        budget = slice_bytes(2048, barriers, 100)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
         peaks = {}
         for workers in (1, 4):
             tracemalloc.start()
             try:
-                simulate_paths(p, DKO, 100.0, workers=workers, **kw)
+                path_moments(p, barriers, 100.0, workers=workers, **kw)
                 peaks[workers] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[4] <= 1.05 * peaks[1]
-        # the buffers of 8192 paths and 9 bytes of results per path, with
-        # 5% for the per-block index arrays
-        row = engine._BlockBuffers.row_bytes(words_per_path(100, True, True), 100, True, True)
-        assert peaks[1] <= 1.05 * (8192 * row + 9 * 20_000)
-
-
-class TestStatuses:
-    def test_ties_resolved_and_codes_legal(self):
-        p = mk_params()
-        res = simulate_paths(p, DKO, 100.0, paths=50_000, steps_per_year=12, seed=17)
-        assert res.status.dtype == np.uint8
-        legal = {STATUS_ALIVE, STATUS_LOWER, STATUS_UPPER}
-        assert set(np.unique(res.status)).issubset(legal)  # no unresolved tie (code 3)
-
-    def test_no_barriers_all_alive(self):
-        p = mk_params()
-        res = simulate_paths(p, BarrierSet(), 100.0, paths=5_000, steps_per_year=20, seed=1)
-        assert np.all(res.status == STATUS_ALIVE)
-
-    def test_one_sided_never_reports_other_side(self):
-        p = mk_params()
-        lo = simulate_paths(
-            p, BarrierSet(lower=BarrierCurve.flat(95.0)), 100.0,
-            paths=20_000, steps_per_year=50, seed=2,
-        )
-        assert STATUS_UPPER not in lo.status
-        assert STATUS_LOWER in lo.status  # close barrier, plenty of hits
-        up = simulate_paths(
-            p, BarrierSet(upper=BarrierCurve.flat(105.0)), 100.0,
-            paths=20_000, steps_per_year=50, seed=2,
-        )
-        assert STATUS_LOWER not in up.status
-        assert STATUS_UPPER in up.status
-
-    def test_bridge_only_adds_knockouts(self):
-        p = mk_params()
-        kw = dict(paths=30_000, steps_per_year=40, seed=23)
-        bridged = simulate_paths(p, DKO, 100.0, bridge=True, **kw)
-        naive = simulate_paths(p, DKO, 100.0, bridge=False, **kw)
-        alive_b = bridged.status == STATUS_ALIVE
-        alive_n = naive.status == STATUS_ALIVE
-        assert np.all(alive_n | ~alive_b)  # bridged alive implies naive alive
-        assert int(alive_b.sum()) < int(alive_n.sum())
-        # agreement on the naive knockouts: both engines saw the same walk
-        assert np.array_equal(bridged.x_final[alive_b], naive.x_final[alive_b])
+        assert peaks[1] <= 1.05 * budget
 
 
 class TestTerminalLaw:
     def test_moments_without_barriers(self):
         p = mk_params()
-        res = simulate_paths(p, BarrierSet(), 100.0, paths=200_000, steps_per_year=8, seed=31)
+        res = path_moments(p, BarrierSet(), 100.0, 200_000, 8, 31, lambda x, w, m_l, m_u: (x,))
         m1 = (0.10 - 0.5 * 0.09) * 0.25
-        want_mean = math.log(100.0) + m1
         want_sd = 0.30 * math.sqrt(0.25)
-        got_mean = float(res.x_final.mean())
-        got_sd = float(res.x_final.std())
-        assert got_mean == pytest.approx(want_mean, abs=4.0 * want_sd / math.sqrt(200_000))
-        assert got_sd == pytest.approx(want_sd, rel=0.01)
+        assert res.mean[0] == pytest.approx(math.log(100.0) + m1, abs=4.0 * want_sd / math.sqrt(200_000))
+        assert math.sqrt(res.m2[0] / res.count) == pytest.approx(want_sd, rel=0.01)
 
     def test_dt_covers_horizon(self):
         p = mk_params(T=0.25)
-        res = simulate_paths(p, BarrierSet(), 100.0, paths=10, steps_per_year=200, seed=0)
+        res = path_moments(p, DKO, 100.0, 10, 200, 0, lambda x, w, m_l, m_u: (w,))
         assert res.n_steps == 50
         assert res.n_steps * res.dt == pytest.approx(0.25, rel=1e-15)
 
 
 class TestBudget:
-    def test_word_budget_guard(self):
-        p = mk_params()
-        with pytest.raises(DomainError):
-            simulate_paths(p, DKO, 100.0, paths=2**44, steps_per_year=365, seed=0)
-
     @pytest.mark.parametrize("barriers", [BarrierSet(), BarrierSet(upper=BarrierCurve.flat(130.0)), DKO],
                              ids=["none", "one-side", "two-sides"])
-    def test_row_bytes_counts_every_block_buffer(self, barriers):
-        has_l, has_u = barriers.lower is not None, barriers.upper is not None
-        wpp = words_per_path(37, has_l, has_u)
-        buf = engine._BlockBuffers(5, wpp, 37, has_l, has_u)
-        held = sum(a.nbytes for a in vars(buf).values() if a is not None)
-        assert held == 5 * engine._BlockBuffers.row_bytes(wpp, 37, has_l, has_u)
+    def test_row_bytes_counts_every_slice_buffer(self, barriers):
+        sides = (barriers.lower is not None) + (barriers.upper is not None)
+        n_draw = 37 if sides else 1
+        buf = engine._Buffers(5, n_draw, 37, sides)
+        held = sum(a.nbytes for a in vars(buf).values())
+        kernel = engine._KERNEL_COLS[sides] * 37 * 8  # allocated per slice, not held
+        assert held + 5 * kernel == 5 * engine._Buffers.row_bytes(n_draw, 37, sides)
 
-    def test_block_byte_budget_cuts_blocks_without_changing_a_bit(self, monkeypatch):
-        # a budget of 10.5 paths cuts 3,000 paths on two workers into
-        # blocks of 10 instead of 1,500, so the buffers shrink from 12 MB to 83 kB
+    def test_slice_budget_cuts_blocks_without_changing_a_bit(self, monkeypatch):
+        # a budget of 10.5 paths shared by two workers cuts each 4096-path
+        # block into slices of 5, so a worker's buffers shrink from 13.9 MB
+        # to 17 kB
         p = mk_params(sigma=0.40)
-        kw = dict(paths=3_000, steps_per_year=320, seed=11, workers=2)
-        whole = simulate_paths(p, CORRIDOR, 100.0, **kw)
-        row = engine._BlockBuffers.row_bytes(words_per_path(80, True, True), 80, True, True)
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", 10 * row + row // 2)
+        kw = dict(paths=6_000, steps_per_year=320, seed=11, workers=2,
+                  integrand=lambda x, w, m_l, m_u: (w, m_l, m_u))
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 2**30)
+        whole = path_moments(p, CORRIDOR, 100.0, **kw)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(10, CORRIDOR, 80) + 100)
         tracemalloc.start()
         try:
-            cut = simulate_paths(p, CORRIDOR, 100.0, **kw)
+            cut = path_moments(p, CORRIDOR, 100.0, **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert np.array_equal(whole.status, cut.status)
-        assert np.array_equal(whole.x_final, cut.x_final)
+        assert np.array_equal(whole.mean, cut.mean)
+        assert np.array_equal(whole.m2, cut.m2)
 
     def test_path_over_block_byte_budget_rejected(self, monkeypatch):
-        # one path of 80 double-barrier steps needs more than 4000 bytes;
+        # one path of 80 double-barrier steps needs more than 3000 bytes;
         # the check runs before any buffer is allocated
-        monkeypatch.setattr(engine, "_BLOCK_BYTES", 4000)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 3000)
         with pytest.raises(DomainError, match="block budget"):
-            simulate_paths(mk_params(), DKO, 100.0, paths=10, steps_per_year=320, seed=0)
+            path_moments(mk_params(), DKO, 100.0, 10, 320, 0, lambda x, w, m_l, m_u: (w,))
+
+    def test_crossing_barriers_rejected(self):
+        # the corridor series needs a positive width at every node
+        crossing = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.4),
+                              upper=BarrierCurve.exponential(130.0, -0.3))
+        with pytest.raises(BarrierOrderError):
+            path_moments(mk_params(T=1.0), crossing, 100.0, 10, 12, 0, lambda x, w, m_l, m_u: (w,))
 
     def test_paths_positive(self):
-        p = mk_params()
         with pytest.raises(DomainError):
-            simulate_paths(p, DKO, 100.0, paths=0, steps_per_year=10, seed=0)
+            path_moments(mk_params(), DKO, 100.0, 0, 10, 0, lambda x, w, m_l, m_u: (w,))
 
     @pytest.mark.parametrize("workers", [0, -1], ids=["workers-0", "workers-negative"])
     def test_workers_positive(self, workers):
-        p = mk_params()
         with pytest.raises(DomainError):
-            simulate_paths(p, DKO, 100.0, paths=10, steps_per_year=10, seed=0, workers=workers)
+            path_moments(mk_params(), DKO, 100.0, 10, 10, 0, lambda x, w, m_l, m_u: (w,),
+                         workers=workers)
+
+
+class TestStepAccounting:
+    def test_n_steps(self):
+        assert n_steps_for(200, 0.25) == 50
+        assert n_steps_for(365, 1.0 / 365.0) == 1
+        assert n_steps_for(4, 0.25) == 1
+        assert n_steps_for(3, 0.5) == 2
+        assert n_steps_for(1, 0.01) == 1  # never below one step

@@ -14,7 +14,10 @@ from barrierkit.passage import (
     default_grid,
 )
 from barrierkit.pricing.closed import breach_prob_closed_flat, double_knockout_closed
+from barrierkit.critical import s_ml_flat
+from barrierkit.numerics import std_normal_cdf
 from barrierkit.pricing.mc import McConfig
+from oracles import KNOCKOUT_OVER_TAIL_AT_S_ML
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -60,6 +63,16 @@ class TestClosedFlat:
         prob = breach_prob_closed_flat(p, "lower", 70.0, 98.870186482869048, 0.25)
         assert prob == pytest.approx(1.0187340708570643e-6, rel=1e-12)
         assert prob > 0.0
+
+    @pytest.mark.parametrize("T, sigma, nu", sorted(KNOCKOUT_OVER_TAIL_AT_S_ML))
+    def test_knockout_at_s_ml_is_about_twice_the_tail(self, T, sigma, nu):
+        # the paper's criterion bounds the pointwise tail Phi(-nu), not the
+        # chance of touching the barrier first (README, "Known deviations")
+        p = mk_params(sigma=sigma, T=T)
+        s_ml = s_ml_flat(p, 70.0, nu)[0]
+        ratio = breach_prob_closed_flat(p, "lower", 70.0, s_ml, T) / std_normal_cdf(-nu)
+        assert ratio == pytest.approx(KNOCKOUT_OVER_TAIL_AT_S_ML[(T, sigma, nu)], rel=1e-13)
+        assert 2.03 < ratio < 2.39
 
     def test_edges(self):
         p = mk_params()
@@ -143,6 +156,16 @@ class TestMc:
 
 
 class TestPde:
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_drift_onto_a_barrier_is_a_certain_breach(self, side):
+        # the terminal chance of ending past the barrier alone passes
+        # 1 - 2*Phi(-6); the grid would be too coarse for this drift
+        r = -2.51542 if side == "lower" else 2.51542
+        p = MarketParams(mu=r, sigma=0.069299, r=r, T=2.0)
+        curve = BarrierCurve.exponential(62.4277 if side == "lower" else 160.0, 0.1)
+        bs = BarrierSet(**{side: curve})
+        assert breach_prob_pde(p, bs, 100.0, 2.0, default_grid(p, bs, 100.0, 2.0)) == 1.0
+
     def test_single_lower_matches_closed(self):
         p = mk_params()
         bs = BarrierSet(lower=BarrierCurve.flat(70.0))

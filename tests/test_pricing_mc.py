@@ -23,6 +23,7 @@ from barrierkit.pricing.closed import (
     double_knockout_closed,
     down_and_out_call_closed,
 )
+from barrierkit.passage import breach_prob_mc
 from barrierkit.pricing.mc import McConfig, mc_price
 
 
@@ -112,12 +113,14 @@ class TestBridge:
 
 
 class TestDeterminism:
-    def test_block_size_invariance(self, monkeypatch):
+    def test_row_slice_invariance(self, monkeypatch):
+        # a budget of 100 rows shared by the workers instead of whole
+        # 4096-path blocks
         p = mk_params()
         cfg = McConfig(paths=30_000, steps_per_year=100, seed=2)
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 1024)
         a = mc_price(p, spec_dko(), 100.0, cfg)
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 30_000)
+        row = engine._Buffers.row_bytes(25, 25, 2)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", 100 * row)
         b = mc_price(p, spec_dko(), 100.0, cfg)
         assert a.value == b.value
         assert a.std_error == b.std_error
@@ -125,7 +128,7 @@ class TestDeterminism:
     def test_worker_count_invariance(self, monkeypatch):
         p = mk_params()
         cfg = McConfig(paths=30_000, steps_per_year=100, seed=2)
-        monkeypatch.setattr(engine, "_PATHS_IN_FLIGHT", 4096)
+        monkeypatch.setattr(engine, "_B", 1024)  # 30 blocks
         a = mc_price(p, spec_dko(), 100.0, cfg, workers=1)
         b = mc_price(p, spec_dko(), 100.0, cfg, workers=3)
         assert a.value == b.value
@@ -153,6 +156,16 @@ class TestRebatesAndEdges:
         plain = mc_price(p, spec_dko(), 100.0, cfg)
         cushioned = mc_price(p, spec_dko(rebate_lower=5.0, rebate_upper=5.0), 100.0, cfg)
         assert cushioned.value > plain.value
+
+    def test_rebate_pays_the_side_breached_first(self):
+        # on the same draws a rebate adds disc * rebate * P(that side first)
+        p = mk_params()
+        cfg = McConfig(paths=20_000, steps_per_year=100, seed=4)
+        plain = mc_price(p, spec_dko(), 100.0, cfg).value
+        breach = breach_prob_mc(p, spec_dko().barriers, 100.0, cfg)
+        for side, prob in (("lower", breach.p_lower), ("upper", breach.p_upper)):
+            got = mc_price(p, spec_dko(**{f"rebate_{side}": 5.0}), 100.0, cfg).value
+            assert got - plain == pytest.approx(math.exp(-0.10 * 0.25) * 5.0 * prob, rel=1e-9)
 
     def test_method_tag(self):
         p = mk_params()
