@@ -373,24 +373,23 @@ def _classify(s0: float, bl0: float | None, bu0: float | None, crit: CriticalPri
     return classify_up_and_out(s0, bu0, crit.s_mu)
 
 
-def _cmd_classify(args) -> _Report:
+def _critical_setup(args) -> tuple[MarketParams, BarrierSet, CriticalPrices]:
+    """Market, barriers and critical prices: the opening of classify, critical and sweep."""
     params = _params_from_args(args)
     barriers = _barriers_from_args(args, params.T)
     if not barriers.any_present:
-        raise ValidationError("classify needs at least one barrier")
-    nu = _nu_from_args(args)
-    crit = critical_prices(params, barriers, nu)
+        raise ValidationError(f"{args.command} needs at least one barrier")
+    return params, barriers, critical_prices(params, barriers, _nu_from_args(args))
+
+
+def _cmd_classify(args) -> _Report:
+    params, barriers, crit = _critical_setup(args)
     label = _classify(args.s0, *_initial_levels(barriers, params.T), crit)
     return _Report(("classification",), [(label.value,)], [label.value])
 
 
 def _cmd_critical(args) -> _Report:
-    params = _params_from_args(args)
-    barriers = _barriers_from_args(args, params.T)
-    if not barriers.any_present:
-        raise ValidationError("critical needs at least one barrier")
-    nu = _nu_from_args(args)
-    crit = critical_prices(params, barriers, nu)
+    crit = _critical_setup(args)[2]
     rows = []
     if crit.s_ml is not None:
         rows.append(("s_ml", crit.s_ml, crit.t_at_max))
@@ -500,12 +499,7 @@ def _cmd_table1(args) -> _Report:
 
 
 def _cmd_sweep(args) -> _Report:
-    params = _params_from_args(args)
-    barriers = _barriers_from_args(args, params.T)
-    if not barriers.any_present:
-        raise ValidationError("sweep needs at least one barrier")
-    nu = _nu_from_args(args)
-    crit = critical_prices(params, barriers, nu)
+    params, barriers, crit = _critical_setup(args)
     span = math.exp(10.0 * params.sigma * math.sqrt(params.T))
     bl0, bu0 = _initial_levels(barriers, params.T)
     if bl0 is not None and bu0 is not None:

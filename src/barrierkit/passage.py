@@ -160,10 +160,10 @@ def breach_prob_pde(
         raise DomainError(f"T must be positive, got {T}")
     if barriers.side_at_inception(s0, T, past_ok=False) is not None:
         return 1.0
-    m, sig_rt = (params.mu - 0.5 * params.sigma**2) * T, params.sigma * math.sqrt(T)
+    c1, sig_rt = params.mu - 0.5 * params.sigma**2, params.sigma * math.sqrt(T)
     for curve, sign in ((barriers.lower, 1.0), (barriers.upper, -1.0)):
         far = None if curve is None else curve.extremes(T)[sign < 0]
-        if far and std_normal_cdf(sign * (math.log(far) - math.log(s0) - m) / sig_rt) > 1.0 - _OUT_OF_REACH:
+        if far and std_normal_cdf(sign * (math.log(far) - math.log(s0) - c1 * T) / sig_rt) > 1.0 - _OUT_OF_REACH:
             return 1.0
     barriers = _reachable(params, barriers, s0, T)
     if not barriers.any_present:
@@ -186,8 +186,6 @@ def breach_prob_pde(
     if not np.all(width > 0.0) or not 0.0 < (math.log(s0) - lo[0]) / width[0] < 1.0:
         raise DomainError("s0 or a barrier outside the solver domain")
     N = grid.n_space
-    sig_rt = params.sigma * math.sqrt(T)
-    c1 = params.mu - 0.5 * params.sigma**2
     dt = np.diff(times)
     dlo, dw = np.diff(lo) / dt, np.diff(width) / dt  # lo' and w', exact over each step
     h_x = np.maximum(width[:-1], width[1:]) / (N - 1)  # node spacing over each step

@@ -46,6 +46,26 @@ def _cdf_diff(hi: float, lo: float) -> float:
     return d if d > 0.0 else 0.0
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _reflected(log_w: float, a: float, b: float) -> float:
+    """w * Phi(b) for a reflection weight w = exp(log_w) = phi(a) / phi(b).
+
+    Past w = e^700 the weight overflows where the product need not. There
+    the drift heads for the barrier and b^2 = a^2 + 2*log_w puts b below
+    -37, so the product is taken as phi(a) times the Mills ratio
+    Phi(b) / phi(b) = 1/(x + 1/(x + 2/(x + ...))), x = -b, whose continued
+    fraction is exact to an ulp after ten levels that far out.
+    """
+    if log_w <= 700.0:
+        return math.exp(log_w) * std_normal_cdf(b)
+    t = -b
+    for k in range(10, 0, -1):
+        t = -b + k / t
+    return math.exp(-0.5 * a * a) / _SQRT_2PI / t
+
+
 def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -> PriceEstimate:
     """Lognormal European price; put obtained from the call by parity."""
     require_price_level("s0", s0)
@@ -277,9 +297,7 @@ def breach_prob_closed_flat(
     m1 = params.mu - 0.5 * params.sigma**2
     log_ratio = math.log(barrier / s0) if side == "lower" else math.log(s0 / barrier)
     drift = m1 * T if side == "lower" else -m1 * T
+    a, b = (log_ratio - drift) / sig_rt, (log_ratio + drift) / sig_rt
     # reflection weight is (B/s0)^(2*m1/sigma^2) on both sides
-    weight = math.exp(2.0 * m1 * math.log(barrier / s0) / params.sigma**2)
-    p = std_normal_cdf((log_ratio - drift) / sig_rt) + weight * std_normal_cdf(
-        (log_ratio + drift) / sig_rt
-    )
+    p = std_normal_cdf(a) + _reflected(2.0 * m1 * math.log(barrier / s0) / params.sigma**2, a, b)
     return min(max(p, 0.0), 1.0)

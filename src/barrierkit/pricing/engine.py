@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..model import BarrierSet, DomainError, MarketParams
+from ..model import BarrierSet, DomainError, MarketParams, NumericsError
 
 _B = 4096  # paths per block; each block draws from its own stream
 _BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_bytes)
@@ -44,6 +44,10 @@ _BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_byt
 # by sides (two sides add the image terms' copies of the cells near both)
 _KERNEL_COLS = (0, 7, 17)
 _CUTOFF = 54.0 * math.log(2.0)  # exp(-_CUTOFF) = 2^-54: past it 1 - p rounds to 1.0
+# image pairs per step (series_terms) past which a corridor is refused: on
+# a 2-core Xeon, 340 pairs cost 45 s per 2e4 paths at 365 steps a year,
+# and 3400 ran over 4 min
+_MAX_TERMS = 1000
 
 
 def n_steps_for(steps_per_year: int, T: float) -> int:
@@ -52,9 +56,20 @@ def n_steps_for(steps_per_year: int, T: float) -> int:
 
 def series_terms(w0: np.ndarray, w1: np.ndarray, c: float) -> int:
     """Image pairs N the corridor series needs: every term past N is below
-    exp(-2*N*(N+1)*w0*w1/c), which is then below exp(-_CUTOFF)."""
-    ww, n = float(np.min(w0 * w1)), 1
-    while 2.0 * n * (n + 1) * ww < _CUTOFF * c:
+    exp(-2*N*(N+1)*w0*w1/c), which is then below exp(-_CUTOFF). N is the
+    least n >= 1 with n*(n+1) >= _CUTOFF*c/(2*w0*w1), taken from the root
+    of that quadratic; past _MAX_TERMS the step kernel would run for
+    minutes per 10^4 paths, and the corridor is refused."""
+    ww = float(np.min(w0 * w1))
+    need = _CUTOFF * c / (2.0 * ww)
+    if need > _MAX_TERMS * (_MAX_TERMS + 1):
+        raise NumericsError(
+            f"the corridor is too narrow for its steps: the bridge series needs about "
+            f"{math.sqrt(need):.3g} image pairs per step, over {_MAX_TERMS}; use more steps "
+            f"per year (the pairs shrink as sqrt(dt)) or --method closed/pde"
+        )
+    n = max(1, math.floor((math.sqrt(1.0 + 4.0 * need) - 1.0) / 2.0))
+    while 2.0 * n * (n + 1) * ww < _CUTOFF * c:  # up from the root's floor
         n += 1
     return n
 
@@ -114,7 +129,6 @@ class PathMoments:
     mean: np.ndarray
     m2: np.ndarray
     n_steps: int
-    dt: float
 
     @property
     def std_error(self) -> np.ndarray:
@@ -163,17 +177,16 @@ def path_moments(
     seed: int,
     integrand: Callable[..., tuple],
     workers: int | None = None,
-    bridge: bool = True,
 ) -> PathMoments:
     """Moments of integrand(x_T, weight, mass_l, mass_u) over `paths` paths.
 
     Per path: the log-price at expiry, the chance of never touching a
-    barrier, and the chances of touching the lower or upper one first; the
-    integrand returns a tuple of per-path arrays. bridge=False monitors the
-    nodes only, on the same draws (weights and masses of 0 or 1).
-    workers=None uses every CPU in this process's affinity mask; neither
-    the workers nor the blocks change a bit. Assumes s0 strictly inside the
-    barriers at t=0 (callers apply BarrierSet.side_at_inception first).
+    barrier, and the chances of touching the lower or upper one first, all
+    from the bridge between nodes, so monitoring is continuous; the
+    integrand returns a tuple of per-path arrays. workers=None uses every
+    CPU in this process's affinity mask; neither the workers nor the blocks
+    change a bit. Assumes s0 strictly inside the barriers at t=0 (callers
+    apply BarrierSet.side_at_inception first).
     """
     if paths < 1:
         raise DomainError(f"paths must be >= 1, got {paths}")
@@ -202,7 +215,7 @@ def path_moments(
     line = _barrier_logs(barriers.lower or barriers.upper, n, dt, T) if sides else None
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
     width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
-    terms = series_terms(width[:-1], width[1:], c) if sides == 2 else 0
+    corridor = (width[:-1], width[1:], series_terms(width[:-1], width[1:], c)) if sides == 2 else ()
 
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
         """(x_T, weight, mass_l, mass_u) for the next m rows of gen."""
@@ -224,26 +237,15 @@ def path_moments(
         lines = [(gap, near)]
         if sides == 2:
             lines.append((np.subtract(width, gap, out=buf.gap_u[:m]), buf.near_u[:m]))
-        for g, g_near in lines:
-            if bridge:  # 2*d0*d1/c below the cutoff: the series counts
-                np.less(np.multiply(g[:, :-1], g[:, 1:], out=buf.prod[:m]), 0.5 * _CUTOFF * c, out=g_near)
-            else:
-                np.less_equal(g[:, 1:], 0.0, out=g_near)
+        for g, g_near in lines:  # 2*d0*d1/c below the cutoff: the series counts
+            np.less(np.multiply(g[:, :-1], g[:, 1:], out=buf.prod[:m]), 0.5 * _CUTOFF * c, out=g_near)
         if sides == 2:
             near |= buf.near_u[:m]
         hit = np.flatnonzero(near.any(axis=1))
         if hit.size == 0:
             return x_T, weight, mass_l, mass_u
         g, on = gap[hit], near[hit]  # the rows with a cell near a line
-        d0, d1 = g[:, :-1], g[:, 1:]
-        if not bridge:  # an end on or past a line takes all the mass
-            p_l = (d1 <= 0.0) * 1.0
-            p_u = (d1 >= width[1:]) * 1.0 if sides == 2 else 0.0 * p_l
-            s = 1.0 - p_l - p_u
-        elif sides == 2:
-            s, p_l, p_u = step_exits(d0, d1, c, width[:-1], width[1:], terms)
-        else:
-            s, p_l, p_u = step_exits(d0, d1, c)
+        s, p_l, p_u = step_exits(g[:, :-1], g[:, 1:], c, *corridor)
         if not has_l:
             p_l, p_u = p_u, p_l
         w = buf.survive[: hit.size]
@@ -286,4 +288,4 @@ def path_moments(
         delta, total = mean_b - mean, count + m
         mean, m2 = mean + delta * (m / total), m2 + m2_b + delta * delta * (count * m / total)
         count = total
-    return PathMoments(count=count, mean=mean, m2=m2, n_steps=n, dt=dt)
+    return PathMoments(count=count, mean=mean, m2=m2, n_steps=n)

@@ -50,14 +50,11 @@ def mc_price(
     s0: float,
     cfg: McConfig,
     workers: int | None = None,
-    bridge: bool = True,
 ) -> PriceEstimate:
-    """Price spec by bridged Monte Carlo; deterministic in (seed, paths,
+    """Price spec by Monte Carlo, monitored continuously through the
+    engine's bridge weights; deterministic in (seed, paths,
     steps_per_year), whatever the worker count. workers=None runs on
     every CPU this process may use.
-
-    bridge=False downgrades to naive discrete monitoring on the same
-    draws, for measuring what the bridge correction is worth.
     """
     require_price_level("s0", s0)
     disc = math.exp(-params.r * params.T)
@@ -75,7 +72,7 @@ def mc_price(
     res = path_moments(
         params, spec.barriers, s0,
         paths=cfg.paths, steps_per_year=cfg.steps_per_year,
-        seed=cfg.seed, integrand=discounted_payoff, workers=workers, bridge=bridge,
+        seed=cfg.seed, integrand=discounted_payoff, workers=workers,
     )
     return PriceEstimate(value=float(res.mean[0]), std_error=float(res.std_error[0]),
                          method=PricingMethod.MONTE_CARLO)

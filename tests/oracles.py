@@ -210,3 +210,22 @@ KNOCKOUT_OVER_TAIL_AT_S_ML = {
     (0.50, 0.30, 2.267): 2.0973243136979002787,
     (0.50, 0.30, 4.9): 2.0516786211648937295,
 }
+
+# The closed breach form where the reflection weight (B/s0)^(2 mu1/sigma^2)
+# passes e^700 because the drift runs hard at the barrier (s0 = 100,
+# sigma = 0.05, T = 1, mu = r). Keyed by (side, barrier, r), P(breach by
+# T) at 40 digits, on the doubles the command line parses:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 50
+#     side, B, r = "lower", 36.8, -1.0  # each row
+#     B, s0, sig, r, T = (mp.mpf(v) for v in (B, 100.0, 0.05, r, 1.0))
+#     m1, srt = r - sig**2 / 2, sig * mp.sqrt(T)
+#     lr = mp.log(B / s0) if side == "lower" else mp.log(s0 / B)
+#     d = m1 * T if side == "lower" else -m1 * T
+#     p = mp.ncdf((lr - d) / srt) + mp.exp(2 * m1 * mp.log(B / s0) / sig**2) * mp.ncdf((lr + d) / srt)
+BREACH_UNDER_STEEP_DRIFT = {
+    ("lower", 36.8, -1.0): 0.5225435987768002118711867790331137331422,
+    ("upper", 271.8, 1.0): 0.5008259816821548567204020724840905935416,
+    ("lower", 50.0, -3.0): 1.0,
+}

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,14 @@ def test_breach_closed_single_side(capsys):
     assert p_lower == pytest.approx(0.0139574222952663369, rel=1e-9)
 
 
+def test_breach_closed_under_steep_drift(capsys):
+    # the reflection weight (B/s0)^(2*mu1/sigma^2) passes e^700; the answer
+    # is an ordinary number, and Monte Carlo gives 0.52255 +- 0.0016
+    code, out, err = _call(capsys, "breach", "--s0", "100", "--lower", "36.8", *_mkt(sigma="0.05", r="-1", T="1"))
+    assert code == 0, err
+    assert out == "p_lower = 0.5225435988\np_total = 0.5225435988\n"
+
+
 def test_breach_closed_double_has_no_total(capsys):
     # one-sided closed forms cannot give P(either) for a corridor, so the
     # summary row is omitted when both sides are present
@@ -195,6 +204,18 @@ def test_breach_closed_double_has_no_total(capsys):
     lines = out.splitlines()
     assert lines[0] == "quantity,value,std_error"
     assert [row.split(",")[0] for row in lines[1:]] == ["p_lower", "p_upper"]
+
+
+def test_price_mc_refuses_a_corridor_too_narrow_for_its_steps():
+    # about 3e10 image pairs per step: exit 3 at once, not a run of days
+    argv = ["price", "--s0", "100", "--strike", "100", "--lower", "99.9999999999",
+            "--upper", "100.0000000001", *_mkt(sigma="0.3", r="0.05"),
+            "--method", "mc", "--paths", "1000"]
+    start = time.perf_counter()
+    proc = _run_child(argv, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 3, proc.stderr
+    assert "3.38e+10 image pairs" in proc.stderr and proc.stdout == ""
 
 
 def test_breach_mc_rows(capsys):
@@ -559,7 +580,6 @@ S0_K = ["--s0", "100", "--strike", "100"]
         # rates
         ["price", *S0_K, "--upper", "130", *_mkt(r="1e20")],
         ["price", *S0_K, "--upper", "130", *_mkt(r="1e308")],
-        ["breach", "--s0", "100", "--lower", "70", "--upper", "130", *_mkt(r="1e308")],
         ["calibrate", "--upper", "130", "--theta", "1e-6", *_mkt(r="100")],
         # horizons
         ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(T="1e20")],
@@ -570,7 +590,6 @@ S0_K = ["--s0", "100", "--strike", "100"]
         ["price", *S0_K, "--upper", "1e150", *MKT],
         ["price", *S0_K, "--upper", "1e300", *MKT],
         ["breach", "--s0", "100", "--lower", "5e-324", *MKT],
-        ["breach", "--s0", "100", "--upper", "1e300", *MKT],
         ["sweep", "--strike", "100", "--lower", "1e-300", "--nu", "3", *MKT],
         ["calibrate", "--lower", "1e-300", "--theta", "1e-6", *MKT],
         # barrier growths
@@ -591,6 +610,21 @@ def test_exit_2_or_3_beyond_double_precision(capsys, argv):
     assert not _has_non_finite(out)
     assert err.startswith(("error: ", "numerical failure: "))
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["breach", "--s0", "100", "--lower", "70", "--upper", "130", *_mkt(r="1e308")],
+         "p_lower = 0\np_upper = 1\n"),
+        (["breach", "--s0", "100", "--upper", "1e300", *MKT], "p_upper = 0\np_total = 0\n"),
+    ],
+)
+def test_breach_closed_past_the_reflection_weight_overflow(capsys, argv, want):
+    # the upper side's reflection weight passes e^700 and once overflowed
+    # to exit 3; the drift makes the breach certain in the first case, and
+    # a barrier 690 log units away makes it impossible in the second
+    assert _call(capsys, *argv) == (0, want, "")
 
 
 def test_critical_price_far_inside_a_huge_horizon(capsys):

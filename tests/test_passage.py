@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError
@@ -13,11 +14,11 @@ from barrierkit.passage import (
     breach_prob_pde,
     default_grid,
 )
-from barrierkit.pricing.closed import breach_prob_closed_flat, double_knockout_closed
+from barrierkit.pricing.closed import _reflected, breach_prob_closed_flat, double_knockout_closed
 from barrierkit.critical import s_ml_flat
 from barrierkit.numerics import std_normal_cdf
 from barrierkit.pricing.mc import McConfig
-from oracles import KNOCKOUT_OVER_TAIL_AT_S_ML
+from oracles import BREACH_UNDER_STEEP_DRIFT, KNOCKOUT_OVER_TAIL_AT_S_ML
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -73,6 +74,25 @@ class TestClosedFlat:
         ratio = breach_prob_closed_flat(p, "lower", 70.0, s_ml, T) / std_normal_cdf(-nu)
         assert ratio == pytest.approx(KNOCKOUT_OVER_TAIL_AT_S_ML[(T, sigma, nu)], rel=1e-13)
         assert 2.03 < ratio < 2.39
+
+    @pytest.mark.parametrize("side, barrier, r", sorted(BREACH_UNDER_STEEP_DRIFT))
+    def test_steep_drift_past_the_weight_overflow(self, side, barrier, r):
+        # the reflection weight (B/s0)^(2*mu1/sigma^2) passes e^700, the
+        # breach probability does not
+        p = MarketParams(mu=r, sigma=0.05, r=r, T=1.0)
+        got = breach_prob_closed_flat(p, side, barrier, 100.0, 1.0)
+        assert got == pytest.approx(BREACH_UNDER_STEEP_DRIFT[(side, barrier, r)], rel=1e-14)
+
+    @pytest.mark.parametrize("log_w", [650.0, 699.9, 700.1, 750.0, 5000.0])
+    def test_reflected_term_either_side_of_the_switch(self, log_w):
+        # w * Phi(b) with w = phi(a) / phi(b): from the weight up to e^700,
+        # from phi(a) and the Mills ratio past it, each exact at its inputs
+        a = 0.3
+        b = -math.sqrt(a * a + 2.0 * log_w)
+        with mp.workdps(30):
+            w = mp.exp(log_w) if log_w <= 700.0 else mp.npdf(a) / mp.npdf(b)
+            want = w * mp.ncdf(b)
+        assert _reflected(log_w, a, b) == pytest.approx(float(want), rel=1e-14)
 
     def test_edges(self):
         p = mk_params()

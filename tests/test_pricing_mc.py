@@ -91,25 +91,13 @@ class TestAgainstClosed:
 
 
 class TestBridge:
-    def test_naive_monitoring_never_cheaper(self):
-        # on identical draws the bridge can only knock out more paths, so
-        # with zero rebates the bridged price is a pathwise lower bound
-        p = mk_params()
-        cfg = McConfig(paths=50_000, steps_per_year=100, seed=11)
-        bridged = mc_price(p, spec_dko(), 100.0, cfg, bridge=True)
-        naive = mc_price(p, spec_dko(), 100.0, cfg, bridge=False)
-        assert naive.value >= bridged.value
-
-    def test_bridge_reduces_coarse_step_bias(self):
-        # at a coarse monitoring grid the naive estimate misses crossings;
-        # the bridged one should sit far closer to the closed value
+    def test_coarse_steps_carry_no_bias(self):
+        # ten steps over the horizon: the bridge weights monitor the flat
+        # barriers continuously, so the price still meets the closed form
         p = mk_params()
         ref = double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0).value
-        cfg = McConfig(paths=200_000, steps_per_year=40, seed=13)
-        bridged = mc_price(p, spec_dko(), 100.0, cfg, bridge=True)
-        naive = mc_price(p, spec_dko(), 100.0, cfg, bridge=False)
-        assert abs(bridged.value - ref) < abs(naive.value - ref)
-        assert abs(naive.value - ref) > 5.0 * naive.std_error  # bias is visible
+        est = mc_price(p, spec_dko(), 100.0, McConfig(paths=200_000, steps_per_year=40, seed=13))
+        assert abs(est.value - ref) <= 3.0 * est.std_error
 
 
 class TestDeterminism:
