@@ -40,7 +40,6 @@ from .model import (
     PricingMethod,
     RebateError,
     ValidationError,
-    validate,
 )
 from .numerics import nu_for_accuracy, std_normal_cdf
 from .pricing import (
@@ -117,5 +116,4 @@ __all__ = [
     "std_normal_cdf",
     "up_and_out_call_closed",
     "upper_critical_curve",
-    "validate",
 ]

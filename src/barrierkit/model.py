@@ -2,8 +2,9 @@
 
 All types are immutable after construction and safe to share across
 threads. Validation happens eagerly in ``__post_init__`` so that an
-instance that exists is an instance that is valid; ``validate`` re-runs
-the cross-field checks that depend on more than one object.
+instance that exists is an instance that is valid; the checks that need
+the horizon too (barrier ordering, knot coverage) run where it is known,
+in ``BarrierSet.check_ordering`` and ``BarrierCurve.value_at``.
 """
 
 from __future__ import annotations
@@ -167,11 +168,6 @@ class BarrierCurve:
         levels = [self.value_at(t, T) for t in self.breakpoints(T)]
         return min(levels), max(levels)
 
-    def covers(self, T: float) -> bool:
-        if self.shape is BarrierShape.TABULATED:
-            return self.knots[-1][0] >= T
-        return True
-
 
 @dataclass(frozen=True)
 class BarrierSet:
@@ -272,7 +268,6 @@ class Classification(enum.Enum):
 class PricingMethod(enum.Enum):
     CLOSED = "Closed"
     MONTE_CARLO = "MonteCarlo"
-    PDE = "Pde"
 
 
 @dataclass(frozen=True)
@@ -284,17 +279,3 @@ class PriceEstimate:
     def __post_init__(self) -> None:
         if self.std_error < 0.0:
             raise DomainError("standard error cannot be negative")
-
-
-def validate(params: MarketParams, spec: OptionSpec) -> tuple[MarketParams, OptionSpec]:
-    """Cross-check a parameter/option bundle; returns it unchanged when valid.
-
-    Field-level invariants were enforced at construction; this adds the
-    checks that need both objects: barrier ordering over [0, T] and knot
-    coverage of the horizon. Idempotent by construction.
-    """
-    for side, curve in (("lower", spec.barriers.lower), ("upper", spec.barriers.upper)):
-        if curve is not None and not curve.covers(params.T):
-            raise KnotOrderError(f"{side} barrier knots do not cover [0, {params.T}]")
-    spec.barriers.check_ordering(params.T)
-    return params, spec

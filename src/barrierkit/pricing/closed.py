@@ -1,69 +1,72 @@
-"""Closed forms: vanilla, single-barrier knock-outs, double knock-out, breach.
+"""Closed forms: vanilla, knock-out calls and the breach probability.
 
-This module and everything it imports use only the standard library,
-so the closed-form commands never load NumPy or SciPy.
+Standard library only, so the closed-form commands never load NumPy or
+SciPy. European payoffs under lognormal dynamics with continuous barrier
+monitoring and zero rebates; knocked-at-inception inputs (s0 at or beyond
+a barrier) price to zero, as the Monte Carlo engine reports them.
 
-All formulas price European payoffs under lognormal dynamics with
-continuous barrier monitoring and zero rebates. Knocked-at-inception
-inputs (s0 at or beyond a barrier) price to zero rather than raising,
-mirroring what the Monte Carlo engine reports for the same state.
-
-The single-barrier forms come from the image (reflection) construction:
-the risk-neutral density of the surviving path is the free density minus
-a drift-weighted reflection about the barrier, and every price below is
-that density integrated against the payoff slab. The double knock-out
-uses the doubly-infinite image series with exponential-barrier exponents,
-truncated adaptively. The breach probability is the reflection
-principle's first-passage law for one flat barrier.
+The knock-outs are one image (reflection) form: the surviving paths'
+terminal density is the free one minus image terms, one for a single
+barrier and a doubly-infinite series for two, integrated against the
+payoff slab. The breach probability is the reflection principle's
+first-passage law for one flat barrier. Every weighted term goes through
+one primitive, `_leg`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from ..model import (
-    DomainError,
-    MarketParams,
-    Payoff,
-    PriceEstimate,
-    PricingMethod,
-    require_price_level,
-)
-from ..numerics import std_normal_cdf, std_normal_sf
+from ..model import (DomainError, MarketParams, Payoff, PriceEstimate, PricingMethod,
+                     require_price_level)
+from ..numerics import std_normal_cdf
 
-
-def _cdf_diff(hi: float, lo: float) -> float:
-    """Phi(hi) - Phi(lo) for hi >= lo without tail cancellation.
-
-    When both arguments sit in the same far tail the naive difference of
-    cdf values loses everything; switching to survival functions on the
-    right tail keeps the difference exact in magnitude.
-    """
-    if lo >= 0.0:
-        d = std_normal_sf(lo) - std_normal_sf(hi)
-    else:
-        d = std_normal_cdf(hi) - std_normal_cdf(lo)
-    return d if d > 0.0 else 0.0
-
-
+_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_TINY = sys.float_info.min  # the smallest normal double
+_MILLS_FROM = 12.0  # from here on, ten levels of the Mills fraction are exact to an ulp
+_SERIES_CAP = 50
+_SERIES_TOL_REL = 1e-12
 
 
-def _reflected(log_w: float, a: float, b: float) -> float:
-    """w * Phi(b) for a reflection weight w = exp(log_w) = phi(a) / phi(b).
+def _tail(t: float, x: float) -> float:
+    """e^w * Phi(-x) for x >= _MILLS_FROM, given t = w - x^2/2 (0 at x = inf, t = -inf).
 
-    Past w = e^700 the weight overflows where the product need not. There
-    the drift heads for the barrier and b^2 = a^2 + 2*log_w puts b below
-    -37, so the product is taken as phi(a) times the Mills ratio
-    Phi(b) / phi(b) = 1/(x + 1/(x + 2/(x + ...))), x = -b, whose continued
-    fraction is exact to an ulp after ten levels that far out.
+    That is e^t / sqrt(2*pi) times the Mills ratio Phi(-x)/phi(x) =
+    1/(x + 1/(x + 2/(x + ...))), so neither e^w nor Phi(-x) is formed.
     """
-    if log_w <= 700.0:
-        return math.exp(log_w) * std_normal_cdf(b)
-    t = -b
+    c = x
     for k in range(10, 0, -1):
-        t = -b + k / t
-    return math.exp(-0.5 * a * a) / _SQRT_2PI / t
+        c = x + k / c
+    return math.exp(t) / (_SQRT_2PI * c)
+
+
+def _leg(g: float, um: float, t1: float, t2: float, q1: float, q2: float, srt: float) -> float:
+    """Integral of e^{u(x)} against the terminal log-return density over a slab.
+
+    u is linear with slope g and equals um at the density's mean; q1, q2
+    are the slab ends in the density's standard units (sd srt), and t1, t2
+    are u - q^2/2 there, built by the caller in a factored form. The
+    integral is e^w * (Phi(hi) - Phi(lo)), w = um + (g*srt)^2/2 and
+    (hi, lo) = (q2, q1) - g*srt: the plain product up to e^700 while the
+    Phi difference (taken on the tail side) is a normal double, else each
+    end through _tail, or exp(w + log(diff)) on a slab across the mode.
+    """
+    sh = g * srt
+    hi, lo = q2 - sh, q1 - sh
+    if lo >= 0.0:  # std_normal_sf and std_normal_cdf, inlined
+        d = 0.5 * math.erfc(lo / _SQRT2) - 0.5 * math.erfc(hi / _SQRT2)
+    else:
+        d = 0.5 * math.erfc(-hi / _SQRT2) - 0.5 * math.erfc(-lo / _SQRT2)
+    w = um + 0.5 * sh * sh
+    if w <= 700.0 and d >= _TINY:
+        return math.exp(w) * d
+    if hi <= -_MILLS_FROM:
+        return _tail(t2, -hi) - _tail(t1, -lo)
+    if lo >= _MILLS_FROM:
+        return _tail(t1, lo) - _tail(t2, hi)
+    return math.exp(w + math.log(d)) if d > 0.0 else 0.0
 
 
 def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -> PriceEstimate:
@@ -88,92 +91,108 @@ def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -
     return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
 
 
+def _knockout_call(params: MarketParams, strike: float, s0: float,
+                   lower: tuple[float, float] | None, upper: tuple[float, float] | None) -> float:
+    """Call that dies on touching B*exp(g*t) on either side, each a (B, g) pair or None.
+
+    In log-return space a barrier is a line from h0 = ln(B/s0) to
+    h_T = h0 + g*T, and the surviving terminal density is the free one
+    minus image terms e^{E(x)} times it, E linear in x: one barrier has
+    E = 2*h0*(x - h_T)/(sigma^2*T), two the Kunitomo-Ikeda series. Each
+    term is an asset and a cash leg over the payoff slab [max(K, L_T), U_T],
+    with E at the slab ends in a factored gap-times-gap form, so a steep
+    drift's e^{+-800} weights are never built.
+    """
+    if (lower and s0 <= lower[0]) or (upper and s0 >= upper[0]):
+        return 0.0
+    T, sig = params.T, params.sigma
+    s2t, srt = sig * sig * T, sig * math.sqrt(T)
+    m1t, rt = (params.mu - 0.5 * sig * sig) * T, params.r * T
+    k = math.log(strike / s0)
+    hl = math.log(lower[0] / s0) if lower else -math.inf
+    hu = math.log(upper[0] / s0) if upper else math.inf
+    lt, ut = (hl + lower[1] * T if lower else hl), (hu + upper[1] * T if upper else hu)
+    x1, x2 = (lt if lt > k else k), ut  # no survivor ends below L_T
+    if x1 >= x2:
+        return 0.0
+    q1, q2 = (x1 - m1t) / srt, (x2 - m1t) / srt
+    # u carries the discount -r*T, so no leg holds e^{mu*T} alone; t = u - q^2/2
+    t1, t2 = -rt - 0.5 * q1 * q1, -rt - 0.5 * q2 * q2
+    ma = m1t - rt  # the asset legs' u at the mean, before the image
+    if lower is None or upper is None:
+        h_t = lt if upper is None else ut
+        g = 2.0 * (hl if upper is None else hu) / s2t
+        em, e1 = g * (m1t - h_t), t1 + g * (x1 - h_t)
+        # t at the top end: E(U_T) = 0 under an upper barrier, -inf at x2 = inf
+        a2, c2 = (x2 + t2, t2) if upper else (-math.inf, -math.inf)
+        asset = _leg(1.0 + g, ma + em, x1 + e1, a2, q1, q2, srt)
+        cash = _leg(g, em - rt, e1, c2, q1, q2, srt)
+        if lower is None:
+            asset = _leg(1.0, ma, x1 + t1, a2, q1, q2, srt) - asset
+            cash = _leg(0.0, -rt, t1, c2, q1, q2, srt) - cash
+            return max(s0 * asset - strike * cash, 0.0)
+        # the vanilla less the direct mass below L_T and the image above it,
+        # so a remote barrier leaves the vanilla bit for bit
+        if k < lt:
+            qk = (k - m1t) / srt
+            tk = -rt - 0.5 * qk * qk
+            asset += _leg(1.0, ma, k + tk, x1 + t1, qk, q1, srt)
+            cash += _leg(0.0, -rt, tk, t1, qk, q1, srt)
+        vanilla = bs_vanilla(params, Payoff.CALL, strike, s0).value
+        return max(vanilla - (s0 * asset - strike * cash), 0.0)
+    # image n, with y = x - lt the gap above the lower line (a0 at t = 0) and
+    # widths d0, dt at 0 and T: direct E = kk*n*(dt*(n*d0 - a0) + d0*y),
+    # reflected E = kk*(n*d0 + a0)*(n*dt + y), kk = -2/(sigma^2*T)
+    kk = -2.0 / s2t
+    a0, d0, dt = -hl, hu - hl, ut - lt
+    y1, ym = x1 - lt, m1t - lt
+    asset = cash = 0.0
+
+    def shell(n: int) -> float:
+        nonlocal asset, cash
+        pa, ca, gb, nd = kk * n, dt * (n * d0 - a0), kk * (n * d0 + a0), n * dt
+        ga, ema, emb = pa * d0, pa * (ca + d0 * ym), gb * (nd + ym)
+        ea1, ea2 = t1 + pa * (ca + d0 * y1), t2 + pa * (ca + d0 * dt)
+        eb1, eb2 = t1 + gb * (nd + y1), t2 + gb * (nd + dt)
+        a = _leg(1.0 + ga, ma + ema, x1 + ea1, x2 + ea2, q1, q2, srt) - _leg(
+            1.0 + gb, ma + emb, x1 + eb1, x2 + eb2, q1, q2, srt)
+        c = _leg(ga, ema - rt, ea1, ea2, q1, q2, srt) - _leg(gb, emb - rt, eb1, eb2, q1, q2, srt)
+        asset += a
+        cash += c
+        return abs(a) * s0 + abs(c) * strike
+
+    shell(0)
+    prev_small = 0  # stop after two shells in a row below 1e-12 * s0
+    for absn in range(1, _SERIES_CAP + 1):
+        prev_small = prev_small + 1 if shell(absn) + shell(-absn) < _SERIES_TOL_REL * s0 else 0
+        if prev_small >= 2:
+            break
+    return max(s0 * asset - strike * cash, 0.0)
+
+
 def down_and_out_call_closed(
     params: MarketParams, strike: float, barrier: float, s0: float
 ) -> PriceEstimate:
     """Down-and-out call on a flat barrier, zero rebate.
 
-    Computed as the vanilla price minus the image correction, so the
-    value converges to the vanilla representation exactly (bit for bit)
-    once the correction drops below one ulp of the price.
+    The vanilla price less the mass the barrier removes, so the value is
+    the vanilla representation exactly (bit for bit) once that mass drops
+    below half an ulp of the price.
     """
     require_price_level("s0", s0)
     require_price_level("strike", strike)
     require_price_level("barrier", barrier)
-    if s0 <= barrier:
-        return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
-    T = params.T
-    sig = params.sigma
-    sig_rt = sig * math.sqrt(T)
-    b = params.mu
-    m1 = b - 0.5 * sig * sig
-    lam = (b + 0.5 * sig * sig) / (sig * sig)
-    disc = math.exp(-params.r * T)
-    carry = math.exp((b - params.r) * T)
-    log_bs = math.log(barrier / s0)
-
-    if barrier <= strike:
-        vanilla = bs_vanilla(params, Payoff.CALL, strike, s0).value
-        y = math.log(barrier * barrier / (s0 * strike)) / sig_rt + lam * sig_rt
-        pref = math.exp(2.0 * lam * log_bs)  # (B/s0)^(2*lambda)
-        correction = pref * s0 * carry * std_normal_cdf(y) - pref * math.exp(
-            -2.0 * log_bs
-        ) * strike * disc * std_normal_cdf(y - sig_rt)
-        value = vanilla - correction
-    else:
-        # barrier above the strike: the whole surviving slab is in the money
-        q1 = (math.log(s0 / barrier) + m1 * T) / sig_rt
-        q2 = (log_bs + m1 * T) / sig_rt
-        pref = math.exp(2.0 * m1 * log_bs / (sig * sig))  # (B/s0)^(2*mu1/sigma^2)
-        value = (
-            s0 * carry * std_normal_cdf(q1 + sig_rt)
-            - pref * (barrier * barrier / s0) * carry * std_normal_cdf(q2 + sig_rt)
-            - strike * disc * (std_normal_cdf(q1) - pref * std_normal_cdf(q2))
-        )
-    return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
+    return PriceEstimate(_knockout_call(params, strike, s0, (barrier, 0.0), None))
 
 
 def up_and_out_call_closed(
     params: MarketParams, strike: float, barrier: float, s0: float
 ) -> PriceEstimate:
-    """Up-and-out call on a flat barrier, zero rebate.
-
-    A call that must stay below the barrier is worthless unless the
-    strike sits below it; otherwise the price integrates the surviving
-    density over the slab between strike and barrier.
-    """
+    """Up-and-out call on a flat barrier, zero rebate; worthless unless K < barrier."""
     require_price_level("s0", s0)
     require_price_level("strike", strike)
     require_price_level("barrier", barrier)
-    if s0 >= barrier:
-        return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
-    if barrier <= strike:
-        return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
-    T = params.T
-    sig = params.sigma
-    s = sig * math.sqrt(T)
-    b = params.mu
-    m1 = b - 0.5 * sig * sig
-    disc = math.exp(-params.r * T)
-    carry = math.exp((b - params.r) * T)
-    h = math.log(barrier / s0)  # > 0
-    k = math.log(strike / s0)
-    mt = m1 * T
-    pref = math.exp(2.0 * m1 * h / (sig * sig))
-    pref_asset = pref * math.exp(2.0 * h)  # (B/s0)^(2*lambda)
-
-    a1 = (h - mt) / s - s
-    a2 = (k - mt) / s - s
-    a3 = (-h - mt) / s - s
-    a4 = (k - 2.0 * h - mt) / s - s
-    asset = _cdf_diff(a1, a2) - pref_asset * _cdf_diff(a3, a4)
-    digital = _cdf_diff(a1 + s, a2 + s) - pref * _cdf_diff(a3 + s, a4 + s)
-    value = s0 * carry * asset - strike * disc * digital
-    return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
-
-
-_SERIES_CAP = 50
-_SERIES_TOL_REL = 1e-12
+    return PriceEstimate(_knockout_call(params, strike, s0, None, (barrier, 0.0)))
 
 
 def double_knockout_closed(
@@ -186,93 +205,21 @@ def double_knockout_closed(
 ) -> PriceEstimate:
     """Double knock-out call between barriers L*exp(d_l*t) and U*exp(d_u*t).
 
-    In log space the barriers are straight lines, and a corridor whose
-    width changes linearly maps to a constant-width one under the scaling
-    time change, so the two-sided survival probability of the terminal
-    bridge is an exact image series even when the growth rates differ.
-    Every image term is exp(linear in the terminal log-return), so each
-    one integrates against the lognormal density in closed form. The sum
-    runs over n = 0, +-1, +-2, ... and stops once two consecutive shells
-    each contribute less than 1e-12 * s0 (hard cap |n| = 50, never
-    reached for sane inputs). A strike below the lower barrier's terminal
-    level L_T needs no special case: every surviving path ends above L_T,
-    so the payoff slab starts at max(strike, L_T), and the cash leg over
-    the whole corridor is the survival mass itself.
+    A corridor whose log-width changes linearly maps to a constant-width
+    one under a time change, so the survival density is an exact image
+    series even for unequal growth rates. It runs over n = 0, +-1, ... and
+    stops once two consecutive shells each add less than 1e-12 * s0 (hard
+    cap |n| = 50, never reached for sane inputs).
     """
     require_price_level("s0", s0)
     require_price_level("strike", strike)
     require_price_level("upper", upper)
     if not (0.0 < lower < upper):
         raise DomainError(f"need 0 < lower < upper, got ({lower}, {upper})")
-    if not (lower < s0 < upper):
-        return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
     d_l, d_u = curvature if curvature is not None else (0.0, 0.0)
-    T = params.T
-    disc = math.exp(-params.r * T)
-    upper_T = upper * math.exp(d_u * T)
-    lower_T = lower * math.exp(d_l * T)
-    if lower_T >= upper_T:
+    if lower * math.exp(d_l * params.T) >= upper * math.exp(d_u * params.T):
         raise DomainError("barriers cross before expiry")
-    if strike >= upper_T:
-        return PriceEstimate(value=0.0, method=PricingMethod.CLOSED)
-    sig = params.sigma
-    s2t = sig * sig * T
-    srt = sig * math.sqrt(T)
-    m1t = (params.mu - 0.5 * sig * sig) * T
-    # corridor geometry in log-return space; a0 is the starting gap above
-    # the lower line, D0/DT the corridor widths at the two ends
-    lt = math.log(lower / s0) + d_l * T
-    a0 = math.log(s0 / lower)
-    big_d0 = math.log(upper / lower)
-    big_dt = math.log(upper_T / s0) - lt
-    x1 = math.log(max(strike, lower_T) / s0)  # no survivor ends below L_T
-    x2 = math.log(upper_T / s0)
-
-    def scaled(logpref: float, hi: float, lo: float) -> float:
-        diff = _cdf_diff(hi, lo)
-        if diff == 0.0:
-            return 0.0
-        if logpref > 690.0:
-            return math.exp(logpref + math.log(diff))
-        return math.exp(logpref) * diff
-
-    def leg(gamma: float, logc: float) -> float:
-        # integral of exp(logc + gamma*x) against the terminal density
-        shift = gamma * s2t
-        hi = (x2 - m1t - shift) / srt
-        lo = (x1 - m1t - shift) / srt
-        return scaled(logc + gamma * m1t + 0.5 * gamma * gamma * s2t, hi, lo)
-
-    asset_sum = 0.0
-    cash_sum = 0.0
-    prev_small = 0
-
-    def shell(n: int) -> float:
-        # survival-series image n: the direct term keeps slope -2n*D0 and
-        # the reflected term -2(n*D0 + a0), both per unit sigma^2*T
-        nonlocal asset_sum, cash_sum
-        beta_a = -2.0 * n * big_d0 / s2t
-        beta_b = -2.0 * (n * big_d0 + a0) / s2t
-        logc_a = -(2.0 * n / s2t) * (n * big_d0 * big_dt - big_dt * a0 - big_d0 * lt)
-        logc_b = -(2.0 / s2t) * (n * big_d0 + a0) * (n * big_dt - lt)
-        a = leg(1.0 + beta_a, logc_a) - leg(1.0 + beta_b, logc_b)
-        c = leg(beta_a, logc_a) - leg(beta_b, logc_b)
-        asset_sum += a
-        cash_sum += c
-        return abs(a) * s0 + abs(c) * strike
-
-    shell(0)
-    for absn in range(1, _SERIES_CAP + 1):
-        contrib = shell(absn) + shell(-absn)
-        if contrib < _SERIES_TOL_REL * s0:
-            prev_small += 1
-            if prev_small >= 2:
-                break
-        else:
-            prev_small = 0
-
-    value = disc * (s0 * asset_sum - strike * cash_sum)
-    return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
+    return PriceEstimate(_knockout_call(params, strike, s0, (lower, d_l), (upper, d_u)))
 
 
 def breach_prob_closed_flat(
@@ -298,6 +245,8 @@ def breach_prob_closed_flat(
     log_ratio = math.log(barrier / s0) if side == "lower" else math.log(s0 / barrier)
     drift = m1 * T if side == "lower" else -m1 * T
     a, b = (log_ratio - drift) / sig_rt, (log_ratio + drift) / sig_rt
-    # reflection weight is (B/s0)^(2*m1/sigma^2) on both sides
-    p = std_normal_cdf(a) + _reflected(2.0 * m1 * math.log(barrier / s0) / params.sigma**2, a, b)
+    # the reflected term is w * Phi(b), w = (B/s0)^(2*m1/sigma^2) on both
+    # sides: a leg of slope 0 over (-inf, b], where w * phi(b) = phi(a)
+    w = 2.0 * m1 * math.log(barrier / s0) / params.sigma**2
+    p = std_normal_cdf(a) + _leg(0.0, w, -math.inf, -0.5 * a * a, -math.inf, b, 1.0)
     return min(max(p, 0.0), 1.0)

@@ -229,3 +229,37 @@ BREACH_UNDER_STEEP_DRIFT = {
     ("upper", 271.8, 1.0): 0.5008259816821548567204020724840905935416,
     ("lower", 50.0, -3.0): 1.0,
 }
+
+# Knock-out calls under the same steep drifts (s0 = 100, sigma = 0.05,
+# T = 1, mu = r), where the image term's weight (B/s0)^(2 mu1/sigma^2)
+# passes e^+-800 and its Phi differences sit near Phi(-40). Keyed by
+# (side, strike, barrier, r), the price at 20 digits from 400-digit
+# arithmetic with decimal inputs; at 60 digits the down-and-out cancels
+# to 0. The upper row is also the double knock-out with a lower barrier
+# at 50, which no path reaches first.
+#
+#     import mpmath as mp
+#     mp.mp.dps = 400
+#     side, K, B, r = "upper", 150, "271.8", 1  # each row
+#     s0, sig, T = mp.mpf(100), mp.mpf("0.05"), mp.mpf(1)
+#     K, B, r = mp.mpf(K), mp.mpf(B), mp.mpf(r)
+#     s2t, srt, m1t = sig**2 * T, sig * mp.sqrt(T), (r - sig**2 / 2) * T
+#     h, k = mp.log(B / s0), mp.log(K / s0)
+#     x1, x2 = (max(k, h), mp.inf) if side == "lower" else (k, h)
+#
+#     def leg(g, c):  # integral of exp(c + g*x) against N(m1t, s2t) over [x1, x2]
+#         z = lambda x: (x - m1t - g * s2t) / srt
+#         return mp.exp(c + g * m1t + g**2 * s2t / 2) * (mp.ncdf(z(x2)) - mp.ncdf(z(x1)))
+#
+#     g = 2 * h / s2t  # the image term exp(g * (x - h))
+#     asset, cash = leg(1, 0) - leg(1 + g, -g * h), leg(0, 0) - leg(g, -g * h)
+#     price = mp.exp(-r * T) * (s0 * asset - K * cash)
+KNOCKOUT_UNDER_STEEP_DRIFT = {
+    ("upper", 150.0, 271.8, 1.0): 20.37887106485165588,
+    ("lower", 90.0, 36.8, -1.0): 2.9142370206453121669e-72,
+}
+
+# The up-and-out above with the strike at 271.7, a slab 0.1 wide under the
+# barrier whose two ends both sit 40 sd down the image term's tail; the
+# price is 1e-4 of each leg. The same derivation with K = "271.7".
+NARROW_SLAB_UNDER_STEEP_DRIFT = 4.9296252713474453411e-6

@@ -15,6 +15,7 @@ from barrierkit.cli import _PRECISION_NOTE, emit_csv, run
 from barrierkit.critical import s_mu_flat
 from barrierkit.model import MarketParams, ValidationError
 from barrierkit.pricing.closed import breach_prob_closed_flat
+from oracles import KNOCKOUT_UNDER_STEEP_DRIFT
 
 MKT = ["--sigma", "0.30", "--r", "0.10", "--T", "0.25"]
 
@@ -191,6 +192,27 @@ def test_breach_closed_under_steep_drift(capsys):
     code, out, err = _call(capsys, "breach", "--s0", "100", "--lower", "36.8", *_mkt(sigma="0.05", r="-1", T="1"))
     assert code == 0, err
     assert out == "p_lower = 0.5225435988\np_total = 0.5225435988\n"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["--strike", "150", "--upper", "271.8", *_mkt(sigma="0.05", r="1", T="1")],
+         KNOCKOUT_UNDER_STEEP_DRIFT[("upper", 150.0, 271.8, 1.0)]),
+        # the lower barrier at 50 is never reached first: the up-and-out
+        (["--strike", "150", "--lower", "50", "--upper", "271.8", *_mkt(sigma="0.05", r="1", T="1")],
+         KNOCKOUT_UNDER_STEEP_DRIFT[("upper", 150.0, 271.8, 1.0)]),
+        (["--strike", "90", "--lower", "36.8", *_mkt(sigma="0.05", r="-1", T="1")],
+         KNOCKOUT_UNDER_STEEP_DRIFT[("lower", 90.0, 36.8, -1.0)]),
+    ],
+)
+def test_price_closed_under_steep_drift(capsys, argv, want):
+    # the image weight passes e^+-700 and once overflowed (exit 3) or, in
+    # the double series, met a subnormal Phi difference and printed 20.82;
+    # Monte Carlo gives 20.354 +- 0.144 for the first two
+    code, out, err = _call(capsys, "price", "--s0", "100", *argv)
+    assert (code, err) == (0, "")
+    assert out == f"price = {want:.10g}  [Closed]\n"
 
 
 def test_breach_closed_double_has_no_total(capsys):
@@ -578,20 +600,13 @@ S0_K = ["--s0", "100", "--strike", "100"]
         ["sweep", "--strike", "100", "--lower", "70", "--nu", "3", *_mkt(sigma="1e-300")],
         ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(sigma="1e-300")],
         # rates
-        ["price", *S0_K, "--upper", "130", *_mkt(r="1e20")],
-        ["price", *S0_K, "--upper", "130", *_mkt(r="1e308")],
         ["calibrate", "--upper", "130", "--theta", "1e-6", *_mkt(r="100")],
         # horizons
         ["calibrate", "--lower", "70", "--theta", "1e-6", *_mkt(T="1e20")],
         ["sweep", "--strike", "100", "--lower", "70", "--nu", "3", *_mkt(T="1e20")],
         ["price", *S0_K, "--lower", "70", "--upper", "130", *_mkt(T="5e-324")],
         # barrier levels
-        ["price", *S0_K, "--lower", "1e-300", *MKT],
-        ["price", *S0_K, "--upper", "1e150", *MKT],
-        ["price", *S0_K, "--upper", "1e300", *MKT],
         ["breach", "--s0", "100", "--lower", "5e-324", *MKT],
-        ["sweep", "--strike", "100", "--lower", "1e-300", "--nu", "3", *MKT],
-        ["calibrate", "--lower", "1e-300", "--theta", "1e-6", *MKT],
         # barrier growths
         ["critical", "--lower", "70", "--lower-growth", "1e20", "--nu", "3", *MKT],
         ["classify", "--s0", "100", "--lower", "70", "--upper", "130", "--upper-growth", "1e20",
@@ -602,6 +617,9 @@ S0_K = ["--s0", "100", "--strike", "100"]
         ["sweep", "--strike", "100", "--lower", "70", "--lower-growth", "1e20", "--nu", "3",
          *MKT],
     ],
+    # the cases that now price (test_closed_price_past_the_image_weight_overflow)
+    # left gaps at 15, 16, 21-23, 25 and 26; the rest keep their ids
+    ids=[f"argv{i}" for i in (*range(15), 17, 18, 19, 20, 24, *range(27, 32))],
 )
 def test_exit_2_or_3_beyond_double_precision(capsys, argv):
     # an exception escaping run() fails the test on its own
@@ -610,6 +628,37 @@ def test_exit_2_or_3_beyond_double_precision(capsys, argv):
     assert not _has_non_finite(out)
     assert err.startswith(("error: ", "numerical failure: "))
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        # the discount e^(-r*T) underflows to 0
+        (["price", *S0_K, "--upper", "130", *_mkt(r="1e20")], "price = 0  [Closed]\n"),
+        (["price", *S0_K, "--upper", "130", *_mkt(r="1e308")], "price = 0  [Closed]\n"),
+        # barriers hundreds of log units away leave the vanilla
+        (["price", *S0_K, "--lower", "1e-300", *MKT], "price = 7.220890132  [Closed]\n"),
+        (["price", *S0_K, "--upper", "1e150", *MKT], "price = 7.220890132  [Closed]\n"),
+        (["price", *S0_K, "--upper", "1e300", *MKT], "price = 7.220890132  [Closed]\n"),
+        (["calibrate", "--lower", "1e-300", "--theta", "1e-6", *MKT],
+         "numeric critical price = 1.000000001e-300\nimplied nu = 4.944132528e-05\n"),
+    ],
+)
+def test_closed_price_past_the_image_weight_overflow(capsys, argv, want):
+    # each ended in exit 3 at the image term: its weight overflowed, or the
+    # log of B^2/(s0*K) did after B^2 underflowed to 0
+    assert _call(capsys, *argv) == (0, want, "")
+
+
+def test_sweep_next_to_a_barrier_at_1e_300(capsys):
+    # every s0 lies below 4.5e-300, where the knock-out and the vanilla
+    # with strike 100 are both 0; this ended in exit 3 at the image term
+    code, out, err = _call(capsys, "sweep", "--strike", "100", "--lower", "1e-300", "--nu", "3",
+                           *MKT, "--csv")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 33
+    assert all(r[2:] == ["0", "0", "0"] for r in rows)
 
 
 @pytest.mark.parametrize(

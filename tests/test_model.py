@@ -15,8 +15,9 @@ from barrierkit.model import (
     Payoff,
     PriceEstimate,
     RebateError,
-    validate,
 )
+from barrierkit.critical import critical_prices
+from barrierkit.pricing.mc import McConfig, mc_price
 
 
 def mk_params(sigma=0.3, T=0.25, r=0.10):
@@ -105,8 +106,7 @@ class TestBarrierCurve:
 
     def test_tabulated_coverage(self):
         c = BarrierCurve.tabulated([(0.0, 70.0), (0.5, 72.0)])
-        assert c.covers(0.5)
-        assert not c.covers(1.0)
+        assert c.value_at(0.5, 1.0) == 72.0
         with pytest.raises(KnotOrderError):
             c.value_at(0.7, 1.0)
 
@@ -160,19 +160,6 @@ class TestBarrierSet:
 
 
 class TestOptionSpec:
-    def test_valid_bundle(self):
-        spec = OptionSpec(
-            payoff=Payoff.CALL,
-            strike=100.0,
-            barriers=BarrierSet(lower=BarrierCurve.flat(70.0)),
-        )
-        validate(mk_params(), spec)
-
-    def test_validation_idempotent(self):
-        p = mk_params()
-        spec = OptionSpec(payoff=Payoff.CALL, strike=100.0)
-        assert validate(*validate(p, spec)) == (p, spec)
-
     def test_payoff_accepts_string_forms(self):
         assert OptionSpec(payoff="call", strike=100.0).payoff is Payoff.CALL
         assert OptionSpec(payoff="put", strike=100.0).payoff is Payoff.PUT
@@ -201,7 +188,7 @@ class TestOptionSpec:
                 rebate_upper=5.0,
             )
 
-    def test_ordering_checked_through_validate(self):
+    def test_ordering_checked_through_check_ordering(self):
         spec = OptionSpec(
             payoff=Payoff.CALL,
             strike=100.0,
@@ -210,16 +197,20 @@ class TestOptionSpec:
             ),
         )
         with pytest.raises(BarrierOrderError):
-            validate(mk_params(), spec)
+            spec.barriers.check_ordering(mk_params().T)
 
-    def test_knot_coverage_checked_through_validate(self):
+    def test_knot_coverage_checked_by_the_pricers(self):
+        # knots ending before T: the first level asked for past 0.1 refuses
         spec = OptionSpec(
             payoff=Payoff.CALL,
             strike=100.0,
             barriers=BarrierSet(lower=BarrierCurve.tabulated([(0.0, 70.0), (0.1, 71.0)])),
         )
+        p = mk_params(T=0.25)
         with pytest.raises(KnotOrderError):
-            validate(mk_params(T=0.25), spec)
+            mc_price(p, spec, 100.0, McConfig(paths=1000, seed=1))
+        with pytest.raises(KnotOrderError):
+            critical_prices(p, spec.barriers, 3.0)
 
 
 class TestPriceEstimate:

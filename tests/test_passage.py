@@ -14,7 +14,7 @@ from barrierkit.passage import (
     breach_prob_pde,
     default_grid,
 )
-from barrierkit.pricing.closed import _reflected, breach_prob_closed_flat, double_knockout_closed
+from barrierkit.pricing.closed import _leg, breach_prob_closed_flat, double_knockout_closed
 from barrierkit.critical import s_ml_flat
 from barrierkit.numerics import std_normal_cdf
 from barrierkit.pricing.mc import McConfig
@@ -85,14 +85,16 @@ class TestClosedFlat:
 
     @pytest.mark.parametrize("log_w", [650.0, 699.9, 700.1, 750.0, 5000.0])
     def test_reflected_term_either_side_of_the_switch(self, log_w):
-        # w * Phi(b) with w = phi(a) / phi(b): from the weight up to e^700,
-        # from phi(a) and the Mills ratio past it, each exact at its inputs
+        # w * Phi(b) with w = phi(a) / phi(b), the leg the breach form
+        # takes: from the weight up to e^700, from phi(a) and the Mills
+        # ratio past it (t = log_w - b^2/2 = -a^2/2), each exact at its inputs
         a = 0.3
         b = -math.sqrt(a * a + 2.0 * log_w)
         with mp.workdps(30):
             w = mp.exp(log_w) if log_w <= 700.0 else mp.npdf(a) / mp.npdf(b)
             want = w * mp.ncdf(b)
-        assert _reflected(log_w, a, b) == pytest.approx(float(want), rel=1e-14)
+        got = _leg(0.0, log_w, -math.inf, -0.5 * a * a, -math.inf, b, 1.0)
+        assert got == pytest.approx(float(want), rel=1e-14)
 
     def test_edges(self):
         p = mk_params()

@@ -7,6 +7,7 @@ with the implementation under test.
 """
 
 import math
+import random
 
 import pytest
 
@@ -28,6 +29,7 @@ from barrierkit.pricing.closed import (
     up_and_out_call_closed,
 )
 from barrierkit.pricing.mc import McConfig, mc_price
+from oracles import KNOCKOUT_UNDER_STEEP_DRIFT, NARROW_SLAB_UNDER_STEEP_DRIFT
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -251,6 +253,73 @@ class TestDoubleKnockout:
             for k in (60.0, 80.0, 100.0, 120.0)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+class TestSteepDrift:
+    """Drifts that push the image weight (B/s0)^(2*mu1/sigma^2) past e^+-700."""
+
+    @pytest.mark.parametrize("side, strike, barrier, r", sorted(KNOCKOUT_UNDER_STEEP_DRIFT))
+    def test_reference_values(self, side, strike, barrier, r):
+        # the lower row's image legs are below the smallest double; its
+        # 6e-13 relative error is bs_vanilla's own cancellation, which the
+        # down-and-out equals bit for bit
+        p = MarketParams(mu=r, sigma=0.05, r=r, T=1.0)
+        pricer = down_and_out_call_closed if side == "lower" else up_and_out_call_closed
+        got = pricer(p, strike, barrier, 100.0).value
+        assert got == pytest.approx(KNOCKOUT_UNDER_STEEP_DRIFT[(side, strike, barrier, r)], rel=1e-12)
+
+    def test_narrow_slab_takes_both_ends_of_the_image(self):
+        # both ends of the slab sit 40 sd down the image's tail, and the
+        # price is 1e-4 of each leg: exact to 1e-14 * (s0 + K)
+        p = MarketParams(mu=1.0, sigma=0.05, r=1.0, T=1.0)
+        got = up_and_out_call_closed(p, 271.7, 271.8, 100.0).value
+        assert got == pytest.approx(NARROW_SLAB_UNDER_STEEP_DRIFT, abs=1e-14 * (100.0 + 271.7))
+
+    def test_unreachable_lower_barrier_leaves_the_up_and_out(self):
+        # the series once multiplied e^800 by a subnormal Phi difference
+        # here and returned 20.82
+        p = MarketParams(mu=1.0, sigma=0.05, r=1.0, T=1.0)
+        dko = double_knockout_closed(p, 150.0, 50.0, 271.8, 100.0).value
+        assert dko == pytest.approx(
+            KNOCKOUT_UNDER_STEEP_DRIFT[("upper", 150.0, 271.8, 1.0)], rel=1e-12
+        )
+
+    def test_huge_rates_keep_every_leg_a_present_value(self):
+        # e^(mu*T) passes e^700 and U/L overflows a double: the remote
+        # corridor is the vanilla (its NaN legs once read as a silent 0),
+        # and a far upper barrier under a drift of 750 sd is certain to be hit
+        p = MarketParams(mu=217.0, sigma=0.0444, r=217.0, T=0.0411)
+        van = bs_vanilla(p, Payoff.CALL, 0.873, 100.0).value
+        dko = double_knockout_closed(p, 0.873, 3.45e-187, 3.42e262, 100.0).value
+        assert dko == pytest.approx(van, rel=1e-14)
+        q = MarketParams(mu=535.0, sigma=2.35, r=535.0, T=1.41)
+        assert down_and_out_call_closed(q, 6496.0, 78.6, 100.0).value == 100.0
+        assert up_and_out_call_closed(q, 6496.0, 1e200, 100.0).value == 0.0
+
+    def test_seeded_sweep_stays_between_zero_and_the_vanilla(self):
+        # a third of the draws has sigma <= 0.15 and |r| >= 1, where the
+        # weights pass e^700; every knock-out is finite, inside
+        # [0, vanilla], and the double is below both single barriers
+        rng = random.Random(20261019)
+        for i in range(2000):
+            if i % 3 == 0:
+                sigma, r = rng.uniform(0.05, 0.15), rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 3.0)
+            else:
+                sigma, r = rng.uniform(0.05, 1.0), rng.uniform(-3.0, 3.0)
+            p = MarketParams(mu=r, sigma=sigma, r=r, T=rng.uniform(0.1, 2.0))
+            lo, hi = 100.0 * rng.uniform(0.4, 0.98), 100.0 * rng.uniform(1.02, 2.7)
+            strike = 100.0 * math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+            growth = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+            van = bs_vanilla(p, Payoff.CALL, strike, 100.0).value
+            dao = down_and_out_call_closed(p, strike, lo, 100.0).value
+            uo = up_and_out_call_closed(p, strike, hi, 100.0).value
+            dko = double_knockout_closed(p, strike, lo, hi, 100.0).value
+            prices = [dao, uo, dko]
+            if lo * math.exp(growth[0] * p.T) < hi * math.exp(growth[1] * p.T):
+                prices.append(double_knockout_closed(p, strike, lo, hi, 100.0, growth).value)
+            for v in prices:
+                assert 0.0 <= v <= van * (1.0 + 1e-9) + 1e-12, (i, prices, van)
+            assert dko <= min(dao, uo) + 1e-12, (i, prices)
 
 
 DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
