@@ -313,23 +313,17 @@ def _theta_from_args(args, default: float | None = None) -> float:
 
 
 def _closed_price(params: MarketParams, strike: float, barriers: BarrierSet, s0: float):
-    has_l = barriers.lower is not None
-    has_u = barriers.upper is not None
-    if has_l and has_u:
-        if barriers.lower.shape is BarrierShape.TABULATED or barriers.upper.shape is BarrierShape.TABULATED:
-            raise ValidationError("closed double-barrier form needs flat or exponential barriers")
-        curvature = (barriers.lower.growth, barriers.upper.growth)
+    lower, upper = barriers.lower, barriers.upper
+    if any(c is not None and c.shape is BarrierShape.TABULATED for c in (lower, upper)):
+        raise ValidationError("the closed form needs flat or exponential barriers")
+    if lower and upper:
         return double_knockout_closed(
-            params, strike, barriers.lower.level, barriers.upper.level, s0, curvature
+            params, strike, lower.level, upper.level, s0, (lower.growth, upper.growth)
         )
-    if has_l:
-        if barriers.lower.shape is not BarrierShape.FLAT:
-            raise ValidationError("closed single-barrier form needs a flat barrier")
-        return down_and_out_call_closed(params, strike, barriers.lower.level, s0)
-    if has_u:
-        if barriers.upper.shape is not BarrierShape.FLAT:
-            raise ValidationError("closed single-barrier form needs a flat barrier")
-        return up_and_out_call_closed(params, strike, barriers.upper.level, s0)
+    if lower:
+        return down_and_out_call_closed(params, strike, lower.level, s0, lower.growth)
+    if upper:
+        return up_and_out_call_closed(params, strike, upper.level, s0, upper.growth)
     return bs_vanilla(params, Payoff.CALL, strike, s0)
 
 

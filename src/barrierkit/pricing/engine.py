@@ -36,42 +36,18 @@ from typing import Callable
 
 import numpy as np
 
-from ..model import BarrierSet, DomainError, MarketParams, NumericsError
+from ..model import BarrierSet, DomainError, MarketParams
+from .closed import _CUTOFF, series_terms
 
 _B = 4096  # paths per block; each block draws from its own stream
 _BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_bytes)
 # float64 columns per step the step kernel holds at once on a row near a line,
 # by sides (two sides add the image terms' copies of the cells near both)
 _KERNEL_COLS = (0, 7, 17)
-_CUTOFF = 54.0 * math.log(2.0)  # exp(-_CUTOFF) = 2^-54: past it 1 - p rounds to 1.0
-# image pairs per step (series_terms) past which a corridor is refused: on
-# a 2-core Xeon, 340 pairs cost 45 s per 2e4 paths at 365 steps a year,
-# and 3400 ran over 4 min
-_MAX_TERMS = 1000
 
 
 def n_steps_for(steps_per_year: int, T: float) -> int:
     return max(1, math.ceil(steps_per_year * T - 1e-12))
-
-
-def series_terms(w0: np.ndarray, w1: np.ndarray, c: float) -> int:
-    """Image pairs N the corridor series needs: every term past N is below
-    exp(-2*N*(N+1)*w0*w1/c), which is then below exp(-_CUTOFF). N is the
-    least n >= 1 with n*(n+1) >= _CUTOFF*c/(2*w0*w1), taken from the root
-    of that quadratic; past _MAX_TERMS the step kernel would run for
-    minutes per 10^4 paths, and the corridor is refused."""
-    ww = float(np.min(w0 * w1))
-    need = _CUTOFF * c / (2.0 * ww)
-    if need > _MAX_TERMS * (_MAX_TERMS + 1):
-        raise NumericsError(
-            f"the corridor is too narrow for its steps: the bridge series needs about "
-            f"{math.sqrt(need):.3g} image pairs per step, over {_MAX_TERMS}; use more steps "
-            f"per year (the pairs shrink as sqrt(dt)) or --method closed/pde"
-        )
-    n = max(1, math.floor((math.sqrt(1.0 + 4.0 * need) - 1.0) / 2.0))
-    while 2.0 * n * (n + 1) * ww < _CUTOFF * c:  # up from the root's floor
-        n += 1
-    return n
 
 
 def _images(a0, a1, w0, w1, k: float, terms: int):
@@ -215,7 +191,8 @@ def path_moments(
     line = _barrier_logs(barriers.lower or barriers.upper, n, dt, T) if sides else None
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
     width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
-    corridor = (width[:-1], width[1:], series_terms(width[:-1], width[1:], c)) if sides == 2 else ()
+    corridor = ((width[:-1], width[1:], series_terms(float(np.min(width[:-1] * width[1:])), c))
+                if sides == 2 else ())
 
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
         """(x_T, weight, mass_l, mass_u) for the next m rows of gen."""

@@ -263,3 +263,51 @@ KNOCKOUT_UNDER_STEEP_DRIFT = {
 # barrier whose two ends both sit 40 sd down the image term's tail; the
 # price is 1e-4 of each leg. The same derivation with K = "271.7".
 NARROW_SLAB_UNDER_STEEP_DRIFT = 4.9296252713474453411e-6
+
+# Double knock-outs in exponential corridors L e^(g_l t), U e^(g_u t)
+# that pin the image series' term count (s0 = 100, mu = r). Each price is
+# a 60-digit quadrature of the surviving density over the payoff slab: the
+# free density times the chance that the Brownian bridge to x stays
+# between the two lines, Anderson's alternating series (the engine's
+# step_exits over the whole span) on 2 M + 1 images, inputs the doubles
+# below:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 60
+#     r, sig, T, K, L, U, gl, gu = (mp.mpf(v) for v in row)  # each row
+#     s0, M = mp.mpf(100), 200
+#     c, m1t = sig**2 * T, (r - sig**2 / 2) * T
+#     hl, hu = mp.log(L / s0), mp.log(U / s0)
+#     lt, ut = hl + gl * T, hu + gu * T
+#     a0, d0, dt = -hl, hu - hl, ut - lt
+#
+#     def surv(x):  # the bridge's survival, y the gap above the lower line at T
+#         y = x - lt
+#         return mp.fsum(mp.exp(-2 * n * (dt * (n * d0 - a0) + d0 * y) / c)
+#                        - mp.exp(-2 * (n * d0 + a0) * (n * dt + y) / c)
+#                        for n in range(-M, M + 1))
+#
+#     def f(x):
+#         dens = mp.exp(-(x - m1t)**2 / (2 * c)) / mp.sqrt(2 * mp.pi * c)
+#         return (s0 * mp.exp(x) - K) * dens * surv(x)
+#
+#     x1 = max(mp.log(K / s0), lt)
+#     price = mp.exp(-r * T) * mp.quad(f, mp.linspace(x1, ut, 9))
+#
+# The first two corridors need one image pair (series_terms is 1); each
+# moves by about 2e-10 if the reflected term of shell -2, the upper
+# side's second reflection, is left out. Keyed by
+# (r, sigma, T, K, L, U, g_l, g_u):
+CORRIDOR_TERM_COUNT = {
+    (0.2785870400087931, 0.1836386039183736, 1.0477266249507677, 64.97205817714604,
+     63.292722034972314, 103.14005878889772, -0.17463970844353058, 0.10039814993616453):
+        0.89819323583845244670,
+    (0.3302575731294053, 0.611878516706827, 0.17945805710093382, 53.365390003751166,
+     48.20850204316089, 111.99311832130128, 0.1930816531688787, 0.025575648692778175):
+        8.6230653754725582784,
+}
+
+# A corridor that pinches to a log width of 0.002 at T and needs 95 image
+# pairs; the same quadrature gives |price| < 1e-40 at M = 150 and at
+# M = 200, so the price is 0 to double precision.
+PINCHED_CORRIDOR = (-2.239, 0.854, 0.894, 73.17, 84.77, 173.49, 0.492, -0.307)

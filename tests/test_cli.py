@@ -14,7 +14,7 @@ import barrierkit
 from barrierkit.cli import _PRECISION_NOTE, emit_csv, run
 from barrierkit.critical import s_mu_flat
 from barrierkit.model import MarketParams, ValidationError
-from barrierkit.pricing.closed import breach_prob_closed_flat
+from barrierkit.pricing.closed import breach_prob_closed_flat, down_and_out_call_closed
 from oracles import KNOCKOUT_UNDER_STEEP_DRIFT
 
 MKT = ["--sigma", "0.30", "--r", "0.10", "--T", "0.25"]
@@ -238,6 +238,18 @@ def test_price_mc_refuses_a_corridor_too_narrow_for_its_steps():
     assert time.perf_counter() - start < 2.0
     assert proc.returncode == 3, proc.stderr
     assert "3.38e+10 image pairs" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lower", "99.9999999999", "--upper", "100.0000000001", *_mkt(sigma="0.3", r="0.05")],
+    ["--lower", "70", "--upper", "130", *_mkt(sigma="150", T="1")],
+], ids=["pinched", "sigma-150"])
+def test_price_closed_refuses_a_corridor_too_narrow_for_its_span(capsys, argv):
+    # the closed series counts its image pairs as the engine does: past
+    # 1000 it exits 3 instead of printing a truncated sum
+    code, out, err = _call(capsys, "price", "--s0", "100", "--strike", "100", *argv)
+    assert (code, out) == (3, "")
+    assert "image pairs, over 1000" in err
 
 
 def test_breach_mc_rows(capsys):
@@ -735,12 +747,14 @@ def test_exit_2_missing_config_file(capsys):
 
 
 def test_closed_method_rejects_curved_shapes(capsys, tmp_path):
-    code, _, err = _call(
+    # an exponential single barrier takes the closed form; a tabulated one does not
+    code, out, _ = _call(
         capsys, "price", "--s0", "100", "--strike", "100",
         "--lower", "70", "--lower-growth", "0.1", *MKT,
     )
-    assert code == 2
-    assert "flat barrier" in err
+    want = down_and_out_call_closed(MarketParams(mu=0.10, sigma=0.30, r=0.10, T=0.25),
+                                    100.0, 70.0, 100.0, 0.1).value
+    assert (code, out) == (0, f"price = {want:.10g}  [Closed]\n")
     knots = tmp_path / "knots.csv"
     knots.write_text("0,70\n0.25,75\n", encoding="utf-8")
     code, _, err = _call(

@@ -13,8 +13,9 @@ from barrierkit.model import (
     BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams, NumericsError,
     OptionSpec, Payoff,
 )
-from barrierkit.pricing import engine
-from barrierkit.pricing.engine import n_steps_for, path_moments, series_terms, step_exits
+from barrierkit.pricing import closed, engine
+from barrierkit.pricing.closed import series_terms
+from barrierkit.pricing.engine import n_steps_for, path_moments, step_exits
 from barrierkit.pricing.mc import McConfig, mc_price
 
 
@@ -34,8 +35,7 @@ def kernel(d0, d1, c, w0=None, w1=None):
     """step_exits on scalars, with the image pairs the engine would keep."""
     args = (np.array([d0]), np.array([d1]), c)
     if w0 is not None:
-        w0, w1 = np.array([w0]), np.array([w1])
-        args += (w0, w1, series_terms(w0, w1, c))
+        args += (np.array([w0]), np.array([w1]), series_terms(w0 * w1, c))
     return tuple(float(v[0]) for v in step_exits(*args))
 
 
@@ -157,14 +157,14 @@ class TestStepKernel:
         assert all(np.all(np.isfinite(v)) for v in out)
 
     def test_series_terms_bound_the_first_image_left_out(self):
-        w = np.array([0.3, 0.25, 0.4])
+        ww = 0.3 * 0.25  # the least product of widths 0.3, 0.25, 0.4 at adjacent nodes
         for c in (1e-4, 0.04, 1.0, 10.0, 0.3, 7.77, 123.4, 4010.0):
-            n = series_terms(w[:-1], w[1:], c)
-            assert 2.0 * n * (n + 1) * 0.3 * 0.25 / c >= 54.0 * math.log(2.0)
-            assert n == 1 or 2.0 * (n - 1) * n * 0.3 * 0.25 / c < 54.0 * math.log(2.0)
-        assert series_terms(w[:-1], w[1:], 4010.0) == engine._MAX_TERMS
+            n = series_terms(ww, c)
+            assert 2.0 * n * (n + 1) * ww / c >= 54.0 * math.log(2.0)
+            assert n == 1 or 2.0 * (n - 1) * n * ww / c < 54.0 * math.log(2.0)
+        assert series_terms(ww, 4010.0) == closed._MAX_TERMS
         with pytest.raises(NumericsError, match="1e\\+03 image pairs"):
-            series_terms(w[:-1], w[1:], 4020.0)
+            series_terms(ww, 4020.0)
 
 
 def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=True):
@@ -187,7 +187,7 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
     logs = {side: np.array([math.log(curve.value_at(t, params.T)) for t in nodes])
             for side, curve in (("l", barriers.lower), ("u", barriers.upper)) if curve is not None}
     width = logs["u"] - logs["l"] if has_l and has_u else None
-    terms = series_terms(width[:-1], width[1:], c) if width is not None else 0
+    terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if width is not None else 0
     x0 = math.log(s0)
     out = np.empty((paths, 4))
     B = engine._B

@@ -29,7 +29,8 @@ from barrierkit.pricing.closed import (
     up_and_out_call_closed,
 )
 from barrierkit.pricing.mc import McConfig, mc_price
-from oracles import KNOCKOUT_UNDER_STEEP_DRIFT, NARROW_SLAB_UNDER_STEEP_DRIFT
+from oracles import (CORRIDOR_TERM_COUNT, KNOCKOUT_UNDER_STEEP_DRIFT,
+                     NARROW_SLAB_UNDER_STEEP_DRIFT, PINCHED_CORRIDOR)
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -255,6 +256,55 @@ class TestDoubleKnockout:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+class TestSeriesTerms:
+    """The corridor series takes the shells |n| <= series_terms + 1."""
+
+    def test_pinched_corridor_is_zero_to_double_precision(self):
+        # 95 image pairs; a cap of 50 shells once left 2.95e-9 here
+        r, sigma, T, K, L, U, g_l, g_u = PINCHED_CORRIDOR
+        p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+        got = double_knockout_closed(p, K, L, U, 100.0, (g_l, g_u)).value
+        assert abs(got) <= 1e-12 * (100.0 + K)
+
+    @pytest.mark.parametrize("row", sorted(CORRIDOR_TERM_COUNT))
+    def test_one_pair_corridors_keep_the_upper_reflection(self, row):
+        # series_terms is 1, and shells |n| <= 1 alone drift by about 2e-10
+        r, sigma, T, K, L, U, g_l, g_u = row
+        p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+        got = double_knockout_closed(p, K, L, U, 100.0, (g_l, g_u)).value
+        assert got == pytest.approx(CORRIDOR_TERM_COUNT[row], abs=1e-14 * (100.0 + K))
+
+
+class TestExponentialSingle:
+    """One barrier B*exp(g*t): the single-barrier image form with a growth."""
+
+    def test_growth_is_a_change_of_numeraire(self):
+        # the barrier is flat for S*exp(-g*t), whose carry is mu - g, so the
+        # price is exp(g*T) times the flat one at strike K*exp(-g*T)
+        rng = random.Random(20261020)
+        for i in range(2000):
+            sigma, r, T = rng.uniform(0.05, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.1, 2.0)
+            strike = 100.0 * math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+            g = rng.uniform(-0.3, 0.3)
+            p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+            q = MarketParams(mu=r - g, sigma=sigma, r=r, T=T)
+            for pricer, barrier in ((down_and_out_call_closed, 100.0 * rng.uniform(0.4, 0.98)),
+                                    (up_and_out_call_closed, 100.0 * rng.uniform(1.02, 2.7))):
+                curved = pricer(p, strike, barrier, 100.0, g).value
+                flat = pricer(q, strike * math.exp(-g * T), barrier, 100.0).value
+                assert abs(curved - math.exp(g * T) * flat) <= 1e-14 * (100.0 + strike), (i, pricer)
+
+    @pytest.mark.parametrize("side, level, growth", [("lower", 85.0, 0.3), ("upper", 125.0, -0.2)])
+    def test_matches_monte_carlo(self, side, level, growth):
+        p = MarketParams(mu=0.10, sigma=0.30, r=0.10, T=0.5)
+        curve = BarrierCurve.exponential(level, growth)
+        spec = OptionSpec(payoff=Payoff.CALL, strike=95.0, barriers=BarrierSet(**{side: curve}))
+        est = mc_price(p, spec, 100.0, McConfig(paths=200_000, steps_per_year=12, seed=7))
+        pricer = down_and_out_call_closed if side == "lower" else up_and_out_call_closed
+        closed = pricer(p, 95.0, level, 100.0, growth).value
+        assert abs(est.value - closed) <= 3.0 * est.std_error
+
+
 class TestSteepDrift:
     """Drifts that push the image weight (B/s0)^(2*mu1/sigma^2) past e^+-700."""
 
@@ -298,8 +348,9 @@ class TestSteepDrift:
 
     def test_seeded_sweep_stays_between_zero_and_the_vanilla(self):
         # a third of the draws has sigma <= 0.15 and |r| >= 1, where the
-        # weights pass e^700; every knock-out is finite, inside
-        # [0, vanilla], and the double is below both single barriers
+        # weights pass e^700; every knock-out, flat or exponential, is
+        # finite, inside [0, vanilla], and each double is below both of its
+        # single barriers
         rng = random.Random(20261019)
         for i in range(2000):
             if i % 3 == 0:
@@ -314,9 +365,13 @@ class TestSteepDrift:
             dao = down_and_out_call_closed(p, strike, lo, 100.0).value
             uo = up_and_out_call_closed(p, strike, hi, 100.0).value
             dko = double_knockout_closed(p, strike, lo, hi, 100.0).value
-            prices = [dao, uo, dko]
+            dao_g = down_and_out_call_closed(p, strike, lo, 100.0, growth[0]).value
+            uo_g = up_and_out_call_closed(p, strike, hi, 100.0, growth[1]).value
+            prices = [dao, uo, dko, dao_g, uo_g]
             if lo * math.exp(growth[0] * p.T) < hi * math.exp(growth[1] * p.T):
-                prices.append(double_knockout_closed(p, strike, lo, hi, 100.0, growth).value)
+                dko_g = double_knockout_closed(p, strike, lo, hi, 100.0, growth).value
+                prices.append(dko_g)
+                assert dko_g <= min(dao_g, uo_g) + 1e-12, (i, prices)
             for v in prices:
                 assert 0.0 <= v <= van * (1.0 + 1e-9) + 1e-12, (i, prices, van)
             assert dko <= min(dao, uo) + 1e-12, (i, prices)
