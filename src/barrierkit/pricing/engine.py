@@ -8,9 +8,12 @@ A path carries these chances instead of a knock-out test: its weight is
 the product of its steps' survival chances and its mass per side the sum
 of each step's exit chance times the weight before it, so monitoring is
 continuous (conditional Monte Carlo on the bridge: Glasserman, Monte
-Carlo Methods in Financial Engineering, 2004, 6.4). A cell counts only
-where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side (only paths with such
-a cell run the series); elsewhere 1 - p rounds to 1.0, an exact skip.
+Carlo Methods in Financial Engineering, 2004, 6.4). A cell (path, step)
+counts only where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side; elsewhere
+1 - p rounds to 1.0, an exact skip. The series runs on the list of these
+near cells alone, and each path carries its weight and masses over its
+own near cells in step order, so every product and sum is the one the
+whole row would give.
 
 Reproducibility: block b of _B paths draws its normals from
 PCG64(SeedSequence((seed, b))) through NumPy's ziggurat, row-major, one
@@ -21,8 +24,10 @@ the worker count nor the row slices a block is scanned in change a bit.
 Each block reduces the integrand's outputs to (count, mean, M2), merged
 in block order: no per-path array outlives its block. Workers take the
 next block from one shared list, each on one set of buffers
-(_Buffers.layout), and their slices share _BLOCK_BYTES, so peak memory
-grows neither with the paths nor with the workers.
+(_Buffers.layout) that holds every array a slice works in, the step
+kernel's included, so a slice allocates only vectors of one value per
+path. The workers' buffers share _BLOCK_BYTES, so peak memory grows
+neither with the paths nor with the workers.
 """
 
 from __future__ import annotations
@@ -41,70 +46,127 @@ from .closed import _CUTOFF, series_terms
 
 _B = 4096  # paths per block; each block draws from its own stream
 _BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_bytes)
-# float64 columns per step the step kernel holds at once on a row near a line,
-# by sides (two sides add the image terms' copies of the cells near both)
-_KERNEL_COLS = (0, 7, 17)
+_CHUNK = 2**13  # mask cells per np.flatnonzero call: the indices it allocates stay at 64 KiB
 
 
 def n_steps_for(steps_per_year: int, T: float) -> int:
     return max(1, math.ceil(steps_per_year * T - 1e-12))
 
 
-def _images(a0, a1, w0, w1, k: float, terms: int):
-    """sum_{n=1..N} (R_n - D_n): image terms of first exit through the line a0, a1 gap."""
-    p = np.zeros_like(a0)
+def _flatnonzero(mask, out):
+    """np.flatnonzero(mask) written into out; returns the filled front.
+
+    NumPy allocates the indices it finds, so it sees _CHUNK cells of the
+    mask at a time: what a slice allocates stays that small, whatever
+    its cells.
+    """
+    count = 0
+    for lo in range(0, mask.size, _CHUNK):
+        found = np.flatnonzero(mask[lo : lo + _CHUNK])
+        np.add(found, lo, out=out[count : count + found.size])
+        count += found.size
+    return out[:count]
+
+
+def _images(a0, a1, w0, w1, k: float, terms: int, p, t, u):
+    """sum_{n=1..N} (R_n - D_n) into p: image terms of first exit through the line a0, a1 gap.
+
+    t and u are scratch; each product is taken in the order of the
+    formulas, so a cell's value does not depend on the arrays it sits in.
+    """
+    p.fill(0.0)
     for n in range(1, terms + 1):
-        p += np.exp(k * (n * w0 + a0) * (n * w1 + a1))
-        p -= np.exp(k * n * (n * w0 * w1 - w1 * a0 + w0 * a1))
+        np.multiply(w0, n, out=t)  # R_n = exp(k*(n*w0 + a0)*(n*w1 + a1))
+        t += a0
+        t *= k
+        t *= np.add(np.multiply(w1, n, out=u), a1, out=u)
+        p += np.exp(t, out=t)
+        np.multiply(w0, n, out=t)  # D_n = exp(k*n*(n*w0*w1 - w1*a0 + w0*a1))
+        t *= w1
+        t -= np.multiply(w1, a0, out=u)
+        t += np.multiply(w0, a1, out=u)
+        t *= k * n
+        p -= np.exp(t, out=t)
     return p
 
 
-def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1):
-    """Survival S and first-exit masses P_l, P_u of one bridged step.
+def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
+    """Survival S and first-exit masses P_l, P_u of bridged steps, one per cell.
 
-    d0, d1 are the log gaps above the lower line at the step's two ends,
+    d0, d1 are the log gaps above the lower line at the steps' two ends,
     w0, w1 the corridor widths (None without an upper line, which leaves
-    one side's exp(-2*d0*d1/c)), c = sigma^2*dt, and `terms` the image
-    pairs kept (series_terms). With both lines,
+    one side's exp(-2*d0*d1/c) and P_u = 0), all 1-D arrays of one length,
+    c = sigma^2*dt, and `terms` the image pairs kept (series_terms). With both lines,
     P_l = sum_{n>=0} e^{-2(n*w0+d0)(n*w1+d1)/c} - sum_{n>=1} e^{-2n(n*w0*w1-w1*d0+w0*d1)/c},
     P_u is the same in the upper gaps w - d, and S = 1 - P_l - P_u; where
     one line is past the cutoff, only the other's n = 0 term is kept. An end
     at or past a line survives with 0, and its mass goes to that side less
     the other side's first exit, which the series still gives there. A
     start past a line (a path whose weight is already 0) stays finite.
+    The results are views into buf's kernel arrays (a _Buffers with room
+    for the cells), which are made here when buf is None.
     """
     k = -2.0 / c
+    size = d0.size
+    if buf is None:
+        buf = _Buffers(size, 1, 1, 1 if w0 is None else 2)
+    s, p_l = buf.flat("s", size), buf.flat("p_l", size)
     if w0 is None:
-        p = np.exp(k * np.maximum(d0, 0.0) * np.maximum(d1, 0.0))
-        return 1.0 - p, p, np.zeros_like(p)
-    d0 = np.minimum(np.maximum(d0, 0.0), w0)
-    u0, u1 = w0 - d0, w1 - d1
-    e1, f1 = np.maximum(d1, 0.0), np.maximum(u1, 0.0)
-    p_l, p_u = np.exp(k * d0 * e1), np.exp(k * u0 * f1)
+        np.maximum(d0, 0.0, out=p_l)
+        p_l *= k
+        p_l *= np.maximum(d1, 0.0, out=s)
+        np.exp(p_l, out=p_l)
+        return np.subtract(1.0, p_l, out=s), p_l, np.broadcast_to(0.0, (size,))
+    p_u = buf.flat("p_u", size)
+    a0, u0, e1, f1 = (buf.flat(name, size) for name in ("a0", "u0", "e1", "f1"))
+    past_l, past_u, both = (buf.flat(name, size) for name in ("past_l", "past_u", "both"))
+    np.minimum(np.maximum(d0, 0.0, out=a0), w0, out=a0)
+    np.subtract(w0, a0, out=u0)
+    np.subtract(w1, d1, out=f1)  # the upper gap at the end
+    np.less_equal(d1, 0.0, out=past_l)
+    np.less_equal(f1, 0.0, out=past_u)
+    np.maximum(d1, 0.0, out=e1)
+    np.maximum(f1, 0.0, out=f1)
+    for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
+        np.multiply(g0, k, out=p)
+        p *= g1
+        np.exp(p, out=p)
     # the images matter only where both lines are near: past the cutoff on
     # one side, that side's terms and every image term are below 2^-54
-    both = (p_l > math.exp(-_CUTOFF)) & (p_u > math.exp(-_CUTOFF))
+    np.greater(np.minimum(p_l, p_u, out=s), math.exp(-_CUTOFF), out=both)
     if both.any():
-        v0, v1 = np.broadcast_to(w0, both.shape)[both], np.broadcast_to(w1, both.shape)[both]
-        p_l[both] += _images(d0[both], e1[both], v0, v1, k, terms)
-        p_u[both] += _images(u0[both], f1[both], v0, v1, k, terms)
-    past_l, past_u = d1 <= 0.0, u1 <= 0.0
+        idx = _flatnonzero(both, buf.flat("near_both", size))
+        m = idx.size
+        v0, v1, x0, x1 = (buf.flat(name, m) for name in ("v0", "v1", "x0", "x1"))
+        np.take(w0, idx, out=v0, mode="clip")
+        np.take(w1, idx, out=v1, mode="clip")
+        for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
+            np.take(g0, idx, out=x0, mode="clip")
+            np.take(g1, idx, out=x1, mode="clip")
+            img = _images(x0, x1, v0, v1, k, terms, *(buf.flat(name, m) for name in ("img", "t", "u")))
+            p[idx] = np.add(np.take(p, idx, out=x0, mode="clip"), img, out=x0)
     np.subtract(1.0, p_u, out=p_l, where=past_l)
     np.subtract(1.0, p_l, out=p_u, where=past_u)
-    s = np.maximum(1.0 - p_l - p_u, 0.0)
-    s[past_l | past_u] = 0.0
+    np.subtract(1.0, p_l, out=s)
+    s -= p_u
+    np.maximum(s, 0.0, out=s)
+    np.copyto(s, 0.0, where=np.logical_or(past_l, past_u, out=past_l))
     return s, p_l, p_u
 
 
 @dataclass(frozen=True)
 class PathMoments:
     """Count, mean and sum of squared deviations (M2) of each integrand
-    output over every path, and the step grid they were taken on."""
+    output over every path, the step grid they were taken on, the cells
+    (path, step) the bridge series ran on, and its image pairs per step
+    (0 without a corridor)."""
 
     count: int
     mean: np.ndarray
     m2: np.ndarray
     n_steps: int
+    near_cells: int
+    terms: int
 
     @property
     def std_error(self) -> np.ndarray:
@@ -122,26 +184,40 @@ class _Buffers:
     @staticmethod
     def layout(n_draw: int, n: int, sides: int) -> dict[str, tuple[int, type]]:
         """Columns and dtype of each array, by name: the normals (turned in
-        place into cumulative log-returns) and, with barriers, the gaps to
-        each line, their products, the near-barrier masks and the weights."""
-        arrays = {"z": (n_draw, np.float64)}
+        place into cumulative log-returns, then the gaps' products) and, with
+        barriers, the gaps to each line, the near-line masks, the rows with a
+        near cell (their mask, and their gaps, then weights, at each node),
+        and lists over the near cells, filled from the front: their index
+        (in a corridor, then their step), row and first node, gaps and
+        widths, and the step kernel's arrays (step_exits, with the list of
+        cells near both lines)."""
+        f8, i8, b1 = np.float64, np.intp, np.bool_
+        arrays = {"z": (n_draw, f8)}
         if sides:
-            arrays.update(gap=(n + 1, np.float64), prod=(n, np.float64),
-                          near=(n, np.bool_), survive=(n + 1, np.float64))
+            arrays.update(gap=(n + 1, f8), near=(n, b1), on=(n, b1), nodes=(n + 1, f8),
+                          cell=(n, i8), row=(n, i8), node=(n, i8),
+                          d0=(n, f8), d1=(n, f8), s=(n, f8), p_l=(n, f8))
         if sides == 2:
-            arrays.update(gap_u=(n + 1, np.float64), near_u=(n, np.bool_))
+            arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), p_u=(n, f8),
+                          a0=(n, f8), u0=(n, f8), e1=(n, f8), f1=(n, f8),
+                          past_l=(n, b1), past_u=(n, b1), both=(n, b1), near_both=(n, i8),
+                          v0=(n, f8), v1=(n, f8), x0=(n, f8), x1=(n, f8),
+                          img=(n, f8), t=(n, f8), u=(n, f8))
         return arrays
 
     @staticmethod
     def row_bytes(n_draw: int, n: int, sides: int) -> int:
-        """Bytes one path takes at most: the slice arrays, and the step
-        kernel's working arrays if the row comes near a line."""
-        held = sum(cols * np.dtype(dt).itemsize for cols, dt in _Buffers.layout(n_draw, n, sides).values())
-        return held + _KERNEL_COLS[sides] * n * 8
+        """Bytes the buffers hold per path: all that a slice uses."""
+        layout = _Buffers.layout(n_draw, n, sides).values()
+        return sum(cols * np.dtype(dt).itemsize for cols, dt in layout)
 
     def __init__(self, rows: int, n_draw: int, n: int, sides: int) -> None:
         for name, (cols, dtype) in self.layout(n_draw, n, sides).items():
             setattr(self, name, np.empty((rows, cols), dtype=dtype))
+
+    def flat(self, name: str, size: int) -> np.ndarray:
+        """The first `size` cells of array `name`, row after row."""
+        return getattr(self, name).reshape(-1)[:size]
 
 
 def path_moments(
@@ -191,11 +267,11 @@ def path_moments(
     line = _barrier_logs(barriers.lower or barriers.upper, n, dt, T) if sides else None
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
     width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
-    corridor = ((width[:-1], width[1:], series_terms(float(np.min(width[:-1] * width[1:])), c))
-                if sides == 2 else ())
+    terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if sides == 2 else 0
 
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
-        """(x_T, weight, mass_l, mass_u) for the next m rows of gen."""
+        """(x_T, weight, mass_l, mass_u) for the next m rows of gen, and the
+        count of cells the series ran on."""
         z = buf.z[:m]
         gen.standard_normal(out=z)
         z *= vol
@@ -204,7 +280,7 @@ def path_moments(
         x_T = x0 + z[:, -1]
         weight, mass_l, mass_u = np.ones(m), np.zeros(m), np.zeros(m)
         if not sides:
-            return x_T, weight, mass_l, mass_u
+            return (x_T, weight, mass_l, mass_u), 0
         gap, near = buf.gap[:m], buf.near[:m]
         gap[:, 0] = x0_gap[0]
         if has_l:
@@ -214,36 +290,58 @@ def path_moments(
         lines = [(gap, near)]
         if sides == 2:
             lines.append((np.subtract(width, gap, out=buf.gap_u[:m]), buf.near_u[:m]))
-        for g, g_near in lines:  # 2*d0*d1/c below the cutoff: the series counts
-            np.less(np.multiply(g[:, :-1], g[:, 1:], out=buf.prod[:m]), 0.5 * _CUTOFF * c, out=g_near)
+        for g, g_near in lines:  # 2*d0*d1/c below the cutoff: the series counts (z is spent)
+            np.less(np.multiply(g[:, :-1], g[:, 1:], out=z), 0.5 * _CUTOFF * c, out=g_near)
         if sides == 2:
             near |= buf.near_u[:m]
         hit = np.flatnonzero(near.any(axis=1))
         if hit.size == 0:
-            return x_T, weight, mass_l, mass_u
-        g, on = gap[hit], near[hit]  # the rows with a cell near a line
-        s, p_l, p_u = step_exits(g[:, :-1], g[:, 1:], c, *corridor)
-        if not has_l:
-            p_l, p_u = p_u, p_l
-        w = buf.survive[: hit.size]
-        w.fill(1.0)
-        np.copyto(w[:, 1:], s, where=on)  # a cell away from every line keeps 1 and adds 0
-        np.multiply.accumulate(w, axis=1, out=w)  # weight before each step, and at T
+            return (x_T, weight, mass_l, mass_u), 0
+        h = hit.size  # the rows with a cell near a line, (h, n) cells and (h, n + 1) nodes
+        on = np.take(near, hit, axis=0, out=buf.on[:h], mode="clip").reshape(-1)
+        cell = _flatnonzero(on, buf.cell.reshape(-1))
+        cells = cell.size  # cell r*n + j is step j of hit row r
+        row = np.floor_divide(cell, n, out=buf.flat("row", cells))
+        node = np.add(cell, row, out=buf.flat("node", cells))  # r*(n + 1) + j: the step's first node
+        corridor = ()
+        if sides == 2:  # the corridor's widths at each step's two nodes
+            j = np.remainder(cell, n, out=cell)  # the list now holds each cell's step
+            w0 = np.take(width, j, out=buf.flat("w0", cells), mode="clip")
+            j += 1
+            corridor = (w0, np.take(width, j, out=buf.flat("w1", cells), mode="clip"), terms)
+        nodes = np.take(gap, hit, axis=0, out=buf.nodes[:h], mode="clip")
+        d0 = np.take(nodes.reshape(-1), node, out=buf.flat("d0", cells), mode="clip")
+        node += 1
+        d1 = np.take(nodes.reshape(-1), node, out=buf.flat("d1", cells), mode="clip")
+        s, p_l, p_u = step_exits(d0, d1, c, *corridor, buf=buf)
+        w = nodes  # the gaps are read: now the weight at each node
+        w.fill(1.0)  # a cell away from every line keeps 1 and adds 0
+        w.reshape(-1)[node] = s
+        np.multiply.accumulate(w, axis=1, out=w)
         weight[hit] = w[:, -1]
-        for mass, p in ((mass_l, p_l), (mass_u, p_u)):
-            mass[hit] = np.add.accumulate(np.where(on, w[:, :-1] * p, 0.0), axis=1)[:, -1]
-        return x_T, weight, mass_l, mass_u
+        node -= 1
+        before = np.take(w.reshape(-1), node, out=d0, mode="clip")  # the weight before each step
+        exits = ((mass_l, p_l), (mass_u, p_u)) if sides == 2 else ((mass_l if has_l else mass_u, p_l),)
+        for mass, p in exits:  # add.at adds in index order: a path's steps in order, as a row sum
+            total = np.zeros(h)
+            np.add.at(total, row, np.multiply(before, p, out=d1))
+            mass[hit] = total
+        return (x_T, weight, mass_l, mass_u), cells
 
     block_stats: list = [None] * n_blocks
 
     def run_block(buf: _Buffers, b: int) -> None:
         m = min(_B, paths - b * _B)
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-        parts = [integrand(*scan(buf, gen, min(rows, m - lo))) for lo in range(0, m, rows)]
+        parts, cells = [], 0
+        for lo in range(0, m, rows):
+            state, k = scan(buf, gen, min(rows, m - lo))
+            parts.append(integrand(*state))
+            cells += k
         ys = [np.concatenate(col) if len(col) > 1 else col[0] for col in zip(*parts)]
         means = np.array([np.sum(y) / m for y in ys])
         m2 = np.array([np.sum((y - mu) ** 2) for y, mu in zip(ys, means)])
-        block_stats[b] = (m, means, m2)
+        block_stats[b] = (m, means, m2, cells)
 
     blocks = iter(range(n_blocks))
     lock = threading.Lock()
@@ -260,9 +358,10 @@ def path_moments(
     with ThreadPoolExecutor(max_workers=len(bufs)) as pool:
         list(pool.map(work, bufs))
 
-    count, mean, m2 = block_stats[0]
-    for m, mean_b, m2_b in block_stats[1:]:  # Chan et al.'s update, in block order
+    count, mean, m2, near_cells = block_stats[0]
+    for m, mean_b, m2_b, cells in block_stats[1:]:  # Chan et al.'s update, in block order
         delta, total = mean_b - mean, count + m
         mean, m2 = mean + delta * (m / total), m2 + m2_b + delta * delta * (count * m / total)
         count = total
-    return PathMoments(count=count, mean=mean, m2=m2, n_steps=n)
+        near_cells += cells
+    return PathMoments(count=count, mean=mean, m2=m2, n_steps=n, near_cells=near_cells, terms=terms)

@@ -228,6 +228,50 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
     return out
 
 
+def full_row_reference(params, barriers, s0, paths, steps_per_year, seed):
+    """Per-path (x_T, weight, mass_l, mass_u) and the count of near cells,
+    vectorised over whole rows: step_exits on every cell of each row that
+    has a cell near a line, then the weights and masses accumulated along
+    the row with every other cell masked out."""
+    n = n_steps_for(steps_per_year, params.T)
+    has_l = barriers.lower is not None
+    nodes = [i * params.T / n for i in range(n)] + [params.T]
+    logs = [np.array([math.log(curve.value_at(t, params.T)) for t in nodes])
+            for curve in (barriers.lower, barriers.upper) if curve is not None]
+    n_draw, c, x0 = (n if logs else 1), params.sigma**2 * params.T / n, math.log(s0)
+    out, near_cells = [], 0
+    for b in range(-(-paths // engine._B)):
+        m = min(engine._B, paths - b * engine._B)
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+        z = gen.standard_normal((m, n_draw))
+        z *= params.sigma * math.sqrt(params.T / n_draw)
+        z += (params.mu - 0.5 * params.sigma**2) * (params.T / n_draw)
+        np.add.accumulate(z, axis=1, out=z)
+        out.append(np.column_stack([x0 + z[:, -1], np.ones(m), np.zeros(m), np.zeros(m)]))
+        if not logs:
+            continue
+        x0_gap = x0 - logs[0] if has_l else logs[0] - x0
+        gap = np.column_stack([np.full(m, x0_gap[0]), z + x0_gap[1:] if has_l else x0_gap[1:] - z])
+        width = logs[1] - logs[0] if len(logs) == 2 else None
+        gaps = [gap] if width is None else [gap, width - gap]
+        near = np.logical_or.reduce([g[:, :-1] * g[:, 1:] < 0.5 * closed._CUTOFF * c for g in gaps])
+        hit = near.any(axis=1)
+        g, on = gap[hit], near[hit]
+        corridor = () if width is None else (
+            np.broadcast_to(width[:-1], on.shape).ravel(), np.broadcast_to(width[1:], on.shape).ravel(),
+            series_terms(float(np.min(width[:-1] * width[1:])), c))
+        exits = step_exits(g[:, :-1].ravel(), g[:, 1:].ravel(), c, *corridor)
+        s, p_l, p_u = (v.reshape(on.shape) for v in exits)
+        w = np.ones((on.shape[0], n + 1))
+        np.copyto(w[:, 1:], s, where=on)
+        np.multiply.accumulate(w, axis=1, out=w)
+        out[-1][hit, 1] = w[:, -1]
+        for col, p in zip((2, 3) if has_l else (3, 2), (p_l, p_u)):
+            out[-1][hit, col] = np.add.accumulate(np.where(on, w[:, :-1] * p, 0.0), axis=1)[:, -1]
+        near_cells += int(on.sum())
+    return np.vstack(out), near_cells
+
+
 def engine_paths(params, barriers, s0, paths, steps_per_year, seed):
     """Per-path (x_T, weight, mass_l, mass_u) as the engine hands them to its
     integrand; one worker scans the blocks and their slices in order."""
@@ -277,6 +321,36 @@ class TestScalarReference:
             assert np.any((w > 0.0) & (w < 1.0))
 
 
+class TestFullRowReference:
+    @pytest.mark.parametrize(
+        "params, barriers, steps",
+        [
+            (mk_params(T=0.5), DKO, 200),
+            (MarketParams(mu=0.05, sigma=0.4, r=0.05, T=1.0),
+             BarrierSet(lower=BarrierCurve.exponential(60.0, 0.05),
+                        upper=BarrierCurve.exponential(160.0, -0.05)), 12),
+            (mk_params(), BarrierSet(lower=BarrierCurve.flat(90.0)), 200),
+            (mk_params(), BarrierSet(upper=BarrierCurve.flat(110.0)), 200),
+            # knots on the nodes of 13 steps
+            (mk_params(sigma=1.0), BarrierSet(
+                lower=BarrierCurve.tabulated(((0.0, 85.0), (1.5 / 13, 87.55), (0.25, 84.15))),
+                upper=BarrierCurve.tabulated(((0.0, 118.0), (1.5 / 13, 115.64), (0.25, 119.18)))), 52),
+            (mk_params(sigma=0.05), DKO, 200),
+        ],
+        ids=["sparse-flat-double", "dense-corridor", "single-lower", "single-upper", "tabulated",
+             "no-near-cell"],
+    )
+    def test_near_cells_only_move_no_bit(self, params, barriers, steps):
+        # the series on the near cells alone, with each path's weight and
+        # masses carried over them in step order, gives every bit of the
+        # whole-row computation; 6000 paths are a block and a part block
+        got, res = engine_paths(params, barriers, 100.0, 6_000, steps, 19)
+        want, near_cells = full_row_reference(params, barriers, 100.0, 6_000, steps, 19)
+        assert np.array_equal(got, want)
+        assert res.near_cells == near_cells
+        assert (near_cells == 0) == (params.sigma == 0.05)
+
+
 class TestWeights:
     def test_weight_and_masses_share_one_unit(self):
         for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40)):
@@ -322,6 +396,10 @@ class TestDeterminism:
                 assert other.count == base.count
                 assert np.array_equal(base.mean, other.mean)
                 assert np.array_equal(base.m2, other.m2)
+                assert (other.near_cells, other.terms) == (base.near_cells, base.terms)
+            # the image pairs a step of each corridor keeps, 0 without one
+            assert base.terms == (3 if barriers is CORRIDOR else 1 if barriers is DKO else 0)
+            assert (base.near_cells > 0) == barriers.any_present
 
     @pytest.mark.parametrize(
         "barriers, sigma, paths, block, budget_rows, workers",
@@ -433,6 +511,28 @@ class TestMemory:
         assert peaks[4] <= 1.05 * peaks[1]
         assert peaks[1] <= 1.05 * budget
 
+    def test_kernel_works_in_the_worker_buffers(self, monkeypatch):
+        # a corridor whose rows are mostly near a line, on one worker: the
+        # step kernel allocates nothing per slice, so the peak is the
+        # worker's buffers, eight doubles a path (the slice's outputs and
+        # the block's reduction) and NumPy's fixed-size ufunc buffers
+        p = mk_params()
+        barriers = BarrierSet(lower=BarrierCurve.flat(95.0), upper=BarrierCurve.flat(105.0))
+        n = n_steps_for(100, p.T)
+        monkeypatch.setattr(engine, "_B", 512)
+        monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(512, barriers, n))
+        held = sum(a.nbytes for a in vars(engine._Buffers(512, n, n, 2)).values())
+        kw = dict(steps_per_year=100, seed=3, integrand=lambda x, w, m_l, m_u: (w, m_l), workers=1)
+        path_moments(p, barriers, 100.0, 10, **kw)  # first-call allocations of the interpreter
+        tracemalloc.start()
+        try:
+            res = path_moments(p, barriers, 100.0, 2048, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + 8 * 8 * 512 + 2**18
+        assert res.near_cells > 0.7 * 2048 * n
+
 
 class TestTerminalLaw:
     def test_moments_without_barriers(self):
@@ -457,8 +557,7 @@ class TestBudget:
         n_draw = 37 if sides else 1
         buf = engine._Buffers(5, n_draw, 37, sides)
         held = sum(a.nbytes for a in vars(buf).values())
-        kernel = engine._KERNEL_COLS[sides] * 37 * 8  # allocated per slice, not held
-        assert held + 5 * kernel == 5 * engine._Buffers.row_bytes(n_draw, 37, sides)
+        assert held == 5 * engine._Buffers.row_bytes(n_draw, 37, sides)
 
     def test_slice_budget_cuts_blocks_without_changing_a_bit(self, monkeypatch):
         # a budget of 10.5 paths shared by two workers cuts each 4096-path
