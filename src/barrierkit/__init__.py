@@ -43,7 +43,7 @@ from .model import (
 )
 from .numerics import nu_for_accuracy, std_normal_cdf
 from .pricing import (
-    breach_prob_closed_flat,
+    breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
@@ -94,7 +94,7 @@ __all__ = [
     "PricingMethod",
     "RebateError",
     "ValidationError",
-    "breach_prob_closed_flat",
+    "breach_prob_closed",
     "breach_prob_mc",
     "breach_prob_pde",
     "bs_vanilla",

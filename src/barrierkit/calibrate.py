@@ -77,8 +77,7 @@ def numeric_critical_price(
     _check_theta(theta)
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    if barrier <= 0.0:
-        raise DomainError(f"barrier must be positive, got {barrier}")
+    require_price_level("barrier", barrier)
     half = 0.5 * theta
 
     def close(s: float) -> bool:

@@ -22,7 +22,6 @@ from .critical import critical_prices
 from .model import (
     BarrierCurve,
     BarrierSet,
-    BarrierShape,
     CriticalPrices,
     MarketParams,
     NumericsError,
@@ -32,7 +31,8 @@ from .model import (
 )
 from .numerics import nu_for_accuracy
 from .pricing.closed import (
-    breach_prob_closed_flat,
+    _lines,
+    breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
@@ -313,17 +313,13 @@ def _theta_from_args(args, default: float | None = None) -> float:
 
 
 def _closed_price(params: MarketParams, strike: float, barriers: BarrierSet, s0: float):
-    lower, upper = barriers.lower, barriers.upper
-    if any(c is not None and c.shape is BarrierShape.TABULATED for c in (lower, upper)):
-        raise ValidationError("the closed form needs flat or exponential barriers")
+    lower, upper = _lines(barriers)  # (level, growth) pairs
     if lower and upper:
-        return double_knockout_closed(
-            params, strike, lower.level, upper.level, s0, (lower.growth, upper.growth)
-        )
+        return double_knockout_closed(params, strike, lower[0], upper[0], s0, (lower[1], upper[1]))
     if lower:
-        return down_and_out_call_closed(params, strike, lower.level, s0, lower.growth)
+        return down_and_out_call_closed(params, strike, lower[0], s0, lower[1])
     if upper:
-        return up_and_out_call_closed(params, strike, upper.level, s0, upper.growth)
+        return up_and_out_call_closed(params, strike, upper[0], s0, upper[1])
     return bs_vanilla(params, Payoff.CALL, strike, s0)
 
 
@@ -421,17 +417,10 @@ def _cmd_breach(args) -> _Report:
         raise ValidationError("breach needs at least one barrier")
     rows = []
     if args.method == "closed":
-        for side, curve in (("lower", barriers.lower), ("upper", barriers.upper)):
-            if curve is None:
-                continue
-            if curve.shape is not BarrierShape.FLAT:
-                raise ValidationError("closed breach form needs flat barriers")
-            p = breach_prob_closed_flat(params, side, curve.level, args.s0, params.T)
-            rows.append((f"p_{side}", p, 0.0))
-        # single-side closed forms ignore the competing barrier, so the
-        # sum is an upper bound for double-barrier sets, not P(E_l)+P(E_u)
-        if len(rows) == 1:
-            rows.append(("p_total", rows[0][1], 0.0))
+        p = breach_prob_closed(params, barriers, args.s0)
+        if not (barriers.lower and barriers.upper):
+            rows.append(("p_lower" if barriers.lower else "p_upper", p, 0.0))
+        rows.append(("p_total", p, 0.0))
     elif args.method == "mc":
         from .passage import breach_prob_mc
         from .pricing.mc import McConfig

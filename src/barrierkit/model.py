@@ -103,8 +103,7 @@ class BarrierCurve:
 
     def __post_init__(self) -> None:
         if self.shape in (BarrierShape.FLAT, BarrierShape.EXPONENTIAL):
-            if not (self.level > 0.0) or not math.isfinite(self.level):
-                raise DomainError(f"barrier level must be positive, got {self.level}")
+            require_price_level("barrier level", self.level)
             if not math.isfinite(self.growth):
                 raise DomainError("barrier growth must be finite")
         else:
@@ -181,8 +180,11 @@ class BarrierSet:
         return self.lower is not None or self.upper is not None
 
     def side_at_inception(self, s0: float, T: float, past_ok: bool = True) -> str | None:
-        """The side ("lower"/"upper") s0 is on or past at t = 0, else None;
-        past it is a DomainError unless past_ok, as in the closed breach form."""
+        """The side ("lower"/"upper") s0 is on or past at t = 0, else None.
+
+        Past it is a DomainError unless past_ok: the pricers knock out
+        there, and the closed, Monte Carlo and PDE breach routes refuse it.
+        """
         for side, curve, sign in (("lower", self.lower, 1.0), ("upper", self.upper, -1.0)):
             gap = math.inf if curve is None else sign * (s0 - curve.value_at(0.0, T))
             if gap < 0.0 and not past_ok:
@@ -230,8 +232,7 @@ class OptionSpec:
             object.__setattr__(self, "payoff", Payoff(self.payoff))
         except ValueError:
             raise DomainError(f"payoff must be 'call' or 'put', got {self.payoff!r}") from None
-        if not (self.strike > 0.0) or not math.isfinite(self.strike):
-            raise DomainError(f"strike must be positive, got {self.strike}")
+        require_price_level("strike", self.strike)
         if self.rebate_lower < 0.0 or self.rebate_upper < 0.0:
             raise DomainError("rebates must be nonnegative")
         if self.rebate_lower > 0.0 and self.barriers.lower is None:

@@ -4,21 +4,23 @@ The conditional Monte Carlo engine (any supported barrier; each path's
 exact bridge chance of breaching each side first, averaged) and a
 finite-difference solve of the backward equation for the breach
 indicator's expectation, on a grid whose end nodes follow the barriers.
-The closed reflection form for flat barriers lives with the other closed
-forms in `pricing.closed`; the three routes validate each other.
+The closed form for flat and exponential barriers, one side or a
+corridor, lives with the knock-outs in `pricing.closed`; the three routes
+validate each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import BarrierSet, DomainError, MarketParams, NumericsError, require_price_level
+from .model import (BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError,
+                    require_price_level)
 from .numerics import std_normal_cdf
-from .pricing.closed import breach_prob_closed_flat
+from .pricing.closed import breach_prob_closed
 from .pricing.engine import path_moments
 from .pricing.mc import McConfig
 
@@ -89,14 +91,14 @@ def _reachable(params: MarketParams, barriers: BarrierSet, s0: float, T: float) 
     That is about 2e-9, the margin the default grid's far edges accept. A
     barrier more than 6*sigma*sqrt(T) from s0 in log-price, plus mu1*T when
     the drift mu1 heads its way, is left out. So is every barrier when the
-    drift heads away from each one left and the closed flat form at its
-    nearest level over [0, T], a bound for any curve on that side whose
-    reflection weight is then at most 1, is below 2*Phi(-6). A negligible
-    side next to a live one stays: a corridor between two barriers resolves
-    better than one stretched to a far edge.
+    drift heads away from each one left and the closed form for a flat
+    barrier at its nearest level over [0, T], a bound for any curve on that
+    side whose reflection weight is then at most 1, is below 2*Phi(-6). A
+    negligible side next to a live one stays: a corridor between two
+    barriers resolves better than one stretched to a far edge.
     """
     reach, m = 6.0 * params.sigma * math.sqrt(T), (params.mu - 0.5 * params.sigma**2) * T
-    kept, negligible = {}, True
+    kept, negligible, over_t = {}, True, replace(params, T=T)
     for side, curve, up in (("lower", barriers.lower, False), ("upper", barriers.upper, True)):
         if curve is not None:
             near = curve.extremes(T)[0 if up else 1]
@@ -104,7 +106,8 @@ def _reachable(params: MarketParams, barriers: BarrierSet, s0: float, T: float) 
             if gap <= reach + max(0.0, toward):
                 kept[side] = curve
                 negligible = negligible and toward < 0.0 < gap and (
-                    breach_prob_closed_flat(params, side, near, s0, T) < _OUT_OF_REACH)
+                    breach_prob_closed(over_t, BarrierSet(**{side: BarrierCurve.flat(near)}), s0)
+                    < _OUT_OF_REACH)
     return BarrierSet() if negligible else BarrierSet(**kept)
 
 
@@ -156,8 +159,8 @@ def breach_prob_pde(
     require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
-    if T <= 0.0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite, got {T}")
     if barriers.side_at_inception(s0, T, past_ok=False) is not None:
         return 1.0
     c1, sig_rt = params.mu - 0.5 * params.sigma**2, params.sigma * math.sqrt(T)

@@ -6,7 +6,7 @@ the path engine `path_moments` from `pricing.engine`.
 """
 
 from .closed import (
-    breach_prob_closed_flat,
+    breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
@@ -14,7 +14,7 @@ from .closed import (
 )
 
 __all__ = [
-    "breach_prob_closed_flat",
+    "breach_prob_closed",
     "bs_vanilla",
     "double_knockout_closed",
     "down_and_out_call_closed",

@@ -8,8 +8,8 @@ a barrier) price to zero, as the Monte Carlo engine reports them.
 The knock-outs are one image (reflection) form: the surviving paths'
 terminal density is the free one minus image terms, one for a single
 barrier and a doubly-infinite series for two, integrated against the
-payoff slab. The breach probability is the reflection principle's
-first-passage law for one flat barrier. Every weighted term goes through
+payoff slab. The breach probability is the mass those terms knock out
+of the cash leg over the whole line. Every weighted term goes through
 one primitive, `_leg`. `series_terms` decides how many image terms a
 corridor takes, here and in the Monte Carlo engine's bridge steps.
 """
@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import sys
 
-from ..model import (DomainError, MarketParams, NumericsError, Payoff, PriceEstimate,
-                     PricingMethod, require_price_level)
+from ..model import (BarrierSet, BarrierShape, DomainError, MarketParams, NumericsError,
+                     Payoff, PriceEstimate, PricingMethod, require_price_level)
 from ..numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -114,7 +114,7 @@ def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -
     return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
 
 
-def _knockout_call(params: MarketParams, strike: float, s0: float,
+def _knockout_call(params: MarketParams, strike: float | None, s0: float,
                    lower: tuple[float, float] | None, upper: tuple[float, float] | None) -> float:
     """Call that dies on touching B*exp(g*t) on either side, each a (B, g) pair or None.
 
@@ -136,13 +136,18 @@ def _knockout_call(params: MarketParams, strike: float, s0: float,
     e^{-2*n^2*d0*dt/(sigma^2*T)}. The legs integrate e^E against measures of
     mass at most e^{-r*T} (cash) and e^{(mu - r)*T} (asset, e^{x - r*T}),
     so the terms left out move the price by a few 2^-54*(s0*e^{(mu-r)*T} + K*e^{-r*T}).
+
+    With strike None it returns the breach probability: the mass knocked
+    out of the undiscounted cash leg over the whole line, i.e. the free mass
+    beyond L_T and U_T plus the image terms over [L_T, U_T], summed as they
+    stand rather than as one minus the survival, so a remote breach keeps its digits.
     """
     if (lower and s0 <= lower[0]) or (upper and s0 >= upper[0]):
         return 0.0
     T, sig = params.T, params.sigma
     s2t, srt = sig * sig * T, sig * math.sqrt(T)
-    m1t, rt = (params.mu - 0.5 * sig * sig) * T, params.r * T
-    k = math.log(strike / s0)
+    m1t = (params.mu - 0.5 * sig * sig) * T
+    k, rt = (-math.inf, 0.0) if strike is None else (math.log(strike / s0), params.r * T)
     hl = math.log(lower[0] / s0) if lower else -math.inf
     hu = math.log(upper[0] / s0) if upper else math.inf
     lt, ut = (hl + lower[1] * T if lower else hl), (hu + upper[1] * T if upper else hu)
@@ -159,8 +164,10 @@ def _knockout_call(params: MarketParams, strike: float, s0: float,
         em, e1 = g * (m1t - h_t), t1 + g * (x1 - h_t)
         # t at the top end: E(U_T) = 0 under an upper barrier, -inf at x2 = inf
         a2, c2 = (x2 + t2, t2) if upper else (-math.inf, -math.inf)
-        asset = _leg(1.0 + g, ma + em, x1 + e1, a2, q1, q2, srt)
         cash = _leg(g, em - rt, e1, c2, q1, q2, srt)
+        if strike is None:
+            return std_normal_cdf(q1) + std_normal_cdf(-q2) + cash
+        asset = _leg(1.0 + g, ma + em, x1 + e1, a2, q1, q2, srt)
         if lower is None:
             asset = _leg(1.0, ma, x1 + t1, a2, q1, q2, srt) - asset
             cash = _leg(0.0, -rt, t1, c2, q1, q2, srt) - cash
@@ -180,16 +187,23 @@ def _knockout_call(params: MarketParams, strike: float, s0: float,
     kk = -2.0 / s2t
     a0, d0, dt = -hl, hu - hl, ut - lt
     y1, ym = x1 - lt, m1t - lt
-    asset = cash = 0.0
+    asset = cash = gone = 0.0
     terms = series_terms(d0 * dt, s2t) + 1
     for n in [0] + [s * m for m in range(1, terms + 1) for s in (1, -1)]:
         pa, ca, gb, nd = kk * n, dt * (n * d0 - a0), kk * (n * d0 + a0), n * dt
         ga, ema, emb = pa * d0, pa * (ca + d0 * ym), gb * (nd + ym)
         ea1, ea2 = t1 + pa * (ca + d0 * y1), t2 + pa * (ca + d0 * dt)
         eb1, eb2 = t1 + gb * (nd + y1), t2 + gb * (nd + dt)
+        direct = _leg(ga, ema - rt, ea1, ea2, q1, q2, srt)
+        reflected = _leg(gb, emb - rt, eb1, eb2, q1, q2, srt)
+        if strike is None:  # the free mass, shell 0's direct term, stays
+            gone += reflected - direct if n else reflected
+            continue
         asset += _leg(1.0 + ga, ma + ema, x1 + ea1, x2 + ea2, q1, q2, srt) - _leg(
             1.0 + gb, ma + emb, x1 + eb1, x2 + eb2, q1, q2, srt)
-        cash += _leg(ga, ema - rt, ea1, ea2, q1, q2, srt) - _leg(gb, emb - rt, eb1, eb2, q1, q2, srt)
+        cash += direct - reflected
+    if strike is None:
+        return std_normal_cdf(q1) + std_normal_cdf(-q2) + gone
     return max(s0 * asset - strike * cash, 0.0)
 
 
@@ -245,31 +259,24 @@ def double_knockout_closed(
     return PriceEstimate(_knockout_call(params, strike, s0, (lower, d_l), (upper, d_u)))
 
 
-def breach_prob_closed_flat(
-    params: MarketParams, side: str, barrier: float, s0: float, T: float
-) -> float:
-    """P(flat barrier breached before T) for one side, reflection form."""
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+def _lines(barriers: BarrierSet) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
+    """Each side's curve B*exp(g*t) as its (B, g) pair, None where absent; the
+    closed forms take no tabulated curve."""
+    curves = (barriers.lower, barriers.upper)
+    if any(c is not None and c.shape is BarrierShape.TABULATED for c in curves):
+        raise DomainError("the closed form needs flat or exponential barriers")
+    return tuple(None if c is None else (c.level, c.growth) for c in curves)
+
+
+def breach_prob_closed(params: MarketParams, barriers: BarrierSet, s0: float) -> float:
+    """P(a flat or exponential barrier, one side or a corridor, is breached
+    before T): _knockout_call with no strike. An s0 on a barrier at t = 0
+    has breached it, 1 exactly; past one is a DomainError."""
     require_price_level("s0", s0)
-    require_price_level("barrier", barrier)
-    if not (0.0 <= T < math.inf):
-        raise DomainError(f"T must be nonnegative and finite, got {T}")
-    if s0 == barrier:
+    lower, upper = _lines(barriers)
+    if not barriers.any_present:
+        raise DomainError("need at least one barrier")
+    barriers.check_ordering(params.T)
+    if barriers.side_at_inception(s0, params.T, past_ok=False) is not None:
         return 1.0
-    if side == "lower" and s0 < barrier:
-        raise DomainError(f"s0={s0} below lower barrier {barrier}")
-    if side == "upper" and s0 > barrier:
-        raise DomainError(f"s0={s0} above upper barrier {barrier}")
-    if T == 0.0:
-        return 0.0
-    sig_rt = params.sigma * math.sqrt(T)
-    m1 = params.mu - 0.5 * params.sigma**2
-    log_ratio = math.log(barrier / s0) if side == "lower" else math.log(s0 / barrier)
-    drift = m1 * T if side == "lower" else -m1 * T
-    a, b = (log_ratio - drift) / sig_rt, (log_ratio + drift) / sig_rt
-    # the reflected term is w * Phi(b), w = (B/s0)^(2*m1/sigma^2) on both
-    # sides: a leg of slope 0 over (-inf, b], where w * phi(b) = phi(a)
-    w = 2.0 * m1 * math.log(barrier / s0) / params.sigma**2
-    p = std_normal_cdf(a) + _leg(0.0, w, -math.inf, -0.5 * a * a, -math.inf, b, 1.0)
-    return min(max(p, 0.0), 1.0)
+    return min(max(_knockout_call(params, None, s0, lower, upper), 0.0), 1.0)

@@ -311,3 +311,46 @@ CORRIDOR_TERM_COUNT = {
 # pairs; the same quadrature gives |price| < 1e-40 at M = 150 and at
 # M = 200, so the price is 0 to double precision.
 PINCHED_CORRIDOR = (-2.239, 0.854, 0.894, 73.17, 84.77, 173.49, 0.492, -0.307)
+
+# Breach probabilities of one exponential barrier B e^(g t) per side
+# (s0 = 100, sigma = 0.3, mu = r = 0.1, T = 0.5), keyed by (side, B, g). A
+# barrier that is a line in log-price is a flat one under the drift
+# mu - g, so each is BREACH_UNDER_STEEP_DRIFT's reflection form with
+# m1 = r - g - sigma^2/2, at 40 digits:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 40
+#     side, B, g = "lower", 80.0, 0.3  # each row
+#     B, g, s0, sig, r, T = (mp.mpf(v) for v in (B, g, 100.0, 0.3, 0.1, 0.5))
+#     m1, srt = r - g - sig**2 / 2, sig * mp.sqrt(T)
+#     lr = mp.log(B / s0) if side == "lower" else mp.log(s0 / B)
+#     d = m1 * T if side == "lower" else -m1 * T
+#     p = mp.ncdf((lr - d) / srt) + mp.exp(2 * m1 * mp.log(B / s0) / sig**2) * mp.ncdf((lr + d) / srt)
+BREACH_EXPONENTIAL = {
+    ("lower", 80.0, 0.3): 0.4915373897291441406016,
+    ("upper", 125.0, -0.2): 0.5001676614228225067526,
+}
+
+# The breach probabilities of the two CORRIDOR_TERM_COUNT corridors: the
+# same 60-digit quadrature with M = 200 and payoff 1 over [L_T, U_T],
+#
+#     breach = 1 - mp.quad(lambda x: dens(x) * surv(x), mp.linspace(lt, ut, 9))
+#
+# (M = 20 gives the same 22 digits). Keyed by (r, sigma, T, L, U, g_l, g_u).
+CORRIDOR_BREACH = {
+    (0.2785870400087931, 0.1836386039183736, 1.0477266249507677,
+     63.292722034972314, 103.14005878889772, -0.17463970844353058, 0.10039814993616453):
+        0.9619606738662553548457,
+    (0.3302575731294053, 0.611878516706827, 0.17945805710093382,
+     48.20850204316089, 111.99311832130128, 0.1930816531688787, 0.025575648692778175):
+        0.6905355018739277429547,
+}
+
+# A far flat corridor, 50 and 200 around s0 = 100 at sigma = 0.05,
+# mu = r = 0 and T = 0.25: each barrier sits 27.7 sd away, and one minus
+# the survival mass is 0 in double precision. A path that touches both
+# barriers travels ln 2 + ln 4, 83 sd (a chance below e^-3000), so
+# the breach is the sum of the two one-sided reflection forms (as in
+# BREACH_UNDER_STEEP_DRIFT) at 40 digits; the quadrature above at 250
+# digits, with extra nodes 1e-5 to 0.1 from each end, agrees to 25 digits.
+BREACH_FAR_CORRIDOR = 7.220872703369369419044663e-169

@@ -48,7 +48,7 @@ from barrierkit.model import (
 from barrierkit.numerics import std_normal_cdf
 from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
 from barrierkit.pricing.closed import (
-    breach_prob_closed_flat,
+    breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
@@ -294,7 +294,7 @@ def test_a7_first_passage_triangle():
         curve = BarrierCurve.flat(level)
         barriers = (BarrierSet(lower=curve) if side == "lower"
                     else BarrierSet(upper=curve))
-        exact = breach_prob_closed_flat(params, side, level, s0, T)
+        exact = breach_prob_closed(params, barriers, s0)
         errors = []
         for n in (100, 200, 400):
             grid = default_grid(params, barriers, s0, T, n_space=n, n_time=n)

@@ -13,8 +13,8 @@ import pytest
 import barrierkit
 from barrierkit.cli import _PRECISION_NOTE, emit_csv, run
 from barrierkit.critical import s_mu_flat
-from barrierkit.model import MarketParams, ValidationError
-from barrierkit.pricing.closed import breach_prob_closed_flat, down_and_out_call_closed
+from barrierkit.model import BarrierCurve, BarrierSet, MarketParams, ValidationError
+from barrierkit.pricing.closed import breach_prob_closed, down_and_out_call_closed
 from oracles import KNOCKOUT_UNDER_STEEP_DRIFT
 
 MKT = ["--sigma", "0.30", "--r", "0.10", "--T", "0.25"]
@@ -216,8 +216,8 @@ def test_price_closed_under_steep_drift(capsys, argv, want):
 
 
 def test_breach_closed_double_has_no_total(capsys):
-    # one-sided closed forms cannot give P(either) for a corridor, so the
-    # summary row is omitted when both sides are present
+    # the closed form gives P(either) for a corridor, not the chance of
+    # each side first, so a corridor prints the total alone, as the PDE does
     code, out, _ = _call(
         capsys, "breach", "--s0", "100", "--lower", "70", "--upper", "130",
         "--csv", *MKT,
@@ -225,7 +225,28 @@ def test_breach_closed_double_has_no_total(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "quantity,value,std_error"
-    assert [row.split(",")[0] for row in lines[1:]] == ["p_lower", "p_upper"]
+    assert [row.split(",")[0] for row in lines[1:]] == ["p_total"]
+    assert lines[1] == "p_total,0.1079127262,0"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["--lower", "70", "--lower-growth", "0.1"], "p_lower = 0.0207681316\np_total = 0.0207681316\n"),
+    (["--lower", "70", "--lower-growth", "0.4", "--upper", "130", "--upper-growth", "-0.3"],
+     "p_total = 0.259739893\n"),
+], ids=["exponential", "exponential-corridor"])
+def test_breach_closed_exponential_sets(capsys, argv, want):
+    # the corridor is the unequal-growth one of test_passage.py::TestMc
+    assert _call(capsys, "breach", "--s0", "100", *argv, *MKT) == (0, want, "")
+
+
+def test_breach_closed_refuses_a_tabulated_barrier_as_price_does(capsys, tmp_path):
+    knots = tmp_path / "lower.csv"
+    knots.write_text("0,70\n1,80\n", encoding="utf-8")
+    argv = ["--s0", "100", "--lower-file", str(knots), *MKT]
+    code, out, err = _call(capsys, "breach", *argv)
+    assert (code, out) == (2, "")
+    assert (code, out, err) == _call(capsys, "price", "--strike", "100", *argv)
+    assert err == "error: the closed form needs flat or exponential barriers\n"
 
 
 def test_price_mc_refuses_a_corridor_too_narrow_for_its_steps():
@@ -271,7 +292,7 @@ def test_breach_pde_matches_closed(capsys):
     assert out.startswith("p_total = ")
     p = float(out.split("=")[1])
     params = MarketParams(mu=0.10, sigma=0.30, r=0.10, T=0.25)
-    exact = breach_prob_closed_flat(params, "lower", 70.0, 100.0, 0.25)
+    exact = breach_prob_closed(params, BarrierSet(lower=BarrierCurve.flat(70.0)), 100.0)
     assert p == pytest.approx(exact, abs=5e-4)
 
 
@@ -677,7 +698,7 @@ def test_sweep_next_to_a_barrier_at_1e_300(capsys):
     "argv, want",
     [
         (["breach", "--s0", "100", "--lower", "70", "--upper", "130", *_mkt(r="1e308")],
-         "p_lower = 0\np_upper = 1\n"),
+         "p_total = 1\n"),
         (["breach", "--s0", "100", "--upper", "1e300", *MKT], "p_upper = 0\np_total = 0\n"),
     ],
 )

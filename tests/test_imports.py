@@ -18,6 +18,8 @@ CLOSED_COMMANDS = [
     ["critical", "--lower", "70", "--upper", "130", *MKT, "--pi", "1e-6"],
     ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--upper", "130", *MKT],
     ["breach", "--s0", "100", "--lower", "70", *MKT],
+    ["breach", "--s0", "100", "--lower", "70", "--lower-growth", "0.4", "--upper", "130",
+     "--upper-growth", "-0.3", *MKT],
     ["calibrate", "--lower", "70", "--strike", "100", *MKT, "--theta", "1e-6"],
     ["table1", "--csv"],
     ["sweep", "--strike", "100", "--lower", "70", *MKT, "--nu", "4.9", "--csv"],
@@ -35,7 +37,7 @@ from barrierkit.cli import run
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
-    report["commands"][argv[0]] = [code, heavy()]
+    report["commands"][" ".join(argv)] = [code, heavy()]
 missing = [name for name in barrierkit.__all__ if getattr(barrierkit, name, None) is None]
 import barrierkit.pricing.mc
 report["missing"] = missing
@@ -54,7 +56,7 @@ def test_closed_commands_import_neither_numpy_nor_scipy():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["import"] == []
-    assert report["commands"] == {argv[0]: [0, []] for argv in CLOSED_COMMANDS}
+    assert report["commands"] == {" ".join(argv): [0, []] for argv in CLOSED_COMMANDS}
     # the lazy names still resolve, to the objects their modules define
     assert report["missing"] == []
     assert report["lazy_is_original"] is True
@@ -71,7 +73,7 @@ def test_monte_carlo_price_loads_no_scipy():
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    code, heavy = json.loads(proc.stdout)["commands"]["price"]
+    code, heavy = json.loads(proc.stdout)["commands"][" ".join(argv)]
     assert code == 0
     assert "numpy" in heavy
     assert not [m for m in heavy if m.partition(".")[0] == "scipy"]

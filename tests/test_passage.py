@@ -1,11 +1,14 @@
 """First-breach probabilities: reflection form, bridged MC, and the PDE."""
 
 import math
+import random
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
 
-from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError
+from barrierkit.model import (BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams,
+                              NumericsError)
 from barrierkit.passage import (
     BreachEstimate,
     PdeGrid,
@@ -14,11 +17,12 @@ from barrierkit.passage import (
     breach_prob_pde,
     default_grid,
 )
-from barrierkit.pricing.closed import _leg, breach_prob_closed_flat, double_knockout_closed
+from barrierkit.pricing.closed import _leg, breach_prob_closed, double_knockout_closed
 from barrierkit.critical import s_ml_flat
 from barrierkit.numerics import std_normal_cdf
 from barrierkit.pricing.mc import McConfig
-from oracles import BREACH_UNDER_STEEP_DRIFT, KNOCKOUT_OVER_TAIL_AT_S_ML
+from oracles import (BREACH_EXPONENTIAL, BREACH_FAR_CORRIDOR, BREACH_UNDER_STEEP_DRIFT,
+                     CORRIDOR_BREACH, KNOCKOUT_OVER_TAIL_AT_S_ML)
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -28,11 +32,15 @@ def mk_params(sigma=0.30, T=0.25, r=0.10):
 DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
 
 
+def _flat(p, side, level, s0=100.0):
+    """The closed breach probability of one flat barrier."""
+    return breach_prob_closed(p, BarrierSet(**{side: BarrierCurve.flat(level)}), s0)
+
+
 def _breach_exponential(p, side, level, g, s0=100.0):
     """Exact P(breach of level*exp(g*t) before T): a line in log space, so
-    the flat reflection form under the drift mu - g."""
-    shifted = MarketParams(mu=p.mu - g, sigma=p.sigma, r=p.r, T=p.T)
-    return breach_prob_closed_flat(shifted, side, level, s0, p.T)
+    the flat barrier's breach under the drift mu - g."""
+    return _flat(replace(p, mu=p.mu - g), side, level, s0)
 
 
 def _survival_mass(p, lower, g_l, upper, g_u, s0=100.0):
@@ -50,10 +58,10 @@ class TestClosedFlat:
     def test_reference_values(self):
         # frozen from a 40-digit evaluation of the reflection formula
         p = mk_params()
-        assert breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25) == pytest.approx(
+        assert _flat(p, "lower", 70.0) == pytest.approx(
             0.0139574222952663369, rel=1e-13
         )
-        assert breach_prob_closed_flat(p, "upper", 130.0, 100.0, 0.25) == pytest.approx(
+        assert _flat(p, "upper", 130.0) == pytest.approx(
             0.0939553073710373159, rel=1e-13
         )
 
@@ -61,7 +69,7 @@ class TestClosedFlat:
         # started on the degeneracy threshold the breach chance is around
         # one in a million, not zero: degenerate pricing is approximate
         p = mk_params(sigma=0.15)
-        prob = breach_prob_closed_flat(p, "lower", 70.0, 98.870186482869048, 0.25)
+        prob = _flat(p, "lower", 70.0, 98.870186482869048)
         assert prob == pytest.approx(1.0187340708570643e-6, rel=1e-12)
         assert prob > 0.0
 
@@ -71,7 +79,7 @@ class TestClosedFlat:
         # chance of touching the barrier first (README, "Known deviations")
         p = mk_params(sigma=sigma, T=T)
         s_ml = s_ml_flat(p, 70.0, nu)[0]
-        ratio = breach_prob_closed_flat(p, "lower", 70.0, s_ml, T) / std_normal_cdf(-nu)
+        ratio = _flat(p, "lower", 70.0, s_ml) / std_normal_cdf(-nu)
         assert ratio == pytest.approx(KNOCKOUT_OVER_TAIL_AT_S_ML[(T, sigma, nu)], rel=1e-13)
         assert 2.03 < ratio < 2.39
 
@@ -80,7 +88,7 @@ class TestClosedFlat:
         # the reflection weight (B/s0)^(2*mu1/sigma^2) passes e^700, the
         # breach probability does not
         p = MarketParams(mu=r, sigma=0.05, r=r, T=1.0)
-        got = breach_prob_closed_flat(p, side, barrier, 100.0, 1.0)
+        got = _flat(p, side, barrier)
         assert got == pytest.approx(BREACH_UNDER_STEEP_DRIFT[(side, barrier, r)], rel=1e-14)
 
     @pytest.mark.parametrize("log_w", [650.0, 699.9, 700.1, 750.0, 5000.0])
@@ -98,15 +106,15 @@ class TestClosedFlat:
 
     def test_edges(self):
         p = mk_params()
-        assert breach_prob_closed_flat(p, "lower", 70.0, 70.0, 0.25) == 1.0
-        assert breach_prob_closed_flat(p, "upper", 130.0, 130.0, 0.25) == 1.0
-        assert breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.0) == 0.0
+        assert _flat(p, "lower", 70.0, 70.0) == 1.0
+        assert _flat(p, "upper", 130.0, 130.0) == 1.0
+        assert breach_prob_closed(p, DKO, 70.0) == breach_prob_closed(p, DKO, 130.0) == 1.0
 
     def test_monotone_in_horizon_and_distance(self):
         p = mk_params()
-        probs = [breach_prob_closed_flat(p, "lower", 70.0, 100.0, t) for t in (0.1, 0.2, 0.25)]
+        probs = [_flat(replace(p, T=t), "lower", 70.0) for t in (0.1, 0.2, 0.25)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
-        probs = [breach_prob_closed_flat(p, "lower", b, 100.0, 0.25) for b in (60.0, 70.0, 80.0)]
+        probs = [_flat(p, "lower", b) for b in (60.0, 70.0, 80.0)]
         assert all(b > a for a, b in zip(probs, probs[1:]))
 
     def test_bounded_below_by_terminal_probability(self):
@@ -117,22 +125,88 @@ class TestClosedFlat:
         p = mk_params()
         lo = BarrierCurve.flat(70.0)
         terminal_below = 1.0 - prob_above_lower(p, lo, 100.0, 0.25)
-        assert breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25) >= terminal_below
+        assert _flat(p, "lower", 70.0) >= terminal_below
 
     def test_domain(self):
         p = mk_params()
         with pytest.raises(DomainError):
-            breach_prob_closed_flat(p, "sideways", 70.0, 100.0, 0.25)
+            breach_prob_closed(p, BarrierSet(), 100.0)
         with pytest.raises(DomainError):
-            breach_prob_closed_flat(p, "lower", 70.0, 60.0, 0.25)  # wrong side
+            _flat(p, "lower", 70.0, 60.0)  # past the barrier
         with pytest.raises(DomainError):
-            breach_prob_closed_flat(p, "upper", 130.0, 140.0, 0.25)
+            _flat(p, "upper", 130.0, 140.0)
         with pytest.raises(DomainError):
-            breach_prob_closed_flat(p, "lower", -70.0, 100.0, 0.25)
+            _flat(p, "lower", -70.0)
+        with pytest.raises(DomainError, match="flat or exponential"):
+            breach_prob_closed(p, BarrierSet(lower=BarrierCurve.tabulated([(0, 70), (1, 80)])), 100.0)
+        with pytest.raises(BarrierOrderError):  # 70*e^(4*T) passes 130 before T
+            breach_prob_closed(p, BarrierSet(lower=BarrierCurve.exponential(70.0, 4.0),
+                                             upper=BarrierCurve.flat(130.0)), 100.0)
         for T in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
-                breach_prob_closed_flat(p, "lower", 70.0, 100.0, T)
+                _flat(replace(p, T=T), "lower", 70.0)
 
+
+class TestClosedSets:
+    """breach_prob_closed on exponential barriers and corridors."""
+
+    @pytest.mark.parametrize("side, level, g", sorted(BREACH_EXPONENTIAL))
+    def test_exponential_barrier_against_oracle(self, side, level, g):
+        p = MarketParams(mu=0.1, sigma=0.3, r=0.1, T=0.5)
+        got = breach_prob_closed(p, BarrierSet(**{side: BarrierCurve.exponential(level, g)}), 100.0)
+        assert got == pytest.approx(BREACH_EXPONENTIAL[(side, level, g)], rel=1e-13)
+
+    @pytest.mark.parametrize("row", sorted(CORRIDOR_BREACH))
+    def test_corridor_against_oracle(self, row):
+        r, sigma, T, lower, upper, g_l, g_u = row
+        p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+        bs = BarrierSet(lower=BarrierCurve.exponential(lower, g_l),
+                        upper=BarrierCurve.exponential(upper, g_u))
+        assert breach_prob_closed(p, bs, 100.0) == pytest.approx(CORRIDOR_BREACH[row], rel=1e-14)
+
+    def test_far_corridor_keeps_its_digits(self):
+        # one minus the survival mass is 0 here; the knocked-out mass,
+        # summed as it stands, is 7.2e-169
+        p = MarketParams(mu=0.0, sigma=0.05, r=0.0, T=0.25)
+        bs = BarrierSet(lower=BarrierCurve.flat(50.0), upper=BarrierCurve.flat(200.0))
+        assert 1.0 - _survival_mass(p, 50.0, 0.0, 200.0, 0.0) == 0.0
+        assert breach_prob_closed(p, bs, 100.0) == pytest.approx(BREACH_FAR_CORRIDOR, rel=1e-12, abs=0.0)
+
+    def test_agrees_with_the_identity_references(self):
+        # a single exponential barrier against the flat one under the
+        # drift mu - g, a corridor against one minus the two-strike survival
+        rng = random.Random(18)
+        for i in range(300):
+            r = rng.uniform(-1.0, 1.0)
+            p = MarketParams(mu=r, sigma=rng.uniform(0.05, 1.0), r=r, T=rng.uniform(0.05, 2.0))
+            lower, upper = rng.uniform(50.0, 95.0), rng.uniform(105.0, 200.0)
+            g_l, g_u = rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
+            for side, level, g in (("lower", lower, g_l), ("upper", upper, g_u)):
+                got = breach_prob_closed(p, BarrierSet(**{side: BarrierCurve.exponential(level, g)}), 100.0)
+                assert got == pytest.approx(_breach_exponential(p, side, level, g), abs=5e-14), i
+            if lower * math.exp(g_l * p.T) < upper * math.exp(g_u * p.T):
+                bs = BarrierSet(lower=BarrierCurve.exponential(lower, g_l),
+                                upper=BarrierCurve.exponential(upper, g_u))
+                exact = 1.0 - _survival_mass(p, lower, g_l, upper, g_u)
+                assert breach_prob_closed(p, bs, 100.0) == pytest.approx(exact, abs=5e-14), i
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_single_barrier_against_mpmath(self, side):
+        # 400 random flat or exponential barriers per side, each against
+        # the reflection form under the drift mu - g at 40 digits
+        rng = random.Random(0 if side == "lower" else 1)
+        for i in range(400):
+            r, sigma, T = rng.uniform(-1.0, 1.0), rng.uniform(0.05, 1.0), rng.uniform(0.05, 2.0)
+            g = rng.choice([0.0, rng.uniform(-0.5, 0.5)])
+            level = 100.0 * math.exp(rng.uniform(0.01, 1.5) * (-1.0 if side == "lower" else 1.0))
+            with mp.workdps(40):
+                s2, h = mp.mpf(sigma)**2, mp.log(mp.mpf(level) / 100)
+                m1, srt = r - g - s2 / 2, sigma * mp.sqrt(T)
+                lr, d = (h, m1 * T) if side == "lower" else (-h, -m1 * T)
+                want = mp.ncdf((lr - d) / srt) + mp.exp(2 * m1 * h / s2) * mp.ncdf((lr + d) / srt)
+            p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+            got = breach_prob_closed(p, BarrierSet(**{side: BarrierCurve.exponential(level, g)}), 100.0)
+            assert abs(got - want) <= 5e-13 * want + 1e-300, (i, got, want)
 
 class TestMc:
     def test_double_barrier_sides_against_closed(self):
@@ -140,8 +214,8 @@ class TestMc:
         # totals still agree closely because double-counting is rare here
         p = mk_params()
         est = breach_prob_mc(p, DKO, 100.0, McConfig(paths=100_000, steps_per_year=200, seed=19))
-        lo = breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25)
-        up = breach_prob_closed_flat(p, "upper", 130.0, 100.0, 0.25)
+        lo = _flat(p, "lower", 70.0)
+        up = _flat(p, "upper", 130.0)
         assert est.p_lower <= lo + 3.0 * est.se_lower
         assert est.p_upper <= up + 3.0 * est.se_upper
         assert abs(est.p_lower - lo) <= 4.0 * est.se_lower + 1e-4
@@ -151,10 +225,18 @@ class TestMc:
         p = mk_params()
         bs = BarrierSet(lower=BarrierCurve.flat(85.0))
         est = breach_prob_mc(p, bs, 100.0, McConfig(paths=100_000, steps_per_year=200, seed=29))
-        ref = breach_prob_closed_flat(p, "lower", 85.0, 100.0, 0.25)
+        ref = _flat(p, "lower", 85.0)
         assert abs(est.p_lower - ref) <= 3.0 * est.se_lower
         assert est.p_upper == 0.0
         assert est.se_upper == 0.0
+
+    def test_unequal_growth_corridor_matches_closed(self):
+        p = mk_params()
+        bs = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.4),
+                        upper=BarrierCurve.exponential(130.0, -0.3))
+        est = breach_prob_mc(p, bs, 100.0, McConfig(paths=100_000, steps_per_year=200, seed=31))
+        exact = breach_prob_closed(p, bs, 100.0)
+        assert abs(est.p_total - exact) <= 3.0 * math.hypot(est.se_lower, est.se_upper)
 
     def test_exclusive_events(self):
         p = mk_params()
@@ -193,7 +275,7 @@ class TestPde:
         bs = BarrierSet(lower=BarrierCurve.flat(70.0))
         grid = default_grid(p, bs, 100.0, 0.25)
         got = breach_prob_pde(p, bs, 100.0, 0.25, grid)
-        ref = breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25)
+        ref = _flat(p, "lower", 70.0)
         assert got == pytest.approx(ref, abs=2e-4)
 
     def test_single_upper_matches_closed(self):
@@ -201,21 +283,21 @@ class TestPde:
         bs = BarrierSet(upper=BarrierCurve.flat(130.0))
         grid = default_grid(p, bs, 100.0, 0.25)
         got = breach_prob_pde(p, bs, 100.0, 0.25, grid)
-        ref = breach_prob_closed_flat(p, "upper", 130.0, 100.0, 0.25)
+        ref = _flat(p, "upper", 130.0)
         assert got == pytest.approx(ref, abs=2e-4)
 
     def test_double_between_bounds(self):
         p = mk_params()
         grid = default_grid(p, DKO, 100.0, 0.25)
         got = breach_prob_pde(p, DKO, 100.0, 0.25, grid)
-        lo = breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25)
-        up = breach_prob_closed_flat(p, "upper", 130.0, 100.0, 0.25)
+        lo = _flat(p, "lower", 70.0)
+        up = _flat(p, "upper", 130.0)
         assert max(lo, up) - 2e-4 <= got <= lo + up + 2e-4
 
     def test_refinement_improves_single_barrier(self):
         p = mk_params()
         bs = BarrierSet(lower=BarrierCurve.flat(70.0))
-        ref = breach_prob_closed_flat(p, "lower", 70.0, 100.0, 0.25)
+        ref = _flat(p, "lower", 70.0)
         errs = []
         for n in (100, 200, 400):
             grid = default_grid(p, bs, 100.0, 0.25, n_space=n, n_time=n)
@@ -315,7 +397,7 @@ class TestPde:
         for mu in (2.0, -2.0):
             q = MarketParams(mu=mu, sigma=0.1, r=0.1, T=0.25)
             got = breach_prob_pde(q, near, 100.0, 0.25, default_grid(q, near, 100.0, 0.25))
-            exact = breach_prob_closed_flat(q, "lower", 70.0, 100.0, 0.25)
+            exact = _flat(q, "lower", 70.0)
             assert got == pytest.approx(exact, abs=2e-4) and (got == 0.0) == (mu > 0), (mu, got)
 
     def test_drift_rule_leaves_out_only_a_negligible_answer(self):

@@ -20,9 +20,10 @@ from barrierkit.model import (
     Payoff,
     PricingMethod,
 )
+from barrierkit.calibrate import numeric_critical_price
 from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
 from barrierkit.pricing.closed import (
-    breach_prob_closed_flat,
+    breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
@@ -379,7 +380,8 @@ class TestSteepDrift:
 
 DKO = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
 # every entry point that takes a price level (s0, strike or a flat
-# barrier), with that level as `x`
+# barrier), with that level as `x`; and the PDE's own horizon, which no
+# MarketParams guards
 PRICE_LEVEL_ENTRIES = {
     "bs_vanilla-s0": lambda p, x: bs_vanilla(p, Payoff.CALL, 100.0, x),
     "bs_vanilla-strike": lambda p, x: bs_vanilla(p, Payoff.CALL, x, 100.0),
@@ -392,10 +394,15 @@ PRICE_LEVEL_ENTRIES = {
     "double_knockout-s0": lambda p, x: double_knockout_closed(p, 100.0, 70.0, 130.0, x),
     "double_knockout-strike": lambda p, x: double_knockout_closed(p, x, 70.0, 130.0, 100.0),
     "double_knockout-upper": lambda p, x: double_knockout_closed(p, 100.0, 70.0, x, 100.0),
-    "breach_closed-s0": lambda p, x: breach_prob_closed_flat(p, "lower", 70.0, x, p.T),
-    "breach_closed-barrier": lambda p, x: breach_prob_closed_flat(p, "lower", x, 100.0, p.T),
+    "breach_closed-s0": lambda p, x: breach_prob_closed(p, BarrierSet(lower=BarrierCurve.flat(70.0)), x),
+    "breach_closed-barrier": lambda p, x: breach_prob_closed(p, BarrierSet(lower=BarrierCurve.flat(x)), 100.0),
+    "barrier_curve-level": lambda p, x: BarrierCurve.exponential(x, 0.1),
+    "option_spec-strike": lambda p, x: OptionSpec(payoff=Payoff.CALL, strike=x),
+    "numeric_critical-barrier": lambda p, x: numeric_critical_price(
+        p, 100.0, x, "lower", 1e-6, down_and_out_call_closed),
     "breach_mc-s0": lambda p, x: breach_prob_mc(p, DKO, x, McConfig(paths=10)),
     "breach_pde-s0": lambda p, x: breach_prob_pde(p, DKO, x, p.T, default_grid(p, DKO, 100.0, p.T)),
+    "breach_pde-T": lambda p, x: breach_prob_pde(p, DKO, 100.0, x, default_grid(p, DKO, 100.0, p.T)),
     "mc_price-s0": lambda p, x: mc_price(
         p, OptionSpec(payoff=Payoff.CALL, strike=100.0, barriers=DKO), x, McConfig(paths=10)
     ),
@@ -406,6 +413,7 @@ PRICE_LEVEL_ENTRIES = {
 @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf, 0.0, -5.0])
 def test_non_finite_or_non_positive_price_level_rejected(entry, level):
     # a NaN slips past every `x <= 0` guard, so each entry point must
-    # raise rather than return nan (or a silent 0.0)
-    with pytest.raises(DomainError, match="positive and finite"):
+    # raise rather than return nan (or a silent 0.0), naming the level
+    name = entry.rsplit("-", 1)[1]
+    with pytest.raises(DomainError, match=rf"^(barrier )?{name}( level)? must be positive and finite"):
         PRICE_LEVEL_ENTRIES[entry](mk_params(), level)
