@@ -33,6 +33,7 @@ from .model import (
     DomainError,
     KnotOrderError,
     MarketParams,
+    McConfig,
     NumericsError,
     OptionSpec,
     Payoff,
@@ -58,7 +59,6 @@ _LAZY = {
     "breach_prob_mc": "passage",
     "breach_prob_pde": "passage",
     "default_grid": "passage",
-    "McConfig": "pricing.mc",
     "mc_price": "pricing.mc",
 }
 

@@ -24,6 +24,7 @@ from .model import (
     BarrierSet,
     CriticalPrices,
     MarketParams,
+    McConfig,
     NumericsError,
     OptionSpec,
     Payoff,
@@ -170,9 +171,9 @@ def _add_accuracy(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths")
-    p.add_argument("--steps", type=int, default=365, help="monitoring steps per year")
-    p.add_argument("--seed", type=int, default=0, help="random seed (64-bit)")
+    p.add_argument("--paths", type=int, default=McConfig.paths, help="Monte Carlo paths")
+    p.add_argument("--steps", type=int, default=McConfig.steps_per_year, help="monitoring steps per year")
+    p.add_argument("--seed", type=int, default=McConfig.seed, help="random seed (64-bit)")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -270,9 +271,7 @@ def _curve_from_args(args, side: str) -> BarrierCurve | None:
         if growth is not None:
             raise ValidationError(f"--{side}-growth needs --{side}")
         return None
-    if growth is not None and growth != 0.0:
-        return BarrierCurve.exponential(level, growth)
-    return BarrierCurve.flat(level)
+    return BarrierCurve.exponential(level, growth or 0.0)
 
 
 def _barriers_from_args(args, T: float) -> BarrierSet:
@@ -285,6 +284,10 @@ def _barriers_from_args(args, T: float) -> BarrierSet:
 
 def _params_from_args(args) -> MarketParams:
     return MarketParams(mu=args.r, sigma=args.sigma, r=args.r, T=args.T)
+
+
+def _mc_from_args(args) -> McConfig:
+    return McConfig(paths=args.paths, steps_per_year=args.steps, seed=args.seed)
 
 
 def _nu_from_args(args) -> float:
@@ -397,10 +400,10 @@ def _cmd_price(args) -> _Report:
     if args.method == "closed":
         est = _closed_price(params, args.strike, barriers, args.s0)
     else:
-        from .pricing.mc import McConfig, mc_price
+        cfg = _mc_from_args(args)
+        from .pricing.mc import mc_price
 
         spec = OptionSpec(payoff=Payoff.CALL, strike=args.strike, barriers=barriers)
-        cfg = McConfig(paths=args.paths, steps_per_year=args.steps, seed=args.seed)
         est = mc_price(params, spec, args.s0, cfg)
     tail = f" +- {_fmt(est.std_error)} (1 se)" if est.std_error else ""
     return _Report(
@@ -422,14 +425,13 @@ def _cmd_breach(args) -> _Report:
             rows.append(("p_lower" if barriers.lower else "p_upper", p, 0.0))
         rows.append(("p_total", p, 0.0))
     elif args.method == "mc":
+        cfg = _mc_from_args(args)
         from .passage import breach_prob_mc
-        from .pricing.mc import McConfig
 
-        cfg = McConfig(paths=args.paths, steps_per_year=args.steps, seed=args.seed)
         est = breach_prob_mc(params, barriers, args.s0, cfg)
         rows.append(("p_lower", est.p_lower, est.se_lower))
         rows.append(("p_upper", est.p_upper, est.se_upper))
-        rows.append(("p_total", est.p_total, math.hypot(est.se_lower, est.se_upper)))
+        rows.append(("p_total", est.p_total, est.se_total))
     else:
         from .passage import breach_prob_pde, default_grid
 

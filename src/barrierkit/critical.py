@@ -61,7 +61,7 @@ def prob_below_upper(
 
 
 def _times_barrier(curve: BarrierCurve, x: float, t: float, T: float) -> float:
-    """B(t) * exp(x); an exponential barrier folds its growth into the exponent.
+    """B(t) * exp(x); a line (flat or exponential) folds its growth into the exponent.
 
     L*exp(g*t + x) stays finite wherever the product is, even when
     exp(g*t) alone overflows. A t outside [0, T] goes to value_at, which
@@ -93,8 +93,8 @@ def upper_critical_curve(
 def _log_slope(curve: BarrierCurve, a: float, b: float, T: float) -> float:
     """Slope of log B over [a, b], two consecutive breakpoints of the curve.
 
-    Exact for a flat barrier (the difference is 0); an exponential one
-    returns its own growth, which the difference quotient would round.
+    A line returns its own growth (0 when flat), which the difference
+    quotient would round; a table's segment takes that quotient.
     """
     if curve.shape is BarrierShape.EXPONENTIAL:
         return curve.growth

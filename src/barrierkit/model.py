@@ -44,6 +44,12 @@ class NumericsError(RuntimeError):
     """
 
 
+def require_growth(growth: float) -> None:
+    """Reject a barrier growth rate that is NaN or infinite."""
+    if not math.isfinite(growth):
+        raise DomainError("barrier growth must be finite")
+
+
 def require_price_level(name: str, value: float) -> None:
     """Reject a price level (s0, strike, barrier) that is not positive and finite.
 
@@ -80,8 +86,24 @@ class MarketParams:
                 raise DomainError(f"{name} must be finite")
 
 
+@dataclass(frozen=True)
+class McConfig:
+    """Paths, steps and seed: all that a Monte Carlo result depends on."""
+
+    paths: int = 100_000
+    steps_per_year: int = 365
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.paths < 1:
+            raise DomainError(f"paths must be >= 1, got {self.paths}")
+        if self.steps_per_year < 1:
+            raise DomainError(f"steps_per_year must be >= 1, got {self.steps_per_year}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
+
+
 class BarrierShape(enum.Enum):
-    FLAT = "flat"
     EXPONENTIAL = "exponential"
     TABULATED = "tabulated"
 
@@ -90,8 +112,8 @@ class BarrierShape(enum.Enum):
 class BarrierCurve:
     """One absorbing boundary level as a function of time.
 
-    Three shapes: a constant level, an exponentially growing or decaying
-    level ``B * exp(growth * t)``, and a table of knots interpolated
+    Two shapes: a line in log-level, ``B * exp(growth * t)`` (a flat
+    barrier is the line at growth 0), and a table of knots interpolated
     linearly in log-level (so positivity is automatic and exponential
     segments are represented exactly).
     """
@@ -102,10 +124,9 @@ class BarrierCurve:
     knots: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.shape in (BarrierShape.FLAT, BarrierShape.EXPONENTIAL):
+        if self.shape is BarrierShape.EXPONENTIAL:
             require_price_level("barrier level", self.level)
-            if not math.isfinite(self.growth):
-                raise DomainError("barrier growth must be finite")
+            require_growth(self.growth)
         else:
             if len(self.knots) < 2:
                 raise KnotOrderError("tabulated barrier needs at least two knots")
@@ -121,7 +142,7 @@ class BarrierCurve:
 
     @classmethod
     def flat(cls, level: float) -> "BarrierCurve":
-        return cls(shape=BarrierShape.FLAT, level=level)
+        return cls.exponential(level, 0.0)
 
     @classmethod
     def exponential(cls, level: float, growth: float) -> "BarrierCurve":
@@ -132,13 +153,17 @@ class BarrierCurve:
         return cls(shape=BarrierShape.TABULATED, knots=tuple((float(t), float(v)) for t, v in knots))
 
     def value_at(self, t: float, T: float) -> float:
-        """Level at time t; t must lie in [0, T]."""
+        """Level at time t in [0, T]; NumericsError where a line leaves double precision."""
         if t < 0.0 or t > T:
             raise DomainError(f"t={t} outside [0, {T}]")
-        if self.shape is BarrierShape.FLAT:
-            return self.level
         if self.shape is BarrierShape.EXPONENTIAL:
-            return self.level * math.exp(self.growth * t)
+            try:
+                level = self.level * math.exp(self.growth * t)
+            except OverflowError:
+                level = math.inf
+            if not 0.0 < level < math.inf:
+                raise NumericsError(f"barrier {self.level}*exp({self.growth}*{t}) leaves double precision")
+            return level
         knots = self.knots
         if t > knots[-1][0]:
             raise KnotOrderError(

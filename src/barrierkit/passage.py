@@ -17,24 +17,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .model import (BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError,
-                    require_price_level)
+from .model import (BarrierCurve, BarrierSet, DomainError, MarketParams, McConfig,
+                    NumericsError, require_price_level)
 from .numerics import std_normal_cdf
 from .pricing.closed import breach_prob_closed
 from .pricing.engine import path_moments
-from .pricing.mc import McConfig
 
 _OUT_OF_REACH = math.erfc(6.0 / math.sqrt(2.0))  # 2*Phi(-6): a breach this unlikely is left out
 
 
 @dataclass(frozen=True)
 class BreachEstimate:
-    """Per-side first-breach probabilities with standard errors."""
+    """Per-side first-breach probabilities and standard errors; se_total is
+    p_total's, taken path by path, since the two sides' masses covary."""
 
     p_lower: float
     se_lower: float
     p_upper: float
     se_upper: float
+    se_total: float
 
     @property
     def p_total(self) -> float:
@@ -55,13 +56,11 @@ def breach_prob_mc(
     side = barriers.side_at_inception(s0, params.T, past_ok=False)
     if side is not None:
         hit_l = float(side == "lower")
-        return BreachEstimate(p_lower=hit_l, se_lower=0.0, p_upper=1.0 - hit_l, se_upper=0.0)
-    res = path_moments(
-        params, barriers, s0, paths=cfg.paths, steps_per_year=cfg.steps_per_year,
-        seed=cfg.seed, integrand=lambda x_T, weight, mass_l, mass_u: (mass_l, mass_u),
-    )
-    (p_l, p_u), (se_l, se_u) = res.mean.tolist(), res.std_error.tolist()
-    return BreachEstimate(p_lower=p_l, se_lower=se_l, p_upper=p_u, se_upper=se_u)
+        return BreachEstimate(hit_l, 0.0, 1.0 - hit_l, 0.0, 0.0)
+    res = path_moments(params, barriers, s0, cfg,
+                       lambda x_T, weight, mass_l, mass_u: (mass_l, mass_u, mass_l + mass_u))
+    (p_l, p_u, _), (se_l, se_u, se_t) = res.mean.tolist(), res.std_error.tolist()
+    return BreachEstimate(p_lower=p_l, se_lower=se_l, p_upper=p_u, se_upper=se_u, se_total=se_t)
 
 
 @dataclass(frozen=True)

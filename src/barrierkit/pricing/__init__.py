@@ -1,8 +1,9 @@
 """Pricing: the closed forms here, the conditional Monte Carlo pricer in `mc`.
 
 Only the closed forms are re-exported, so importing this package loads
-no NumPy or SciPy; `McConfig` and `mc_price` come from `pricing.mc`,
-the path engine `path_moments` from `pricing.engine`.
+no NumPy or SciPy; `mc_price` comes from `pricing.mc`, the path engine
+`path_moments` from `pricing.engine`, and the run it takes, `McConfig`,
+from `model`.
 """
 
 from .closed import (

@@ -20,7 +20,7 @@ import math
 import sys
 
 from ..model import (BarrierSet, BarrierShape, DomainError, MarketParams, NumericsError,
-                     Payoff, PriceEstimate, PricingMethod, require_price_level)
+                     Payoff, PriceEstimate, PricingMethod, require_growth, require_price_level)
 from ..numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -219,6 +219,7 @@ def down_and_out_call_closed(
     require_price_level("s0", s0)
     require_price_level("strike", strike)
     require_price_level("barrier", barrier)
+    require_growth(growth)
     return PriceEstimate(_knockout_call(params, strike, s0, (barrier, growth), None))
 
 
@@ -229,6 +230,7 @@ def up_and_out_call_closed(
     require_price_level("s0", s0)
     require_price_level("strike", strike)
     require_price_level("barrier", barrier)
+    require_growth(growth)
     return PriceEstimate(_knockout_call(params, strike, s0, None, (barrier, growth)))
 
 
@@ -254,7 +256,9 @@ def double_knockout_closed(
     if not (0.0 < lower < upper):
         raise DomainError(f"need 0 < lower < upper, got ({lower}, {upper})")
     d_l, d_u = curvature if curvature is not None else (0.0, 0.0)
-    if lower * math.exp(d_l * params.T) >= upper * math.exp(d_u * params.T):
+    require_growth(d_l)
+    require_growth(d_u)
+    if math.log(lower) + d_l * params.T >= math.log(upper) + d_u * params.T:
         raise DomainError("barriers cross before expiry")
     return PriceEstimate(_knockout_call(params, strike, s0, (lower, d_l), (upper, d_u)))
 

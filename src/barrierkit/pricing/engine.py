@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..model import BarrierSet, DomainError, MarketParams
+from ..model import BarrierSet, DomainError, MarketParams, McConfig
 from .closed import _CUTOFF, series_terms
 
 _B = 4096  # paths per block; each block draws from its own stream
@@ -49,8 +49,8 @@ _BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_byt
 _CHUNK = 2**13  # mask cells per np.flatnonzero call: the indices it allocates stay at 64 KiB
 
 
-def n_steps_for(steps_per_year: int, T: float) -> int:
-    return max(1, math.ceil(steps_per_year * T - 1e-12))
+def n_steps_for(per_year: int, T: float) -> int:
+    return max(1, math.ceil(per_year * T - 1e-12))
 
 
 def _flatnonzero(mask, out):
@@ -224,13 +224,11 @@ def path_moments(
     params: MarketParams,
     barriers: BarrierSet,
     s0: float,
-    paths: int,
-    steps_per_year: int,
-    seed: int,
+    cfg: McConfig,
     integrand: Callable[..., tuple],
     workers: int | None = None,
 ) -> PathMoments:
-    """Moments of integrand(x_T, weight, mass_l, mass_u) over `paths` paths.
+    """Moments of integrand(x_T, weight, mass_l, mass_u) over cfg.paths paths.
 
     Per path: the log-price at expiry, the chance of never touching a
     barrier, and the chances of touching the lower or upper one first, all
@@ -240,8 +238,6 @@ def path_moments(
     change a bit. Assumes s0 strictly inside the barriers at t=0 (callers
     apply BarrierSet.side_at_inception first).
     """
-    if paths < 1:
-        raise DomainError(f"paths must be >= 1, got {paths}")
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
@@ -249,7 +245,7 @@ def path_moments(
         raise DomainError(f"workers must be >= 1, got {workers}")
     T, sigma = params.T, params.sigma
     barriers.check_ordering(T)  # the corridor series needs a positive width
-    n = n_steps_for(steps_per_year, T)
+    paths, seed, n = cfg.paths, cfg.seed, n_steps_for(cfg.steps_per_year, T)
     dt = T / n
     has_l, has_u = barriers.lower is not None, barriers.upper is not None
     sides = int(has_l) + int(has_u)

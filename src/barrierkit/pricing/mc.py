@@ -5,43 +5,20 @@ weights make monitoring continuous and exact for barriers that are
 log-linear between nodes, so each path pays
 disc * (weight * payoff(S_T) + rebate_l * mass_l + rebate_u * mass_u).
 Rebates are paid at expiry, so a single discount factor applies to
-every outcome.
+every outcome. The run itself (paths, steps a year, seed) is a
+`model.McConfig`, which the engine reads whole; it is importable from
+here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..model import (
-    DomainError,
-    MarketParams,
-    OptionSpec,
-    Payoff,
-    PriceEstimate,
-    PricingMethod,
-    require_price_level,
-)
+from ..model import (MarketParams, McConfig, OptionSpec, Payoff, PriceEstimate, PricingMethod,
+                     require_price_level)
 from .engine import path_moments
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Paths, steps and seed: all that a Monte Carlo result depends on."""
-
-    paths: int = 100_000
-    steps_per_year: int = 365
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.paths < 1:
-            raise DomainError(f"paths must be >= 1, got {self.paths}")
-        if self.steps_per_year < 1:
-            raise DomainError(f"steps_per_year must be >= 1, got {self.steps_per_year}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
 
 
 def mc_price(
@@ -52,9 +29,8 @@ def mc_price(
     workers: int | None = None,
 ) -> PriceEstimate:
     """Price spec by Monte Carlo, monitored continuously through the
-    engine's bridge weights; deterministic in (seed, paths,
-    steps_per_year), whatever the worker count. workers=None runs on
-    every CPU this process may use.
+    engine's bridge weights; deterministic in cfg, whatever the worker
+    count. workers=None runs on every CPU this process may use.
     """
     require_price_level("s0", s0)
     disc = math.exp(-params.r * params.T)
@@ -69,10 +45,6 @@ def mc_price(
         payoff = np.maximum(sign * (np.exp(x_T) - spec.strike), 0.0)
         return (disc * (weight * payoff + spec.rebate_lower * mass_l + spec.rebate_upper * mass_u),)
 
-    res = path_moments(
-        params, spec.barriers, s0,
-        paths=cfg.paths, steps_per_year=cfg.steps_per_year,
-        seed=cfg.seed, integrand=discounted_payoff, workers=workers,
-    )
+    res = path_moments(params, spec.barriers, s0, cfg, discounted_payoff, workers)
     return PriceEstimate(value=float(res.mean[0]), std_error=float(res.std_error[0]),
                          method=PricingMethod.MONTE_CARLO)

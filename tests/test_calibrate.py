@@ -22,8 +22,8 @@ from barrierkit.calibrate import (
     reproduce_table1,
 )
 from barrierkit.critical import s_ml_flat, s_mu_flat
-from barrierkit.model import DomainError, MarketParams, NumericsError
-from barrierkit.pricing.closed import down_and_out_call_closed, up_and_out_call_closed
+from barrierkit.model import DomainError, MarketParams, NumericsError, Payoff, PriceEstimate
+from barrierkit.pricing.closed import bs_vanilla, down_and_out_call_closed, up_and_out_call_closed
 from oracles import FLOOR_CROSSINGS, INTERIOR_IMPLIED_NU, ORACLE_CROSSINGS
 
 
@@ -109,6 +109,43 @@ class TestNearEnd:
         p = mk_params(sigma=0.15)
         s = numeric_critical_price(p, 100.0, 70.0, "lower", 1e-2, down_and_out_call_closed)
         assert s == 70.0 * (1.0 + 1e-9)
+
+
+class TestVerificationSweep:
+    """A stub pricer equal to the vanilla except where it is told to differ."""
+
+    @staticmethod
+    def _gapped(bad):
+        def pricer(params, strike, barrier, s):
+            vanilla = bs_vanilla(params, Payoff.CALL, strike, s).value
+            return PriceEstimate(vanilla + (1.0 if bad(s) else 0.0))
+        return pricer
+
+    def test_gap_reopening_past_the_onset_restarts_the_bisection(self):
+        # the gap closes at 80 and reopens on [150, 160]: the bisection's
+        # midpoints (191.9, 130.9, 100.5, ...) all miss the window, the
+        # sweep's grid points (3.7 apart) do not, and the restarted
+        # bisection lands on its top edge
+        pricer = self._gapped(lambda s: s < 80.0 or 150.0 <= s <= 160.0)
+        s = numeric_critical_price(mk_params(), 100.0, 70.0, "lower", 1e-6, pricer)
+        assert s == pytest.approx(160.0, abs=1e-6) and s > 160.0
+        no_window = self._gapped(lambda s: s < 80.0)
+        assert numeric_critical_price(mk_params(), 100.0, 70.0, "lower", 1e-6, no_window) == \
+            pytest.approx(80.0, abs=1e-6)
+
+    def test_sweep_that_never_settles_is_a_numerics_error(self):
+        # a pricer that is not a function of s0: every price it was asked
+        # for before differs from then on, so each sweep finds its own start
+        # (or the bracket end) distinguishable and no round settles
+        asked = set()
+
+        def bad(s):
+            seen = s in asked
+            asked.add(s)
+            return s < 80.0 or seen
+
+        with pytest.raises(NumericsError, match="never stabilized"):
+            numeric_critical_price(mk_params(), 100.0, 70.0, "lower", 1e-6, self._gapped(bad))
 
 
 class TestImpliedNu:

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import barrierkit
-from barrierkit.cli import _PRECISION_NOTE, emit_csv, run
+from barrierkit.cli import _PRECISION_NOTE, _fmt, emit_csv, run
 from barrierkit.critical import s_mu_flat
-from barrierkit.model import BarrierCurve, BarrierSet, MarketParams, ValidationError
+from barrierkit.model import BarrierCurve, BarrierSet, MarketParams, McConfig, ValidationError
+from barrierkit.passage import breach_prob_mc
 from barrierkit.pricing.closed import breach_prob_closed, down_and_out_call_closed
 from oracles import KNOCKOUT_UNDER_STEEP_DRIFT
 
@@ -284,6 +285,38 @@ def test_breach_mc_rows(capsys):
     assert " +- " in lines[2]
 
 
+def test_breach_mc_total_has_its_own_standard_error(capsys):
+    # in a corridor pinched to 90/110 nearly every path leaves one way or
+    # the other, so the two sides' masses are strongly anti-correlated and
+    # p_total's standard error, taken path by path, is far below
+    # hypot(se_lower, se_upper)
+    barriers = ["--lower", "90", "--lower-growth", "0.4", "--upper", "110", "--upper-growth", "-0.3"]
+    code, out, _ = _call(capsys, "breach", "--s0", "100", *barriers, *MKT, "--method", "mc",
+                         "--paths", "20000", "--steps", "200", "--seed", "31")
+    assert code == 0
+    p = MarketParams(mu=0.10, sigma=0.30, r=0.10, T=0.25)
+    bs = BarrierSet(lower=BarrierCurve.exponential(90.0, 0.4),
+                    upper=BarrierCurve.exponential(110.0, -0.3))
+    est = breach_prob_mc(p, bs, 100.0, McConfig(paths=20_000, steps_per_year=200, seed=31))
+    assert out.splitlines()[2] == f"p_total = {_fmt(est.p_total)} +- {_fmt(est.se_total)} (1 se)"
+    assert est.se_total < 1e-8 < 1e-3 < math.hypot(est.se_lower, est.se_upper)
+
+
+def test_breach_mc_single_barrier_total_repeats_its_side(capsys):
+    code, out, _ = _call(capsys, "breach", "--s0", "100", "--upper", "130", *MKT, "--method", "mc",
+                         "--paths", "5000", "--steps", "50", "--seed", "4")
+    assert code == 0
+    lower, upper, total = out.splitlines()
+    assert lower == "p_lower = 0"
+    assert total.split(" = ")[1] == upper.split(" = ")[1]
+
+
+@pytest.mark.parametrize("method", ["closed", "mc", "pde"])
+def test_breach_needs_a_barrier(capsys, method):
+    code, out, err = _call(capsys, "breach", "--s0", "100", *MKT, "--method", method)
+    assert (code, out, err) == (2, "", "error: breach needs at least one barrier\n")
+
+
 def test_breach_pde_matches_closed(capsys):
     code, out, _ = _call(
         capsys, "breach", "--s0", "100", "--lower", "70", "--method", "pde", *MKT,
@@ -329,7 +362,7 @@ def test_breach_pde_negligible_under_strong_drift_prints_zero(capsys, s0, closed
     code, out, _ = _call(capsys, "breach", "--method", "pde", *argv)
     assert (code, out) == (0, "p_total = 0\n")
     code, out, _ = _call(capsys, "breach", "--method", "closed", *argv)
-    assert float(out.splitlines()[-1].split("=")[1]) == pytest.approx(closed, rel=0.05)
+    assert float(out.splitlines()[-1].split("=")[1]) == pytest.approx(closed, rel=0.05, abs=0)
 
 
 def test_breach_pde_certain_under_strong_drift_prints_one(capsys):
@@ -457,6 +490,25 @@ def test_sweep_double_barrier_bounds(capsys):
     assert lines[0].startswith("s0")
 
 
+def test_classify_and_sweep_with_an_upper_barrier_alone(capsys):
+    mkt = _mkt(sigma="0.15")
+    s_mu = s_mu_flat(MarketParams(mu=0.10, sigma=0.15, r=0.10, T=0.25), 130.0, 4.9)[0]
+    for s0, want in (("80", "Vanilla\n"), ("125", "UpAndOut\n"), ("130", "KnockedOutAtInception\n")):
+        argv = ["classify", "--s0", s0, "--upper", "130", *mkt, "--nu", "4.9"]
+        assert _call(capsys, *argv) == (0, want, "")
+    argv = ["sweep", "--strike", "100", "--upper", "130", *mkt, "--nu", "4.9", "--csv"]
+    code, out, _ = _call(capsys, *argv)
+    assert code == 0
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    s0s = [float(row[0]) for row in rows]
+    # from 10 sigma*sqrt(T) below the barrier up to 0.98 of it
+    assert len(rows) == 33
+    assert s0s[0] == pytest.approx(130.0 / math.exp(10.0 * 0.15 * 0.5), rel=1e-9)
+    assert s0s[-1] == pytest.approx(130.0 * 0.98, rel=1e-9)
+    assert [row[1] for row in rows] == ["Vanilla" if s <= s_mu else "UpAndOut" for s in s0s]
+    assert {"Vanilla", "UpAndOut"} <= {row[1] for row in rows}
+
+
 # ---------------------------------------------------------------- emit_csv
 
 
@@ -474,7 +526,7 @@ def test_emit_csv_round_trip():
     text = emit_csv([row], ["w", "x", "y", "z"])
     back = [float(c) for c in text.splitlines()[1].split(",")]
     for got, want in zip(back, row):
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0)
 
 
 def test_emit_csv_quoting():
@@ -535,6 +587,19 @@ def test_exit_2_calibrate_needs_one_side(capsys):
     assert "exactly one" in err
     code, _, err = _call(capsys, "calibrate", "--theta", "1e-2", *MKT)
     assert code == 2
+
+
+def test_exit_2_calibrate_needs_an_accuracy(capsys):
+    code, out, err = _call(capsys, "calibrate", "--lower", "70", *MKT)
+    assert (code, out, err) == (2, "", "error: need --theta or --digits\n")
+
+
+@pytest.mark.parametrize("flag", ["--s0", "--strike"])
+def test_exit_2_non_numeric_price_level(capsys, flag):
+    levels = dict.fromkeys(("--s0", "--strike"), "100") | {flag: "abc"}
+    code, out, err = _call(capsys, "price", *(x for kv in levels.items() for x in kv), *MKT)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: invalid number: 'abc'" in err
 
 
 def test_exit_3_unreachable_accuracy(capsys):

@@ -46,15 +46,20 @@ print(json.dumps(report))
 """
 
 
-def test_closed_commands_import_neither_numpy_nor_scipy():
+def _child_report(commands):
+    """The CHILD script's report on running `commands` in a fresh interpreter."""
     src = str(Path(barrierkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(CLOSED_COMMANDS)],
+        [sys.executable, "-c", CHILD, json.dumps(commands)],
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_closed_commands_import_neither_numpy_nor_scipy():
+    report = _child_report(CLOSED_COMMANDS)
     assert report["import"] == []
     assert report["commands"] == {" ".join(argv): [0, []] for argv in CLOSED_COMMANDS}
     # the lazy names still resolve, to the objects their modules define
@@ -64,16 +69,23 @@ def test_closed_commands_import_neither_numpy_nor_scipy():
 
 def test_monte_carlo_price_loads_no_scipy():
     # the path engine draws its normals with NumPy's ziggurat
-    src = str(Path(barrierkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argv = ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--upper", "130", *MKT,
             "--method", "mc", "--paths", "2000", "--seed", "3"]
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([argv])],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, heavy = json.loads(proc.stdout)["commands"][" ".join(argv)]
+    code, heavy = _child_report([argv])["commands"][" ".join(argv)]
     assert code == 0
     assert "numpy" in heavy
     assert not [m for m in heavy if m.partition(".")[0] == "scipy"]
+
+
+def test_refused_monte_carlo_run_loads_no_numpy():
+    # the CLI builds the run's McConfig, which checks paths, steps and
+    # seed, before it imports the engine
+    refused = [
+        ["price", "--s0", "100", "--strike", "100", "--lower", "70", *MKT, "--method", "mc",
+         "--paths", "0"],
+        ["breach", "--s0", "100", "--lower", "70", *MKT, "--method", "mc", "--steps", "0"],
+        ["breach", "--s0", "100", "--lower", "70", "--upper", "130", *MKT, "--method", "mc",
+         "--seed", "-1"],
+    ]
+    report = _child_report(refused)
+    assert report["commands"] == {" ".join(argv): [2, []] for argv in refused}

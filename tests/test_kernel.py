@@ -124,7 +124,7 @@ class TestStepKernel:
         # a far upper line leaves the one-line form
         one = math.exp(-2.0 * d0 * d1 / c)
         assert kernel(d0, d1, c, 40.0, 40.0)[1] == pytest.approx(one, rel=1e-13)
-        assert kernel(d0, d1, c) == pytest.approx((1.0 - one, one, 0.0), rel=1e-13)
+        assert kernel(d0, d1, c) == pytest.approx((1.0 - one, one, 0.0), rel=1e-13, abs=0)
 
     def test_cutoff_skips_only_what_rounds_away(self):
         c = 0.01
@@ -276,7 +276,7 @@ def engine_paths(params, barriers, s0, paths, steps_per_year, seed):
     """Per-path (x_T, weight, mass_l, mass_u) as the engine hands them to its
     integrand; one worker scans the blocks and their slices in order."""
     seen = []
-    res = path_moments(params, barriers, s0, paths, steps_per_year, seed,
+    res = path_moments(params, barriers, s0, McConfig(paths, steps_per_year, seed),
                        lambda *state: seen.append(np.column_stack(state)) or (state[1],),
                        workers=1)
     return np.vstack(seen), res
@@ -385,7 +385,7 @@ class TestDeterminism:
     def test_slice_and_worker_invariance(self, monkeypatch):
         for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40), (BarrierSet(), 80, 0.3)):
             p = mk_params(sigma=sigma)
-            kw = dict(paths=15_000, steps_per_year=steps, seed=9,
+            kw = dict(cfg=McConfig(paths=15_000, steps_per_year=steps, seed=9),
                       integrand=lambda x, w, m_l, m_u: (w * x, m_l, m_u))
             base = path_moments(p, barriers, 100.0, workers=1, **kw)
             n = n_steps_for(steps, p.T)
@@ -429,10 +429,10 @@ class TestDeterminism:
         one, _ = engine_paths(p, barriers, 100.0, paths, steps, 7)
         assert np.allclose(one, want, rtol=0.0, atol=1e-15)
         kw = dict(integrand=lambda x, w, m_l, m_u: (w, m_l))
-        whole = path_moments(p, barriers, 100.0, paths, steps, 7, workers=1, **kw)
+        whole = path_moments(p, barriers, 100.0, McConfig(paths, steps, 7), workers=1, **kw)
         n = n_steps_for(steps, p.T)
         monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(budget_rows, barriers, n))
-        got = path_moments(p, barriers, 100.0, paths, steps, 7, workers=workers, **kw)
+        got = path_moments(p, barriers, 100.0, McConfig(paths, steps, 7), workers=workers, **kw)
         assert np.array_equal(got.mean, whole.mean)
         assert np.array_equal(got.m2, whole.m2)
         y = want[:, 1:3]
@@ -444,7 +444,8 @@ class TestDeterminism:
         # switch interval: a block taken twice or skipped shows up
         p = mk_params(sigma=0.40)
         monkeypatch.setattr(engine, "_B", 64)
-        kw = dict(paths=4_000, steps_per_year=12, seed=5, integrand=lambda x, w, m_l, m_u: (w, m_l))
+        kw = dict(cfg=McConfig(paths=4_000, steps_per_year=12, seed=5),
+                  integrand=lambda x, w, m_l, m_u: (w, m_l))
         one = path_moments(p, CORRIDOR, 100.0, workers=1, **kw)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -497,7 +498,8 @@ class TestMemory:
         # _BLOCK_BYTES counts the slices of all workers together, with the
         # step kernel's temporaries on the rows that come near a line
         p = mk_params()
-        kw = dict(paths=20_000, steps_per_year=400, seed=3, integrand=lambda x, w, m_l, m_u: (w,))
+        kw = dict(cfg=McConfig(paths=20_000, steps_per_year=400, seed=3),
+                  integrand=lambda x, w, m_l, m_u: (w,))
         budget = slice_bytes(2048, barriers, 100)
         monkeypatch.setattr(engine, "_BLOCK_BYTES", budget)
         peaks = {}
@@ -522,11 +524,12 @@ class TestMemory:
         monkeypatch.setattr(engine, "_B", 512)
         monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(512, barriers, n))
         held = sum(a.nbytes for a in vars(engine._Buffers(512, n, n, 2)).values())
-        kw = dict(steps_per_year=100, seed=3, integrand=lambda x, w, m_l, m_u: (w, m_l), workers=1)
-        path_moments(p, barriers, 100.0, 10, **kw)  # first-call allocations of the interpreter
+        kw = dict(integrand=lambda x, w, m_l, m_u: (w, m_l), workers=1)
+        # first-call allocations of the interpreter
+        path_moments(p, barriers, 100.0, McConfig(10, 100, 3), **kw)
         tracemalloc.start()
         try:
-            res = path_moments(p, barriers, 100.0, 2048, **kw)
+            res = path_moments(p, barriers, 100.0, McConfig(2048, 100, 3), **kw)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -537,7 +540,7 @@ class TestMemory:
 class TestTerminalLaw:
     def test_moments_without_barriers(self):
         p = mk_params()
-        res = path_moments(p, BarrierSet(), 100.0, 200_000, 8, 31, lambda x, w, m_l, m_u: (x,))
+        res = path_moments(p, BarrierSet(), 100.0, McConfig(200_000, 8, 31), lambda x, w, m_l, m_u: (x,))
         m1 = (0.10 - 0.5 * 0.09) * 0.25
         want_sd = 0.30 * math.sqrt(0.25)
         assert res.mean[0] == pytest.approx(math.log(100.0) + m1, abs=4.0 * want_sd / math.sqrt(200_000))
@@ -545,7 +548,7 @@ class TestTerminalLaw:
 
     def test_steps_cover_horizon(self):
         p = mk_params(T=0.25)
-        res = path_moments(p, DKO, 100.0, 10, 200, 0, lambda x, w, m_l, m_u: (w,))
+        res = path_moments(p, DKO, 100.0, McConfig(10, 200, 0), lambda x, w, m_l, m_u: (w,))
         assert res.n_steps == 50
 
 
@@ -564,7 +567,7 @@ class TestBudget:
         # block into slices of 5, so a worker's buffers shrink from 13.9 MB
         # to 17 kB
         p = mk_params(sigma=0.40)
-        kw = dict(paths=6_000, steps_per_year=320, seed=11, workers=2,
+        kw = dict(cfg=McConfig(paths=6_000, steps_per_year=320, seed=11), workers=2,
                   integrand=lambda x, w, m_l, m_u: (w, m_l, m_u))
         monkeypatch.setattr(engine, "_BLOCK_BYTES", 2**30)
         whole = path_moments(p, CORRIDOR, 100.0, **kw)
@@ -584,23 +587,25 @@ class TestBudget:
         # the check runs before any buffer is allocated
         monkeypatch.setattr(engine, "_BLOCK_BYTES", 3000)
         with pytest.raises(DomainError, match="block budget"):
-            path_moments(mk_params(), DKO, 100.0, 10, 320, 0, lambda x, w, m_l, m_u: (w,))
+            path_moments(mk_params(), DKO, 100.0, McConfig(10, 320, 0), lambda x, w, m_l, m_u: (w,))
 
     def test_crossing_barriers_rejected(self):
         # the corridor series needs a positive width at every node
         crossing = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.4),
                               upper=BarrierCurve.exponential(130.0, -0.3))
         with pytest.raises(BarrierOrderError):
-            path_moments(mk_params(T=1.0), crossing, 100.0, 10, 12, 0, lambda x, w, m_l, m_u: (w,))
+            path_moments(mk_params(T=1.0), crossing, 100.0, McConfig(10, 12, 0),
+                         lambda x, w, m_l, m_u: (w,))
 
     def test_paths_positive(self):
-        with pytest.raises(DomainError):
-            path_moments(mk_params(), DKO, 100.0, 0, 10, 0, lambda x, w, m_l, m_u: (w,))
+        # the engine reads a McConfig, which refuses the run before it starts
+        with pytest.raises(DomainError, match="paths must be >= 1"):
+            path_moments(mk_params(), DKO, 100.0, McConfig(0, 10, 0), lambda x, w, m_l, m_u: (w,))
 
     @pytest.mark.parametrize("workers", [0, -1], ids=["workers-0", "workers-negative"])
     def test_workers_positive(self, workers):
         with pytest.raises(DomainError):
-            path_moments(mk_params(), DKO, 100.0, 10, 10, 0, lambda x, w, m_l, m_u: (w,),
+            path_moments(mk_params(), DKO, 100.0, McConfig(10, 10, 0), lambda x, w, m_l, m_u: (w,),
                          workers=workers)
 
 

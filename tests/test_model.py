@@ -59,6 +59,8 @@ class TestBarrierCurve:
         for i in range(101):
             t = i / 100.0
             assert exp.value_at(t, 1.0) == flat.value_at(t, 1.0)
+        # a flat barrier is the line at growth 0, not a shape of its own
+        assert flat == exp
 
     def test_tabulated_log_linear_midpoint(self):
         c = BarrierCurve.tabulated([(0.0, 70.0), (1.0, 77.0)])
@@ -211,6 +213,18 @@ class TestOptionSpec:
             mc_price(p, spec, 100.0, McConfig(paths=1000, seed=1))
         with pytest.raises(KnotOrderError):
             critical_prices(p, spec.barriers, 3.0)
+
+
+class TestMcConfig:
+    def test_defined_once_beside_the_market(self):
+        # the engine, the pricers and the CLI read one type; the package
+        # exports it without loading NumPy, and pricing.mc re-exports it
+        import barrierkit
+        from barrierkit import model
+
+        assert McConfig is model.McConfig is barrierkit.McConfig
+        assert McConfig.__module__ == "barrierkit.model"
+        assert "McConfig" not in barrierkit._LAZY
 
 
 class TestPriceEstimate:

@@ -70,7 +70,7 @@ class TestClosedFlat:
         # one in a million, not zero: degenerate pricing is approximate
         p = mk_params(sigma=0.15)
         prob = _flat(p, "lower", 70.0, 98.870186482869048)
-        assert prob == pytest.approx(1.0187340708570643e-6, rel=1e-12)
+        assert prob == pytest.approx(1.0187340708570643e-6, rel=1e-12, abs=0)
         assert prob > 0.0
 
     @pytest.mark.parametrize("T, sigma, nu", sorted(KNOCKOUT_OVER_TAIL_AT_S_ML))
@@ -236,7 +236,24 @@ class TestMc:
                         upper=BarrierCurve.exponential(130.0, -0.3))
         est = breach_prob_mc(p, bs, 100.0, McConfig(paths=100_000, steps_per_year=200, seed=31))
         exact = breach_prob_closed(p, bs, 100.0)
-        assert abs(est.p_total - exact) <= 3.0 * math.hypot(est.se_lower, est.se_upper)
+        assert abs(est.p_total - exact) <= 3.0 * est.se_total
+
+    def test_total_standard_error_is_taken_path_by_path(self):
+        # pinched to 90/110, nearly every path leaves the corridor one way
+        # or the other: the sides' masses are strongly anti-correlated, so
+        # p_total's error is far below hypot(se_lower, se_upper) (2.2e-3)
+        p = mk_params()
+        bs = BarrierSet(lower=BarrierCurve.exponential(90.0, 0.4),
+                        upper=BarrierCurve.exponential(110.0, -0.3))
+        est = breach_prob_mc(p, bs, 100.0, McConfig(paths=100_000, steps_per_year=200, seed=31))
+        assert est.se_total < 1e-8
+        assert abs(est.p_total - breach_prob_closed(p, bs, 100.0)) <= 3.0 * est.se_total
+        # one side alone: the total is that side, bit for bit
+        cfg = McConfig(paths=5_000, steps_per_year=50, seed=3)
+        one = breach_prob_mc(p, BarrierSet(lower=BarrierCurve.flat(85.0)), 100.0, cfg)
+        assert (one.p_total, one.se_total) == (one.p_lower, one.se_lower)
+        one = breach_prob_mc(p, BarrierSet(upper=BarrierCurve.flat(115.0)), 100.0, cfg)
+        assert (one.p_total, one.se_total) == (one.p_upper, one.se_upper)
 
     def test_exclusive_events(self):
         p = mk_params()
@@ -251,6 +268,7 @@ class TestMc:
         # on a barrier at inception is a certain breach; past one is invalid
         est = breach_prob_mc(p, DKO, 70.0, McConfig(paths=100, steps_per_year=10))
         assert (est.p_lower, est.se_lower, est.p_upper, est.se_upper) == (1.0, 0.0, 0.0, 0.0)
+        assert est.se_total == 0.0
         est = breach_prob_mc(p, DKO, 130.0, McConfig(paths=100, steps_per_year=10))
         assert (est.p_lower, est.p_upper, est.p_total) == (0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -398,7 +416,8 @@ class TestPde:
             q = MarketParams(mu=mu, sigma=0.1, r=0.1, T=0.25)
             got = breach_prob_pde(q, near, 100.0, 0.25, default_grid(q, near, 100.0, 0.25))
             exact = _flat(q, "lower", 70.0)
-            assert got == pytest.approx(exact, abs=2e-4) and (got == 0.0) == (mu > 0), (mu, got)
+            assert got == pytest.approx(exact, abs=1e-4), (mu, got, exact)
+            assert (got == 0.0) == (mu > 0), (mu, got)
 
     def test_drift_rule_leaves_out_only_a_negligible_answer(self):
         # the drift carries s0 away from a lower barrier inside the 6-sigma

@@ -16,6 +16,7 @@ from barrierkit.model import (
     BarrierSet,
     DomainError,
     MarketParams,
+    NumericsError,
     OptionSpec,
     Payoff,
     PricingMethod,
@@ -317,7 +318,8 @@ class TestSteepDrift:
         p = MarketParams(mu=r, sigma=0.05, r=r, T=1.0)
         pricer = down_and_out_call_closed if side == "lower" else up_and_out_call_closed
         got = pricer(p, strike, barrier, 100.0).value
-        assert got == pytest.approx(KNOCKOUT_UNDER_STEEP_DRIFT[(side, strike, barrier, r)], rel=1e-12)
+        want = KNOCKOUT_UNDER_STEEP_DRIFT[(side, strike, barrier, r)]
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_narrow_slab_takes_both_ends_of_the_image(self):
         # both ends of the slab sit 40 sd down the image's tail, and the
@@ -417,3 +419,45 @@ def test_non_finite_or_non_positive_price_level_rejected(entry, level):
     name = entry.rsplit("-", 1)[1]
     with pytest.raises(DomainError, match=rf"^(barrier )?{name}( level)? must be positive and finite"):
         PRICE_LEVEL_ENTRIES[entry](mk_params(), level)
+
+
+# every entry point that takes a barrier growth rate, with that rate as `g`
+GROWTH_ENTRIES = {
+    "down_and_out": lambda p, g: down_and_out_call_closed(p, 100.0, 70.0, 100.0, g),
+    "up_and_out": lambda p, g: up_and_out_call_closed(p, 100.0, 130.0, 100.0, g),
+    "double_knockout-lower": lambda p, g: double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0, (g, 0.0)),
+    "double_knockout-upper": lambda p, g: double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0, (0.0, g)),
+    "barrier_curve": lambda p, g: BarrierCurve.exponential(70.0, g),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GROWTH_ENTRIES))
+@pytest.mark.parametrize("growth", [math.nan, math.inf, -math.inf])
+def test_non_finite_growth_rejected(entry, growth):
+    # a NaN growth once priced to nan (down-and-out) or 0 (up-and-out), an
+    # infinite one to the vanilla, and the double failed converting nan to int
+    with pytest.raises(DomainError, match="^barrier growth must be finite$"):
+        GROWTH_ENTRIES[entry](mk_params(), growth)
+
+
+class TestGrowthPastDoublePrecision:
+    """At T = 50 a growth of 20 takes 70*e^{20t} past 1e308."""
+
+    def test_barrier_level_is_a_numerics_error(self):
+        lower = BarrierCurve.exponential(70.0, 20.0)
+        assert lower.value_at(35.0, 50.0) == 70.0 * math.exp(700.0)
+        with pytest.raises(NumericsError, match="leaves double precision"):
+            lower.value_at(50.0, 50.0)
+        with pytest.raises(NumericsError, match="leaves double precision"):
+            BarrierSet(lower=lower, upper=BarrierCurve.flat(1e300)).check_ordering(50.0)
+        with pytest.raises(NumericsError, match="leaves double precision"):
+            BarrierCurve.exponential(70.0, -20.0).value_at(50.0, 50.0)  # 70*e^-1000 underflows
+
+    def test_double_compares_its_barriers_in_log_space(self):
+        # L_T and U_T are e^1004 and e^1505: the corridor stays open, and a
+        # floor rising at 20 a year knocks out every path
+        p = mk_params(T=50.0)
+        value = double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0, (20.0, 30.0)).value
+        assert 0.0 <= value < 1e-300
+        with pytest.raises(DomainError, match="barriers cross before expiry"):
+            double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0, (30.0, 20.0))
