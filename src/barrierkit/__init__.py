@@ -51,8 +51,9 @@ from .pricing import (
     up_and_out_call_closed,
 )
 
-# The simulation and PDE routes need NumPy and SciPy; they load on first
-# access (PEP 562), so the closed-form path imports neither.
+# The simulation and PDE routes need NumPy, and the PDE's solve SciPy,
+# which it imports when it runs; these names load on first access
+# (PEP 562), so the closed-form path imports neither.
 _LAZY = {
     "BreachEstimate": "passage",
     "PdeGrid": "passage",

@@ -24,6 +24,7 @@ from .model import (
     CriticalPrices,
     DomainError,
     MarketParams,
+    NumericsError,
 )
 from .numerics import std_normal_cdf
 
@@ -65,11 +66,19 @@ def _times_barrier(curve: BarrierCurve, x: float, t: float, T: float) -> float:
 
     L*exp(g*t + x) stays finite wherever the product is, even when
     exp(g*t) alone overflows. A t outside [0, T] goes to value_at, which
-    rejects it.
+    rejects it. A product past double precision raises NumericsError.
     """
     if curve.shape is BarrierShape.EXPONENTIAL and 0.0 <= t <= T:
-        return curve.level * math.exp(curve.growth * t + x)
-    return curve.value_at(t, T) * math.exp(x)
+        level, x = curve.level, curve.growth * t + x
+    else:
+        level = curve.value_at(t, T)
+    try:
+        price = level * math.exp(x)
+    except OverflowError:
+        price = math.inf
+    if price == math.inf:
+        raise NumericsError(f"critical price {level}*exp({x}) at t={t} leaves double precision")
+    return price
 
 
 def lower_critical_curve(

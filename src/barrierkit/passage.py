@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import (BarrierCurve, BarrierSet, DomainError, MarketParams, McConfig,
                     NumericsError, require_price_level)
@@ -114,19 +113,32 @@ def default_grid(
     params: MarketParams, barriers: BarrierSet, s0: float, T: float,
     n_space: int = 400, n_time: int = 400,
 ) -> PdeGrid:
-    """Desk grid: s0 and every reachable barrier level inside, 6 sigma*sqrt(T) of room outside."""
-    span = math.exp(6.0 * params.sigma * math.sqrt(T))
+    """Desk grid: s0 and every reachable barrier level inside, 6 sigma*sqrt(T) of room outside.
+
+    Edges that round to 0 or inf raise NumericsError.
+    """
+    try:
+        span = math.exp(6.0 * params.sigma * math.sqrt(T))
+    except OverflowError:
+        span = math.inf
     reachable = _reachable(params, barriers, s0, T)
     curves = [c for c in (reachable.lower, reachable.upper) if c is not None]
     levels = [s0, *(v for c in curves for v in c.extremes(T))]
-    return PdeGrid(s_min=min(levels) / span, s_max=max(levels) * span,
-                   n_space=n_space, n_time=n_time)
+    s_min, s_max = min(levels) / span, max(levels) * span
+    if not (0.0 < s_min and s_max < math.inf):
+        raise NumericsError(f"grid edges ({s_min:.6g}, {s_max:.6g}), 6*sigma*sqrt(T) out in "
+                            "log-price, leave double precision")
+    return PdeGrid(s_min=s_min, s_max=s_max, n_space=n_space, n_time=n_time)
 
 
-def _fitted_rows(adv: np.ndarray, dif: float, w: float) -> tuple[np.ndarray, float, np.ndarray]:
-    """Sub-, main and super-diagonal of the operator in xi at corridor width w."""
+def _fitted_rows(adv: np.ndarray, dif: float, w: float, sub: np.ndarray, sup: np.ndarray) -> float:
+    """Sub- and super-diagonal of the operator in xi at corridor width w,
+    written into sub and sup; returns the main diagonal, one value for all rows."""
     d = dif / (w * w)
-    return d - adv / w, -2.0 * d, d + adv / w
+    np.divide(adv, w, out=sup)
+    np.subtract(d, sup, out=sub)
+    np.add(d, sup, out=sup)
+    return -2.0 * d
 
 
 def breach_prob_pde(
@@ -204,26 +216,42 @@ def breach_prob_pde(
             f"and drift*spacing <= sigma^2 ({levels})"
         )
 
+    from scipy.linalg.lapack import dgtsv  # SciPy loads for the PDE alone
+
     h = 1.0 / (N - 1)
     xi = np.linspace(0.0, 1.0, N)
     dif = 0.5 * params.sigma**2 / (h * h)
     q = np.zeros(N)
     q[0] = 1.0 if barriers.lower is not None else 0.0
     q[-1] = 1.0 if barriers.upper is not None else 0.0
-    ab = np.zeros((3, N - 2))  # banded (I - theta*dt*L) at the step's early end
+    rhs = q[1:-1]  # each step's right side, solved for in place
+    adv, sub, sup, expl, tmp, dd = np.empty((6, N - 2))
+    dl, du = np.empty((2, N - 3))
     for k in range(len(times) - 2, -1, -1):
-        adv = (c1 - dlo[k] - xi[1:-1] * dw[k]) / (2.0 * h)  # the xi drift's numerator over 2h
+        np.multiply(xi[1:-1], dw[k], out=adv)
+        np.subtract(c1 - dlo[k], adv, out=adv)
+        np.divide(adv, 2.0 * h, out=adv)  # the xi drift's numerator over 2h
         theta = 1.0 if k >= len(times) - 3 else 0.5
-        sub, diag, sup = _fitted_rows(adv, dif, width[k])
-        ab[0, 1:] = -theta * dt[k] * sup[:-1]
-        ab[1, :] = 1.0 - theta * dt[k] * diag
-        ab[2, :-1] = -theta * dt[k] * sub[1:]
-        rhs = q[1:-1].copy()
+        if theta < 1.0:  # the explicit half at the step's late end, from q before it changes
+            diag = _fitted_rows(adv, dif, width[k + 1], sub, sup)
+            np.multiply(sub, q[:-2], out=expl)
+            np.multiply(diag, q[1:-1], out=tmp)
+            np.add(expl, tmp, out=expl)
+            np.multiply(sup, q[2:], out=tmp)
+            np.add(expl, tmp, out=expl)
+            np.multiply((1.0 - theta) * dt[k], expl, out=expl)
+        diag = _fitted_rows(adv, dif, width[k], sub, sup)  # (I - theta*dt*L) at the early end
+        np.multiply(-theta * dt[k], sub[1:], out=dl)
+        dd.fill(1.0 - theta * dt[k] * diag)
+        np.multiply(-theta * dt[k], sup[:-1], out=du)
         rhs[0] += theta * dt[k] * sub[0] * q[0]
         rhs[-1] += theta * dt[k] * sup[-1] * q[-1]
         if theta < 1.0:
-            sub, diag, sup = _fitted_rows(adv, dif, width[k + 1])
-            rhs += (1.0 - theta) * dt[k] * (sub * q[:-2] + diag * q[1:-1] + sup * q[2:])
-        q[1:-1] = solve_banded((1, 1), ab, rhs)
+            rhs += expl
+        # overwrite flags on: LAPACK factors the rows in place and leaves x in rhs, q's interior
+        info = dgtsv(dl, dd, du, rhs, True, True, True, True)[4]
+        if info != 0 or not np.isfinite(rhs).all():
+            raise NumericsError(f"tridiagonal solve failed over t in [{times[k]:.6g}, {times[k + 1]:.6g}]"
+                                f" (LAPACK info {info})")
     val = float(np.interp((math.log(s0) - lo[0]) / width[0], xi, q))
     return min(max(val, 0.0), 1.0)

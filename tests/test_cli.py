@@ -344,6 +344,13 @@ def test_breach_pde_grid_too_coarse_is_a_numerical_failure(capsys, tmp_path):
     assert code == 0 and out.startswith("price = ")
 
 
+def test_breach_pde_failed_step_solve_is_a_numerical_failure(capsys, failing_step_solve):
+    code, out, err = _call(capsys, "breach", "--s0", "100", "--lower", "70", "--upper", "130",
+                           "--method", "pde", *MKT)
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: tridiagonal solve failed over t in [")
+
+
 def test_breach_pde_unreachable_barrier_prints_zero(capsys):
     # 743 log units from s0 the barrier would stretch the corridor past
     # what the nodes resolve; it is out of reach, so the answer is 0

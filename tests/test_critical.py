@@ -14,7 +14,7 @@ from barrierkit.critical import (
     s_mu_flat,
     upper_critical_curve,
 )
-from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams
+from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError
 from barrierkit.numerics import std_normal_cdf
 
 from oracles import CURVED_CRITICAL, FAR_HORIZON_CRITICAL
@@ -266,3 +266,18 @@ class TestCurvedExtrema:
         knotted = BarrierCurve.tabulated([(0.0, 70.0), (1.0, 70.0), (2.0, 70.0)])
         cp = critical_prices(p, BarrierSet(lower=knotted, upper=knotted), 0.0)
         assert (cp.s_ml, cp.t_at_max, cp.s_mu, cp.t_at_min) == (70.0, 1.0, 70.0, 1.0)
+
+    @pytest.mark.parametrize("curve, mu, sigma", [
+        # 70*e^712.6: math.exp itself overflows
+        (BarrierCurve.exponential(70.0, 14.0), 0.0, 0.3),
+        # 70*e^707.9: e^x is finite, the product rounds to inf
+        (BarrierCurve.exponential(70.0, 14.1), 0.1, 0.2),
+        # a tabulated level of 1e307 times e^12.6
+        (BarrierCurve.tabulated([(0.0, 70.0), (50.0, 1e307)]), 0.0, 0.3),
+    ])
+    def test_critical_price_past_double_precision(self, curve, mu, sigma):
+        p = MarketParams(mu=mu, sigma=sigma, r=mu, T=50.0)
+        with pytest.raises(NumericsError, match="critical price .* leaves double precision"):
+            critical_prices(p, BarrierSet(lower=curve), 4.9)
+        with pytest.raises(NumericsError, match="leaves double precision"):
+            lower_critical_curve(p, curve, 4.9, 50.0)

@@ -67,14 +67,23 @@ def test_closed_commands_import_neither_numpy_nor_scipy():
     assert report["lazy_is_original"] is True
 
 
-def test_monte_carlo_price_loads_no_scipy():
-    # the path engine draws its normals with NumPy's ziggurat
-    argv = ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--upper", "130", *MKT,
-            "--method", "mc", "--paths", "2000", "--seed", "3"]
+def _loads_numpy_without_scipy(argv):
+    # the path engine draws its normals with NumPy's ziggurat; only the
+    # PDE's tridiagonal solve needs SciPy
+    argv = [*argv, "--method", "mc", "--paths", "2000", "--seed", "3"]
     code, heavy = _child_report([argv])["commands"][" ".join(argv)]
     assert code == 0
     assert "numpy" in heavy
     assert not [m for m in heavy if m.partition(".")[0] == "scipy"]
+
+
+def test_monte_carlo_price_loads_no_scipy():
+    _loads_numpy_without_scipy(
+        ["price", "--s0", "100", "--strike", "100", "--lower", "70", "--upper", "130", *MKT])
+
+
+def test_monte_carlo_breach_loads_no_scipy():
+    _loads_numpy_without_scipy(["breach", "--s0", "100", "--lower", "70", "--upper", "130", *MKT])
 
 
 def test_refused_monte_carlo_run_loads_no_numpy():

@@ -102,7 +102,11 @@ class TestClosedFlat:
             w = mp.exp(log_w) if log_w <= 700.0 else mp.npdf(a) / mp.npdf(b)
             want = w * mp.ncdf(b)
         got = _leg(0.0, log_w, -math.inf, -0.5 * a * a, -math.inf, b, 1.0)
-        assert got == pytest.approx(float(want), rel=1e-14)
+        # up to e^700 the leg is the plain product e^w * Phi(b); an ulp of
+        # b moves Phi(b) near 1e-300 by about b^2 ulps (b^2 ~ 1400), so the
+        # bound there is b^2 * 2^-52 relative, against 1e-14 for the Mills branch
+        rel = b * b * 2.0**-52 if log_w <= 700.0 else 1e-14
+        assert got == pytest.approx(float(want), rel=rel, abs=0)
 
     def test_edges(self):
         p = mk_params()
@@ -277,6 +281,59 @@ class TestMc:
             breach_prob_mc(p, DKO, 131.0, McConfig(paths=100, steps_per_year=10))
 
 
+def _pde_pin_cases():
+    """Inputs whose breach_prob_pde results are frozen bit for bit in PDE_PINS."""
+    p, T = mk_params(), 0.25
+    lower, upper = BarrierSet(lower=BarrierCurve.flat(70.0)), BarrierSet(upper=BarrierCurve.flat(130.0))
+    # 0.1037 and 0.0601 fall between the uniform time nodes k*T/400
+    tab_lower = BarrierCurve.tabulated([(0.0, 70.0), (0.1037, 85.0), (0.25, 75.0)])
+    tab_upper = BarrierCurve.tabulated([(0.0, 130.0), (0.0601, 118.0), (0.25, 125.0)])
+    exp_pair = BarrierSet(lower=BarrierCurve.exponential(70.0, 0.4),
+                          upper=BarrierCurve.exponential(130.0, -0.3))
+    sweep = BarrierSet(lower=BarrierCurve.exponential(70.0, 3.0), upper=BarrierCurve.flat(150.0))
+    far_upper = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(1e300))
+    down = MarketParams(mu=-2.0, sigma=0.1, r=0.1, T=T)
+    long = mk_params(sigma=0.2, T=2.0, r=-0.05)
+    cases = {
+        "flat lower": (p, lower, T, None),
+        "flat upper": (p, upper, T, None),
+        "flat corridor": (p, DKO, T, None),
+        "exponential lower": (p, BarrierSet(lower=BarrierCurve.exponential(70.0, 0.1)), T, None),
+        "exponential upper": (p, BarrierSet(upper=BarrierCurve.exponential(130.0, -0.2)), T, None),
+        "exponential corridor": (p, exp_pair, T, None),
+        "tabulated lower off the nodes": (p, BarrierSet(lower=tab_lower), T, None),
+        "tabulated corridor off the nodes": (p, BarrierSet(lower=tab_lower, upper=tab_upper), T, None),
+        "16 x 16 corridor": (p, DKO, T, PdeGrid(s_min=50.0, s_max=200.0, n_space=16, n_time=16)),
+        "sweeping lower": (p, sweep, T, None),
+        "far upper left out": (p, far_upper, T, default_grid(p, lower, 100.0, T)),
+        "downward drift": (down, lower, T, None),
+        "two years, exponential corridor": (long, BarrierSet(
+            lower=BarrierCurve.exponential(70.0, 0.1), upper=BarrierCurve.exponential(140.0, -0.05)),
+            2.0, None),
+    }
+    return {name: (q, bs, t, grid or default_grid(q, bs, 100.0, t))
+            for name, (q, bs, t, grid) in cases.items()}
+
+
+# float.hex of each result, recorded with scipy.linalg.solve_banded as the step
+# solver; it runs the same LAPACK dgtsv, so the march's arithmetic alone moves them
+PDE_PINS = {
+    "flat lower": "0x1.c9bee61b26145p-7",
+    "flat upper": "0x1.80e67c06b8f74p-4",
+    "flat corridor": "0x1.ba0a61d31dab2p-4",
+    "exponential lower": "0x1.5486f42313db4p-6",
+    "exponential upper": "0x1.4471d7159f8d0p-3",
+    "exponential corridor": "0x1.09f8f03149d59p-2",
+    "tabulated lower off the nodes": "0x1.f7f2f6a356c1fp-4",
+    "tabulated corridor off the nodes": "0x1.4fb9aa6488244p-2",
+    "16 x 16 corridor": "0x1.d74787092c386p-4",
+    "sweeping lower": "0x1.fffffd2efdd3ep-1",
+    "far upper left out": "0x1.c9bee61b26145p-7",
+    "downward drift": "0x1.ff3bfa360ccb8p-1",
+    "two years, exponential corridor": "0x1.9c5ae36a50087p-1",
+}
+
+
 class TestPde:
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_drift_onto_a_barrier_is_a_certain_breach(self, side):
@@ -351,6 +408,18 @@ class TestPde:
             errs.append(abs(breach_prob_pde(p, bs, 100.0, 0.25, grid) - exact))
         for coarse, fine in zip(errs, errs[1:]):
             assert math.log2(coarse / fine) >= 1.5, errs
+
+    @pytest.mark.parametrize("name", sorted(PDE_PINS))
+    def test_pinned_bits(self, name):
+        p, bs, T, grid = _pde_pin_cases()[name]
+        assert breach_prob_pde(p, bs, 100.0, T, grid).hex() == PDE_PINS[name]
+
+    def test_failed_step_solve_is_a_numerics_error(self, failing_step_solve):
+        # the [0, 1] clamp would pass a NaN through, so the march checks
+        # every step's LAPACK status and solution
+        p = mk_params()
+        with pytest.raises(NumericsError, match="tridiagonal solve failed"):
+            breach_prob_pde(p, DKO, 100.0, 0.25, default_grid(p, DKO, 100.0, 0.25))
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -458,6 +527,15 @@ class TestPde:
         span = math.exp(6.0 * 0.30 * math.sqrt(0.25))
         assert grid.s_min == pytest.approx(70.0 / span, rel=1e-12)
         assert grid.s_max == pytest.approx(130.0 * span, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma, T, lower", [(5.0, 1e4, 70.0), (1.0, 1e4, 1e-100)])
+    def test_default_grid_past_double_precision(self, sigma, T, lower):
+        # 3000 log units of room overflow e^room; 600 keep it finite, but
+        # 1e-100 / e^600 underflows to 0, a valid input, not a bad grid
+        p = MarketParams(mu=0.0, sigma=sigma, r=0.0, T=T)
+        bs = BarrierSet(lower=BarrierCurve.flat(lower))
+        with pytest.raises(NumericsError, match=r"grid edges \(0, .* leave double precision"):
+            default_grid(p, bs, 100.0, T)
 
     def test_default_grid_covers_a_rising_lower_barrier(self):
         # the far edge must clear the barrier's highest level, not just s0
