@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .critical import s_ml_flat
-from .model import DomainError, MarketParams, NumericsError, Payoff, require_price_level
-from .pricing.closed import bs_vanilla, down_and_out_call_closed
+from .model import DomainError, MarketParams, NumericsError, require_price_level
+from .pricing.closed import _vanilla, down_and_out_call_closed
 
 BISECT_TOL_S = 1e-6
 SWEEP_POINTS = 64
@@ -78,11 +78,11 @@ def numeric_critical_price(
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     require_price_level("barrier", barrier)
+    require_price_level("strike", strike)
     half = 0.5 * theta
 
     def close(s: float) -> bool:
-        return abs(pricer(params, strike, barrier, s).value
-                   - bs_vanilla(params, Payoff.CALL, strike, s).value) < half
+        return abs(pricer(params, strike, barrier, s).value - _vanilla(params, strike, s)) < half
 
     span = math.exp(10.0 * params.sigma * math.sqrt(params.T))
     if side == "lower":

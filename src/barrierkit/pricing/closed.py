@@ -11,7 +11,12 @@ barrier and a doubly-infinite series for two, integrated against the
 payoff slab. The breach probability is the mass those terms knock out
 of the cash leg over the whole line. Every weighted term goes through
 one primitive, `_leg`. `series_terms` decides how many image terms a
-corridor takes, here and in the Monte Carlo engine's bridge steps.
+corridor takes, here and in the Monte Carlo engine's bridge steps, and
+the corridor series sums exactly the terms the engine keeps.
+
+The public entry points validate their inputs and box the result in a
+PriceEstimate once; inside, the knock-outs and the calibration share the
+unboxed formulas (`_vanilla`, `_knockout_call`) and check nothing again.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 import sys
 
 from ..model import (BarrierSet, BarrierShape, DomainError, MarketParams, NumericsError,
-                     Payoff, PriceEstimate, PricingMethod, require_growth, require_price_level)
+                     Payoff, PriceEstimate, require_growth, require_price_level)
 from ..numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -92,26 +97,39 @@ def _leg(g: float, um: float, t1: float, t2: float, q1: float, q2: float, srt: f
     return math.exp(w + math.log(d)) if d > 0.0 else 0.0
 
 
-def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -> PriceEstimate:
-    """Lognormal European price; put obtained from the call by parity."""
-    require_price_level("s0", s0)
-    require_price_level("strike", strike)
-    try:
-        payoff = Payoff(payoff)  # tolerate the string forms "call"/"put"
-    except ValueError:
-        raise DomainError(f"payoff must be 'call' or 'put', got {payoff!r}") from None
+def _vanilla(params: MarketParams, strike: float, s0: float, put: bool = False) -> float:
+    """The Black-Scholes call, or the put by parity, on inputs already checked."""
     sig_rt = params.sigma * math.sqrt(params.T)
     b = params.mu  # risk-neutral carry: r minus dividend yield
     d1 = (math.log(s0 / strike) + (b + 0.5 * params.sigma**2) * params.T) / sig_rt
     d2 = d1 - sig_rt
     disc_k = strike * math.exp(-params.r * params.T)
     fwd = s0 * math.exp((b - params.r) * params.T)
-    call = fwd * std_normal_cdf(d1) - disc_k * std_normal_cdf(d2)
-    if payoff is Payoff.CALL:
-        value = call
-    else:
-        value = call - fwd + disc_k
-    return PriceEstimate(value=max(value, 0.0), method=PricingMethod.CLOSED)
+    value = fwd * std_normal_cdf(d1) - disc_k * std_normal_cdf(d2)
+    if put:
+        value = value - fwd + disc_k
+    return max(value, 0.0)
+
+
+def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -> PriceEstimate:
+    """Lognormal European price; put obtained from the call by parity.
+
+    The call's absolute error is at most 2*2^-52*(s0*e^{(mu-r)*T} + K*e^{-r*T})
+    and its relative error at most 1e-12 wherever the price is at least 1e-6
+    of that scale (measured at most 1.1 and 8.3e-13 on 65,400 seeded calls
+    against 60-digit mpmath: sigma 0.005 to 1, |r| <= 3, strikes 0.3 to 30
+    times s0). Below that level the formula subtracts two nearly equal
+    tails, and a deep out-of-the-money price keeps the absolute bound alone:
+    relative misses reach 1.8e-10 on prices near 1e-300.
+    """
+    require_price_level("s0", s0)
+    require_price_level("strike", strike)
+    if not isinstance(payoff, Payoff):
+        try:
+            payoff = Payoff(payoff)  # tolerate the string forms "call"/"put"
+        except ValueError:
+            raise DomainError(f"payoff must be 'call' or 'put', got {payoff!r}") from None
+    return PriceEstimate(_vanilla(params, strike, s0, payoff is Payoff.PUT))
 
 
 def _knockout_call(params: MarketParams, strike: float | None, s0: float,
@@ -126,16 +144,27 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
     with E at the slab ends in a factored gap-times-gap form, so a steep
     drift's e^{+-800} weights are never built.
 
-    The series runs over the shells |n| <= N + 1, N = series_terms(d0*dt,
-    sigma^2*T) for the widths d0, dt at 0 and T, the whole span being one
-    bridge step of the engine's `step_exits`. Shell n >= 0 holds the
-    engine's lower-side R_n and D_n, and shell -m the upper-side D_m and,
-    reflected, R_{m-1}: |n| <= N would drop the upper R_N the engine keeps,
-    and N + 1 leaves out only terms past N. Each has e^{E(x)} <= 2^-54 at
-    every x inside the corridor at T, the whole slab, and they fall off as
-    e^{-2*n^2*d0*dt/(sigma^2*T)}. The legs integrate e^E against measures of
-    mass at most e^{-r*T} (cash) and e^{(mu - r)*T} (asset, e^{x - r*T}),
-    so the terms left out move the price by a few 2^-54*(s0*e^{(mu-r)*T} + K*e^{-r*T}).
+    The series sums exactly the terms the engine's `step_exits` keeps for
+    one bridge step over the whole span, N = series_terms(d0*dt, sigma^2*T)
+    image pairs for the widths d0, dt at 0 and T. Shell n >= 0 holds the
+    engine's lower-side R_n and D_n (D_0 is the free density), and shell -m
+    the upper-side D_m and, reflected, R_{m-1}; so the engine's set is the
+    shells |n| <= N in full and the reflected term of shell -(N + 1), the
+    upper R_N: 8N + 6 legs for a price, 4N + 2 for a breach probability,
+    which reads the free mass apart. Every term left out has
+    e^{E(x)} <= 2^-54 at every x inside the corridor at T, the whole slab,
+    and they fall off as e^{-2*n^2*d0*dt/(sigma^2*T)}. The legs integrate
+    e^E against measures of mass at most e^{-r*T} (cash) and e^{(mu - r)*T}
+    (asset, e^{x - r*T}), so the terms left out move the price by a few
+    2^-54*(s0*e^{(mu-r)*T} + K*e^{-r*T}).
+
+    That scale is also the series' absolute floor. Its shells are O(s0)
+    each and cancel, so a double knock-out price carries an absolute error
+    of a few ulps of s0*e^{(mu-r)*T} + K*e^{-r*T} however small the price:
+    70/130 with K = 100, sigma = 0.9, r = 0.10, T = 2 prices 5.75242648e-10
+    at s0 = 73.15 against an exact 5.7524892966e-10, and at s0 = K = 100,
+    sigma = 10, r = 0.05, T = 1 it returns 3.9e-19 for an exact 8.7e-565.
+    A price within a few ulps of that scale of zero is noise, not a value.
 
     With strike None it returns the breach probability: the mass knocked
     out of the undiscounted cash leg over the whole line, i.e. the free mass
@@ -179,8 +208,7 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
             tk = -rt - 0.5 * qk * qk
             asset += _leg(1.0, ma, k + tk, x1 + t1, qk, q1, srt)
             cash += _leg(0.0, -rt, tk, t1, qk, q1, srt)
-        vanilla = bs_vanilla(params, Payoff.CALL, strike, s0).value
-        return max(vanilla - (s0 * asset - strike * cash), 0.0)
+        return max(_vanilla(params, strike, s0) - (s0 * asset - strike * cash), 0.0)
     # image n, with y = x - lt the gap above the lower line (a0 at t = 0) and
     # widths d0, dt at 0 and T: direct E = kk*n*(dt*(n*d0 - a0) + d0*y),
     # reflected E = kk*(n*d0 + a0)*(n*dt + y), kk = -2/(sigma^2*T)
@@ -188,19 +216,27 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
     a0, d0, dt = -hl, hu - hl, ut - lt
     y1, ym = x1 - lt, m1t - lt
     asset = cash = gone = 0.0
-    terms = series_terms(d0 * dt, s2t) + 1
-    for n in [0] + [s * m for m in range(1, terms + 1) for s in (1, -1)]:
-        pa, ca, gb, nd = kk * n, dt * (n * d0 - a0), kk * (n * d0 + a0), n * dt
-        ga, ema, emb = pa * d0, pa * (ca + d0 * ym), gb * (nd + ym)
-        ea1, ea2 = t1 + pa * (ca + d0 * y1), t2 + pa * (ca + d0 * dt)
+    terms = series_terms(d0 * dt, s2t)
+    last = -1 - terms
+    for n in [0] + [s * m for m in range(1, terms + 1) for s in (1, -1)] + [last]:
+        gb, nd = kk * (n * d0 + a0), n * dt
+        emb = gb * (nd + ym)
         eb1, eb2 = t1 + gb * (nd + y1), t2 + gb * (nd + dt)
-        direct = _leg(ga, ema - rt, ea1, ea2, q1, q2, srt)
         reflected = _leg(gb, emb - rt, eb1, eb2, q1, q2, srt)
-        if strike is None:  # the free mass, shell 0's direct term, stays
-            gone += reflected - direct if n else reflected
+        # shell -(N+1) adds its reflected term alone, the engine's upper R_N;
+        # with no strike, shell 0's direct term is the free mass, summed apart
+        direct = direct_asset = 0.0
+        if n != last and (n or strike is not None):
+            pa, ca = kk * n, dt * (n * d0 - a0)
+            ga, ema = pa * d0, pa * (ca + d0 * ym)
+            ea1, ea2 = t1 + pa * (ca + d0 * y1), t2 + pa * (ca + d0 * dt)
+            direct = _leg(ga, ema - rt, ea1, ea2, q1, q2, srt)
+            if strike is not None:
+                direct_asset = _leg(1.0 + ga, ma + ema, x1 + ea1, x2 + ea2, q1, q2, srt)
+        if strike is None:
+            gone += reflected - direct
             continue
-        asset += _leg(1.0 + ga, ma + ema, x1 + ea1, x2 + ea2, q1, q2, srt) - _leg(
-            1.0 + gb, ma + emb, x1 + eb1, x2 + eb2, q1, q2, srt)
+        asset += direct_asset - _leg(1.0 + gb, ma + emb, x1 + eb1, x2 + eb2, q1, q2, srt)
         cash += direct - reflected
     if strike is None:
         return std_normal_cdf(q1) + std_normal_cdf(-q2) + gone

@@ -354,3 +354,40 @@ CORRIDOR_BREACH = {
 # BREACH_UNDER_STEEP_DRIFT) at 40 digits; the quadrature above at 250
 # digits, with extra nodes 1e-5 to 0.1 from each end, agrees to 25 digits.
 BREACH_FAR_CORRIDOR = 7.220872703369369419044663e-169
+
+# Double knock-out calls (flat 70/130, mu = r) whose prices sit at or below
+# the image series' absolute floor: the shells are O(s0) each and cancel,
+# so the double sum keeps only an absolute accuracy of a few ulps of
+# s0 e^((mu-r)T) + K e^(-rT). Keyed by (r, sigma, T, K, L, U, s0), the price
+# at 20 digits as a decimal string, since the last one is below the least
+# double (float() reads it as 0.0). The first row is the sweep command's
+# s0 = 73.15 at nu = 4.9. Each comes from the sine (eigenfunction)
+# expansion of the killed density, which has no cancellation here:
+#
+#     import mpmath as mp
+#     mp.mp.dps = 50
+#     r, sig, T, K, L, U, s0 = (mp.mpf(v) for v in row)  # each row
+#     m1 = r - sig**2 / 2
+#     hl, hu = mp.log(L / s0), mp.log(U / s0)
+#     W, x1, th = hu - hl, max(mp.log(K / s0), hl), m1 / sig**2
+#
+#     def ie(a, b, x):  # antiderivative of e^(a x) sin(b (x - hl))
+#         return mp.exp(a * x) * (a * mp.sin(b * (x - hl)) - b * mp.cos(b * (x - hl))) / (a**2 + b**2)
+#
+#     tot = 0
+#     for n in range(1, 61):
+#         b = n * mp.pi / W
+#         w = 2 / W * mp.sin(-b * hl) * mp.exp(-b**2 * sig**2 * T / 2)
+#         tot += w * (s0 * (ie(th + 1, b, hu) - ie(th + 1, b, x1)) - K * (ie(th, b, hu) - ie(th, b, x1)))
+#     price = mp.exp(-r * T - m1**2 * T / (2 * sig**2)) * tot
+#
+# The image series, each leg in closed form with its Phi difference taken
+# on the tail side, gives the same digits: row 1 at 60 digits (81 shells),
+# row 2 at 700 (801 shells) and row 3 at 640 (901 shells). At 60 digits
+# row 2's image series returns 3.0e-45, its own cancellation noise, so an
+# image-series oracle needs more digits than the price's exponent.
+DOUBLE_BELOW_FLOOR = {
+    (0.10, 0.9, 2.0, 100.0, 70.0, 130.0, 73.15): "5.7524892965550975413e-10",
+    (0.05, 5.0, 1.0, 100.0, 70.0, 130.0, 100.0): "2.8730981872315596199e-141",
+    (0.05, 10.0, 1.0, 100.0, 70.0, 130.0, 100.0): "8.6679352323233071611e-565",
+}

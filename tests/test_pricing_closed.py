@@ -23,15 +23,18 @@ from barrierkit.model import (
 )
 from barrierkit.calibrate import numeric_critical_price
 from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
+from barrierkit.pricing import closed
 from barrierkit.pricing.closed import (
+    _leg,
     breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
+    series_terms,
     up_and_out_call_closed,
 )
 from barrierkit.pricing.mc import McConfig, mc_price
-from oracles import (CORRIDOR_TERM_COUNT, KNOCKOUT_UNDER_STEEP_DRIFT,
+from oracles import (CORRIDOR_TERM_COUNT, DOUBLE_BELOW_FLOOR, KNOCKOUT_UNDER_STEEP_DRIFT,
                      NARROW_SLAB_UNDER_STEEP_DRIFT, PINCHED_CORRIDOR)
 
 
@@ -79,6 +82,36 @@ class TestVanilla:
         est = bs_vanilla(mk_params(), Payoff.CALL, 100.0, 100.0)
         assert est.method is PricingMethod.CLOSED
         assert est.std_error == 0.0
+
+    def test_accuracy_against_mpmath(self):
+        # the docstring's bounds: absolute 2*2^-52*(s0*e^{(mu-r)T} + K*e^{-rT})
+        # on every call, relative 1e-12 where the price is at least 1e-6 of
+        # that scale; deep out-of-the-money calls, down to subnormal prices,
+        # keep the absolute bound alone
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(20261022)
+        deep = 0
+        with mp.workdps(60):
+            for i in range(2400):
+                if i % 3 == 0:
+                    sigma, T = rng.uniform(0.005, 0.05), rng.uniform(0.01, 2.0)
+                else:
+                    sigma, T = rng.uniform(0.05, 1.0), rng.uniform(0.1, 2.0)
+                r, q = rng.uniform(-3.0, 3.0), rng.uniform(0.0, 0.2)
+                strike = 100.0 * math.exp(rng.uniform(math.log(0.3), math.log(30.0 if i % 4 == 0 else 3.0)))
+                got = bs_vanilla(MarketParams(mu=r - q, sigma=sigma, r=r, T=T), Payoff.CALL, strike, 100.0).value
+                s0, k, sig, rate, t, mu = (mp.mpf(v) for v in (100.0, strike, sigma, r, T, r - q))
+                srt = sig * mp.sqrt(t)
+                d1 = (mp.log(s0 / k) + (mu + sig**2 / 2) * t) / srt
+                fwd, disc_k = s0 * mp.exp((mu - rate) * t), k * mp.exp(-rate * t)
+                want = fwd * mp.ncdf(d1) - disc_k * mp.ncdf(d1 - srt)
+                scale = float(fwd + disc_k)
+                err = float(abs(got - want))
+                assert err <= 2.0 * 2.0**-52 * scale, (i, got, float(want))
+                if want >= 1e-6 * scale:
+                    assert err <= 1e-12 * float(want), (i, got, float(want))
+                deep += want < 1e-100
+        assert deep >= 100
 
 
 class TestDownAndOut:
@@ -258,8 +291,105 @@ class TestDoubleKnockout:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def _shells_through_n_plus_one(p, strike, s0, lower, upper):
+    """A flat or exponential corridor's call price, or its breach probability
+    with strike None, summed over every shell |n| <= N + 1 from `_leg`: the
+    rule before the series kept the engine's terms alone. Each term is built
+    in the factored form `_knockout_call` uses, so only the term set differs."""
+    (lo, g_l), (hi, g_u) = lower, upper
+    T, sig = p.T, p.sigma
+    s2t, srt = sig * sig * T, sig * math.sqrt(T)
+    m1t = (p.mu - 0.5 * sig * sig) * T
+    k, rt = (-math.inf, 0.0) if strike is None else (math.log(strike / s0), p.r * T)
+    hl, hu = math.log(lo / s0), math.log(hi / s0)
+    lt, ut = hl + g_l * T, hu + g_u * T
+    x1, x2 = max(lt, k), ut
+    if x1 >= x2:
+        return 0.0
+    q1, q2 = (x1 - m1t) / srt, (x2 - m1t) / srt
+    t1, t2 = -rt - 0.5 * q1 * q1, -rt - 0.5 * q2 * q2
+    ma, kk, a0, d0, dt = m1t - rt, -2.0 / s2t, -hl, hu - hl, ut - lt
+    y1, ym = x1 - lt, m1t - lt
+    m = series_terms(d0 * dt, s2t) + 1
+    asset = cash = gone = 0.0
+    for n in range(-m, m + 1):
+        pa, ca, gb, nd = kk * n, dt * (n * d0 - a0), kk * (n * d0 + a0), n * dt
+        ga, ema, emb = pa * d0, pa * (ca + d0 * ym), gb * (nd + ym)
+        ea1, ea2 = t1 + pa * (ca + d0 * y1), t2 + pa * (ca + d0 * dt)
+        eb1, eb2 = t1 + gb * (nd + y1), t2 + gb * (nd + dt)
+        direct = _leg(ga, ema - rt, ea1, ea2, q1, q2, srt)
+        reflected = _leg(gb, emb - rt, eb1, eb2, q1, q2, srt)
+        gone += reflected - direct if n else reflected
+        asset += _leg(1.0 + ga, ma + ema, x1 + ea1, x2 + ea2, q1, q2, srt) - _leg(
+            1.0 + gb, ma + emb, x1 + eb1, x2 + eb2, q1, q2, srt)
+        cash += direct - reflected
+    if strike is None:
+        return 0.5 * math.erfc(-q1 / math.sqrt(2.0)) + 0.5 * math.erfc(q2 / math.sqrt(2.0)) + gone
+    return max(s0 * asset - strike * cash, 0.0)
+
+
 class TestSeriesTerms:
-    """The corridor series takes the shells |n| <= series_terms + 1."""
+    """The corridor series takes the engine's terms: shells |n| <= N in full
+    and the reflected term of shell -(N + 1), the upper R_N."""
+
+    @pytest.mark.parametrize("n, lo, hi, sigma", [(1, 70.0, 130.0, 0.2), (3, 70.0, 130.0, 0.43),
+                                                  (11, 90.0, 110.0, 0.5)])
+    def test_legs_per_price_and_breach_probability(self, monkeypatch, n, lo, hi, sigma):
+        # four legs a shell, two on shell -(N+1); a breach probability takes
+        # cash legs alone and no free-mass leg on shell 0
+        p = mk_params(sigma=sigma, T=1.0, r=0.1)
+        assert series_terms(math.log(hi / lo) ** 2, sigma * sigma) == n
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _leg(*args)
+
+        monkeypatch.setattr(closed, "_leg", counting)
+        double_knockout_closed(p, 100.0, lo, hi, 100.0)
+        assert len(calls) == 8 * n + 6
+        calls.clear()
+        breach_prob_closed(p, BarrierSet(lower=BarrierCurve.flat(lo), upper=BarrierCurve.flat(hi)), 100.0)
+        assert len(calls) == 4 * n + 2
+
+    @pytest.mark.parametrize("row", sorted(DOUBLE_BELOW_FLOOR))
+    def test_absolute_floor(self, row):
+        # the shells cancel, so a tiny price is exact only to a few ulps of
+        # s0*e^{(mu-r)T} + K*e^{-rT}: 5.75242648e-10 for 5.7524892966e-10,
+        # 3.9e-19 for 8.7e-565
+        r, sigma, T, K, L, U, s0 = row
+        p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+        got = double_knockout_closed(p, K, L, U, s0).value
+        want = float(DOUBLE_BELOW_FLOOR[row])
+        assert abs(got - want) <= 4.0 * 2.0**-52 * (s0 + K * math.exp(-r * T)), (got, want)
+
+    def test_dropped_shells_stay_below_the_floor(self):
+        # the shell +(N+1) and the upper D_{N+1} move no result by more than
+        # a few ulps of its scale, under steep drift and with N >= 10
+        rng = random.Random(20261021)
+        checked = 0
+        while checked < 300:
+            sigma, T = rng.uniform(0.3, 1.0), rng.uniform(0.25, 2.0)
+            r = rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 3.0)
+            p = MarketParams(mu=r, sigma=sigma, r=r, T=T)
+            lower = (100.0 * math.exp(-rng.uniform(0.05, 0.25)), rng.uniform(-0.5, 0.5))
+            upper = (100.0 * math.exp(rng.uniform(0.05, 0.25)), rng.uniform(-0.5, 0.5))
+            strike = 100.0 * math.exp(rng.uniform(-0.3, 0.3))
+            d0 = math.log(upper[0] / lower[0])
+            dt = d0 + (upper[1] - lower[1]) * T
+            if dt <= 0.0 or series_terms(d0 * dt, sigma * sigma * T) < 10:
+                continue
+            checked += 1
+            scale = 100.0 * math.exp((p.mu - p.r) * T) + strike * math.exp(-p.r * T)
+            got = double_knockout_closed(p, strike, lower[0], upper[0], 100.0,
+                                         (lower[1], upper[1])).value
+            want = _shells_through_n_plus_one(p, strike, 100.0, lower, upper)
+            assert abs(got - want) <= 4.0 * 2.0**-52 * scale, (checked, got, want)
+            barriers = BarrierSet(lower=BarrierCurve.exponential(*lower),
+                                  upper=BarrierCurve.exponential(*upper))
+            got = breach_prob_closed(p, barriers, 100.0)
+            want = min(max(_shells_through_n_plus_one(p, None, 100.0, lower, upper), 0.0), 1.0)
+            assert abs(got - want) <= 4.0 * 2.0**-52, (checked, got, want)
 
     def test_pinched_corridor_is_zero_to_double_precision(self):
         # 95 image pairs; a cap of 50 shells once left 2.95e-9 here
@@ -402,6 +532,8 @@ PRICE_LEVEL_ENTRIES = {
     "option_spec-strike": lambda p, x: OptionSpec(payoff=Payoff.CALL, strike=x),
     "numeric_critical-barrier": lambda p, x: numeric_critical_price(
         p, 100.0, x, "lower", 1e-6, down_and_out_call_closed),
+    "numeric_critical-strike": lambda p, x: numeric_critical_price(
+        p, x, 70.0, "lower", 1e-6, down_and_out_call_closed),
     "breach_mc-s0": lambda p, x: breach_prob_mc(p, DKO, x, McConfig(paths=10)),
     "breach_pde-s0": lambda p, x: breach_prob_pde(p, DKO, x, p.T, default_grid(p, DKO, 100.0, p.T)),
     "breach_pde-T": lambda p, x: breach_prob_pde(p, DKO, 100.0, x, default_grid(p, DKO, 100.0, p.T)),
