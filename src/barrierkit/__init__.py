@@ -17,13 +17,7 @@ from .calibrate import (
     reproduce_table1,
 )
 from .classify import classify_double, classify_down_and_out, classify_up_and_out
-from .critical import (
-    critical_prices,
-    lower_critical_curve,
-    s_ml_flat,
-    s_mu_flat,
-    upper_critical_curve,
-)
+from .critical import critical_curve, critical_prices
 from .model import (
     BarrierCurve,
     BarrierOrderError,
@@ -102,19 +96,16 @@ __all__ = [
     "classify_double",
     "classify_down_and_out",
     "classify_up_and_out",
+    "critical_curve",
     "critical_prices",
     "default_grid",
     "double_knockout_closed",
     "down_and_out_call_closed",
     "implied_nu",
-    "lower_critical_curve",
     "mc_price",
     "nu_for_accuracy",
     "numeric_critical_price",
     "reproduce_table1",
-    "s_ml_flat",
-    "s_mu_flat",
     "std_normal_cdf",
     "up_and_out_call_closed",
-    "upper_critical_curve",
 ]

@@ -21,8 +21,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .critical import s_ml_flat
-from .model import DomainError, MarketParams, NumericsError, require_price_level
+from .critical import critical_prices
+from .model import (
+    BarrierCurve,
+    BarrierSet,
+    DomainError,
+    MarketParams,
+    NumericsError,
+    require_price_level,
+    side_sign,
+)
 from .pricing.closed import _vanilla, down_and_out_call_closed
 
 BISECT_TOL_S = 1e-6
@@ -75,8 +83,7 @@ def numeric_critical_price(
     beyond it.
     """
     _check_theta(theta)
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    side_sign(side)
     require_price_level("barrier", barrier)
     require_price_level("strike", strike)
     half = 0.5 * theta
@@ -123,23 +130,20 @@ def numeric_critical_price(
 def implied_nu(params: MarketParams, barrier: float, side: str, s_crit: float) -> float:
     """The nu in (0, 20] whose flat analytic critical price equals the measured one.
 
-    The exact inverse of s_ml_flat/s_mu_flat. Mirrored as they are, a
+    The exact inverse of critical_prices on a flat barrier: s_ml on the
+    lower side, s_mu on the upper. Mirrored as they are, a
     critical price sits x = ln(s_crit/barrier) from a lower barrier, or
     x = ln(barrier/s_crit) from an upper one, with m = mu1 or -mu1. When
     m > 0 and x < m*T the maximum lies at the interior turning point,
     where x = (nu*sigma)^2/(4m); otherwise it lies at T, where
     x = nu*sigma*sqrt(T) - m*T.
     """
-    if side not in ("lower", "upper"):
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    sign = side_sign(side)
     require_price_level("barrier", barrier)
     require_price_level("s_crit", s_crit)
     sigma, T = params.sigma, params.T
-    m1 = params.mu - 0.5 * sigma * sigma
-    if side == "lower":
-        x, m = math.log(s_crit / barrier), m1
-    else:
-        x, m = math.log(barrier / s_crit), -m1
+    x = math.log(s_crit / barrier if sign > 0.0 else barrier / s_crit)
+    m = sign * (params.mu - 0.5 * sigma * sigma)
     if m > 0.0 and x < m * T:
         nu = 2.0 * math.sqrt(m * x) / sigma if x > 0.0 else 0.0
     else:
@@ -173,9 +177,10 @@ def reproduce_table1(reference_nu: float = 4.9, theta: float = FLOOR_THETA):
     and the nu implied by that measurement.
     """
     rows = []
+    barriers = BarrierSet(lower=BarrierCurve.flat(TABLE1_BARRIER))
     for T, sigma in TABLE1_ROWS:
         params = MarketParams(mu=TABLE1_RATE, sigma=sigma, r=TABLE1_RATE, T=T)
-        analytic = s_ml_flat(params, TABLE1_BARRIER, reference_nu)[0]
+        analytic = critical_prices(params, barriers, reference_nu).s_ml
         numeric = numeric_critical_price(
             params, TABLE1_STRIKE, TABLE1_BARRIER, "lower", theta, down_and_out_call_closed
         )

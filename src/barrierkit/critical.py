@@ -6,6 +6,8 @@ which the chance of sitting at or below the barrier at time t is exactly
 the tail mass Phi(-nu); its maximum over [0, T] is s_ml, the smallest
 initial price for which the barrier never matters at the stated accuracy.
 The upper-barrier story is the mirror image and yields s_mu as a minimum.
+One signed path serves both: each function takes side = "lower" or
+"upper", and the sign +1 or -1 mirrors the upper side onto the lower.
 
 Every barrier is log-linear between its breakpoints, so on each segment
 the curve has the flat-barrier form with mu1 shifted by the segment's
@@ -25,6 +27,8 @@ from .model import (
     DomainError,
     MarketParams,
     NumericsError,
+    require_price_level,
+    side_sign,
 )
 from .numerics import std_normal_cdf
 
@@ -39,25 +43,20 @@ def _m1(params: MarketParams) -> float:
     return params.mu - 0.5 * params.sigma * params.sigma
 
 
-def prob_above_lower(
-    params: MarketParams, lower: BarrierCurve, s0: float, t: float
+def prob_inside(
+    params: MarketParams, curve: BarrierCurve, s0: float, t: float, side: str
 ) -> float:
-    """P(S_t > B_l(t)) for the lognormal price started at s0; needs t > 0."""
+    """P(S_t > B(t)) for a lower barrier, P(S_t < B(t)) for an upper one.
+
+    The lognormal price starts at s0; side is "lower" or "upper", and t > 0.
+    """
+    sign = side_sign(side)
+    require_price_level("s0", s0)
     if t <= 0.0:
         raise DomainError(f"pointwise probability needs t > 0, got {t}")
-    b = lower.value_at(t, params.T)
-    omega = (_m1(params) * t + math.log(s0 / b)) / (params.sigma * math.sqrt(t))
-    return std_normal_cdf(omega)
-
-
-def prob_below_upper(
-    params: MarketParams, upper: BarrierCurve, s0: float, t: float
-) -> float:
-    """P(S_t < B_u(t)), the mirror of prob_above_lower."""
-    if t <= 0.0:
-        raise DomainError(f"pointwise probability needs t > 0, got {t}")
-    b = upper.value_at(t, params.T)
-    omega = (math.log(b / s0) - _m1(params) * t) / (params.sigma * math.sqrt(t))
+    b = curve.value_at(t, params.T)
+    ratio = s0 / b if sign > 0.0 else b / s0
+    omega = (math.log(ratio) + sign * _m1(params) * t) / (params.sigma * math.sqrt(t))
     return std_normal_cdf(omega)
 
 
@@ -81,22 +80,21 @@ def _times_barrier(curve: BarrierCurve, x: float, t: float, T: float) -> float:
     return price
 
 
-def lower_critical_curve(
-    params: MarketParams, lower: BarrierCurve, nu: float, t: float
+def critical_curve(
+    params: MarketParams, curve: BarrierCurve, nu: float, t: float, side: str
 ) -> float:
-    """S_l(t) = B_l(t) * exp(nu*sigma*sqrt(t) - mu1*t); B_l(0) at t = 0."""
-    if t == 0.0:
-        return lower.value_at(t, params.T)
-    return _times_barrier(lower, nu * params.sigma * math.sqrt(t) - _m1(params) * t, t, params.T)
+    """The critical price at time t on one side; B(0) at t = 0.
 
-
-def upper_critical_curve(
-    params: MarketParams, upper: BarrierCurve, nu: float, t: float
-) -> float:
-    """S_u(t) = B_u(t) * exp(-(nu*sigma*sqrt(t) + mu1*t)); B_u(0) at t = 0."""
+    Lower: S_l(t) = B_l(t) * exp(nu*sigma*sqrt(t) - mu1*t).
+    Upper: S_u(t) = B_u(t) * exp(-(nu*sigma*sqrt(t) + mu1*t)), the mirror.
+    One expression serves both: negation is exact, so -a - b is -(a + b).
+    """
+    sign = side_sign(side)
+    _require_nu(nu)
     if t == 0.0:
-        return upper.value_at(t, params.T)
-    return _times_barrier(upper, -(nu * params.sigma * math.sqrt(t) + _m1(params) * t), t, params.T)
+        return curve.value_at(t, params.T)
+    x = sign * (nu * params.sigma * math.sqrt(t)) - _m1(params) * t
+    return _times_barrier(curve, x, t, params.T)
 
 
 def _log_slope(curve: BarrierCurve, a: float, b: float, T: float) -> float:
@@ -127,36 +125,26 @@ def _peak_time(params: MarketParams, nu: float, m: float, a: float, b: float) ->
 
 
 def _extremum(
-    params: MarketParams, curve: BarrierCurve, nu: float, side: float
+    params: MarketParams, curve: BarrierCurve, nu: float, side: str
 ) -> tuple[float, float]:
-    """s_ml (side = 1) or s_mu (side = -1) of one barrier, with its time.
+    """s_ml (side "lower") or s_mu (side "upper") of one barrier, with its time.
 
     Walks the segments between the curve's breakpoints, evaluates the
-    critical curve at each segment's peak and keeps the best; ties go to
-    the earlier time.
+    critical curve at each segment's peak and keeps the best (largest on
+    the lower side, smallest on the upper); ties go to the earlier time.
     """
-    _require_nu(nu)
-    crit = lower_critical_curve if side > 0.0 else upper_critical_curve
+    _require_nu(nu)  # first, so a bad nu is reported before any barrier level is read
+    sign = side_sign(side)
     m1 = _m1(params)
     ts = curve.breakpoints(params.T)
     best = None
     for a, b in zip(ts, ts[1:]):
-        m = side * (m1 - _log_slope(curve, a, b, params.T))
+        m = sign * (m1 - _log_slope(curve, a, b, params.T))
         t = _peak_time(params, nu, m, a, b)
-        s = crit(params, curve, nu, t)
-        if best is None or side * s > side * best[0]:
+        s = critical_curve(params, curve, nu, t, side)
+        if best is None or sign * s > sign * best[0]:
             best = (s, t)
     return best
-
-
-def s_ml_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
-    """Maximum of the flat lower critical curve over [0, T] with its time."""
-    return _extremum(params, BarrierCurve.flat(level), nu, 1.0)
-
-
-def s_mu_flat(params: MarketParams, level: float, nu: float) -> tuple[float, float]:
-    """Minimum of the flat upper critical curve over [0, T] with its time."""
-    return _extremum(params, BarrierCurve.flat(level), nu, -1.0)
 
 
 def critical_prices(
@@ -167,7 +155,7 @@ def critical_prices(
         raise DomainError("no barriers present, nothing to extremize")
     s_ml = t_max = s_mu = t_min = None
     if barriers.lower is not None:
-        s_ml, t_max = _extremum(params, barriers.lower, nu, 1.0)
+        s_ml, t_max = _extremum(params, barriers.lower, nu, "lower")
     if barriers.upper is not None:
-        s_mu, t_min = _extremum(params, barriers.upper, nu, -1.0)
+        s_mu, t_min = _extremum(params, barriers.upper, nu, "upper")
     return CriticalPrices(s_ml=s_ml, t_at_max=t_max, s_mu=s_mu, t_at_min=t_min)

@@ -59,6 +59,15 @@ def require_price_level(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
+def side_sign(side: str) -> float:
+    """1.0 for "lower", -1.0 for "upper": the sign that mirrors one side onto the other."""
+    if side == "lower":
+        return 1.0
+    if side == "upper":
+        return -1.0
+    raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Lognormal market bundle: drift, volatility, rate, horizon.

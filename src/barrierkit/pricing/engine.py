@@ -2,7 +2,8 @@
 
 Between two nodes the log-price is a Brownian bridge and each barrier a
 line in log space (exact for flat and exponential barriers, and for
-tabulated ones with knots on nodes), so a step's chance of survival and
+tabulated ones with knots on nodes; a knot off them warns that the
+estimate is biased), so a step's chance of survival and
 of first exit through each side is an exact image series (`step_exits`).
 A path carries these chances instead of a knock-out test: its weight is
 the product of its steps' survival chances and its mass per side the sum
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -51,6 +53,22 @@ _CHUNK = 2**13  # mask cells per np.flatnonzero call: the indices it allocates s
 
 def n_steps_for(per_year: int, T: float) -> int:
     return max(1, math.ceil(per_year * T - 1e-12))
+
+
+def _warn_off_grid_knots(barriers: BarrierSet, n: int, dt: float, T: float) -> None:
+    """RuntimeWarning for each tabulated knot inside (0, T) that is not a node.
+
+    Between nodes the bridge takes the barrier as the line through its
+    values there, which cuts a corner at a knot in between. A knot t is a
+    node when t/dt is within 1e-9 of a whole number.
+    """
+    for curve in (barriers.lower, barriers.upper):
+        for t in () if curve is None else curve.breakpoints(T)[1:-1]:
+            if abs(t / dt - round(t / dt)) > 1e-9:
+                warnings.warn(
+                    f"barrier knot at t={t} is not a node of the {n}-step grid (step {dt}): "
+                    "the bridge cuts the corner there, so the Monte Carlo estimate is biased",
+                    RuntimeWarning, stacklevel=4)
 
 
 def _flatnonzero(mask, out):
@@ -264,6 +282,7 @@ def path_moments(
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
     width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
     terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if sides == 2 else 0
+    _warn_off_grid_knots(barriers, n, dt, T)  # after the level reads, which refuse a short table
 
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
         """(x_T, weight, mass_l, mass_u) for the next m rows of gen, and the

@@ -29,14 +29,7 @@ from barrierkit.classify import (
     classify_up_and_out,
 )
 from barrierkit.cli import _PRECISION_NOTE, run
-from barrierkit.critical import (
-    lower_critical_curve,
-    prob_above_lower,
-    prob_below_upper,
-    s_ml_flat,
-    s_mu_flat,
-    upper_critical_curve,
-)
+from barrierkit.critical import critical_curve, critical_prices, prob_inside
 from barrierkit.model import (
     BarrierCurve,
     BarrierSet,
@@ -67,11 +60,18 @@ def _mkt(T, sigma, r=0.10):
     return MarketParams(mu=r, sigma=sigma, r=r, T=T)
 
 
+def _flat(params, nu, lower=None, upper=None):
+    """critical_prices on flat barriers at the given levels."""
+    return critical_prices(params, BarrierSet(
+        lower=None if lower is None else BarrierCurve.flat(lower),
+        upper=None if upper is None else BarrierCurve.flat(upper)), nu)
+
+
 def test_a1_flat_lower_critical_reference_values():
     """Analytic worthlessness thresholds for a flat 70 barrier at nu=4.9."""
     t0 = time.perf_counter()
     got = {
-        (T, sigma): s_ml_flat(_mkt(T, sigma), 70.0, 4.9)[0]
+        (T, sigma): _flat(_mkt(T, sigma), 4.9, lower=70.0).s_ml
         for (T, sigma) in ((0.25, 0.15), (0.25, 0.30), (0.50, 0.15), (0.50, 0.30))
     }
     elapsed = time.perf_counter() - t0
@@ -146,7 +146,7 @@ def test_a3_floor_calibration_implied_nu(capsys):
     # so no measurement at the floor can return it (README 'Known
     # deviations')
     params = _mkt(0.25, 0.15)
-    s_quoted = s_ml_flat(params, 70.0, QUOTED_FLOOR_NU)[0]
+    s_quoted = _flat(params, QUOTED_FLOOR_NU, lower=70.0).s_ml
     assert s_quoted > s_ref
     assert (down_and_out_call_closed(params, 100.0, 70.0, s_quoted).value
             == bs_vanilla(params, Payoff.CALL, 100.0, s_quoted).value)
@@ -163,12 +163,12 @@ def test_a4_critical_curve_probability_round_trip():
         for j in range(10):
             nu = 0.8 * j
             phi = std_normal_cdf(nu)
-            s_l = lower_critical_curve(params, lower, nu, t)
-            s_u = upper_critical_curve(params, upper, nu, t)
+            s_l = critical_curve(params, lower, nu, t, "lower")
+            s_u = critical_curve(params, upper, nu, t, "upper")
             worst = max(
                 worst,
-                abs(prob_above_lower(params, lower, s_l, t) - phi),
-                abs(prob_below_upper(params, upper, s_u, t) - phi),
+                abs(prob_inside(params, lower, s_l, t, "lower") - phi),
+                abs(prob_inside(params, upper, s_u, t, "upper") - phi),
             )
     elapsed = time.perf_counter() - t0
     assert worst < 1e-12
@@ -187,7 +187,7 @@ def test_a5_classification_partition_on_random_inputs():
         kind = rng.randrange(3)
         if kind == 0:
             b = rng.uniform(20.0, 180.0)
-            s_ml = s_ml_flat(params, b, nu)[0]
+            s_ml = _flat(params, nu, lower=b).s_ml
             s0 = b * rng.uniform(0.25, 4.0)
             label = classify_down_and_out(s0, b, s_ml)
             preds = (s0 <= b, b < s0 < s_ml, b < s0 and s0 >= s_ml)
@@ -198,7 +198,7 @@ def test_a5_classification_partition_on_random_inputs():
                 assert classify_down_and_out(up, b, s_ml) is Classification.VANILLA
         elif kind == 1:
             b = rng.uniform(20.0, 180.0)
-            s_mu = s_mu_flat(params, b, nu)[0]
+            s_mu = _flat(params, nu, upper=b).s_mu
             s0 = b * rng.uniform(0.25, 4.0)
             label = classify_up_and_out(s0, b, s_mu)
             preds = (s0 >= b, s_mu < s0 < b, s0 < b and s0 <= s_mu)
@@ -210,8 +210,8 @@ def test_a5_classification_partition_on_random_inputs():
         else:
             b_l = rng.uniform(20.0, 120.0)
             b_u = b_l * math.exp(rng.uniform(0.08, 1.5))
-            s_ml = s_ml_flat(params, b_l, nu)[0]
-            s_mu = s_mu_flat(params, b_u, nu)[0]
+            crit = _flat(params, nu, lower=b_l, upper=b_u)
+            s_ml, s_mu = crit.s_ml, crit.s_mu
             s0 = rng.uniform(0.5 * b_l, 1.5 * b_u)
             label = classify_double(s0, b_l, b_u, s_ml, s_mu)
             alive = b_l < s0 < b_u

@@ -21,8 +21,8 @@ from barrierkit.calibrate import (
     numeric_critical_price,
     reproduce_table1,
 )
-from barrierkit.critical import s_ml_flat, s_mu_flat
-from barrierkit.model import DomainError, MarketParams, NumericsError, Payoff, PriceEstimate
+from barrierkit.critical import critical_prices
+from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError, Payoff, PriceEstimate
 from barrierkit.pricing.closed import bs_vanilla, down_and_out_call_closed, up_and_out_call_closed
 from oracles import FLOOR_CROSSINGS, INTERIOR_IMPLIED_NU, ORACLE_CROSSINGS
 
@@ -152,13 +152,13 @@ class TestImpliedNu:
     @pytest.mark.parametrize("nu0", [0.5, 2.0, 4.9, 6.0])
     def test_round_trip_lower(self, nu0):
         p = mk_params()
-        s_crit = s_ml_flat(p, 70.0, nu0)[0]
+        s_crit = critical_prices(p, BarrierSet(lower=BarrierCurve.flat(70.0)), nu0).s_ml
         assert implied_nu(p, 70.0, "lower", s_crit) == pytest.approx(nu0, rel=1e-10)
 
     @pytest.mark.parametrize("nu0", [0.5, 2.0, 4.9, 6.0])
     def test_round_trip_upper(self, nu0):
         p = mk_params()
-        s_crit = s_mu_flat(p, 130.0, nu0)[0]
+        s_crit = critical_prices(p, BarrierSet(upper=BarrierCurve.flat(130.0)), nu0).s_mu
         assert implied_nu(p, 130.0, "upper", s_crit) == pytest.approx(nu0, rel=1e-10)
 
     @pytest.mark.parametrize("side,r,sigma,T,barrier,s_crit,nu_ref", INTERIOR_IMPLIED_NU)
@@ -216,7 +216,8 @@ class TestFloorTable:
     def test_reference_nu_changes_analytic_column_only(self):
         base = reproduce_table1()[0]
         other = reproduce_table1(reference_nu=2.0)[0]
+        flat = BarrierSet(lower=BarrierCurve.flat(70.0))
         assert other.analytic_s_ml == pytest.approx(
-            s_ml_flat(mk_params(sigma=0.15), 70.0, 2.0)[0], rel=1e-12
+            critical_prices(mk_params(sigma=0.15), flat, 2.0).s_ml, rel=1e-12
         )
         assert other.numeric_s_ml == base.numeric_s_ml

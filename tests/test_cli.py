@@ -12,7 +12,7 @@ import pytest
 
 import barrierkit
 from barrierkit.cli import _PRECISION_NOTE, _fmt, emit_csv, run
-from barrierkit.critical import s_mu_flat
+from barrierkit.critical import critical_prices
 from barrierkit.model import BarrierCurve, BarrierSet, MarketParams, McConfig, ValidationError
 from barrierkit.passage import breach_prob_mc
 from barrierkit.pricing.closed import breach_prob_closed, down_and_out_call_closed
@@ -107,7 +107,7 @@ def test_critical_double_barrier_rows(capsys):
     assert lines[1].startswith("s_mu = ")
     shown = float(lines[1].split("=")[1].split("(")[0])
     params = MarketParams(mu=0.10, sigma=0.30, r=0.10, T=0.25)
-    expect = s_mu_flat(params, 130.0, 4.9)[0]
+    expect = critical_prices(params, BarrierSet(upper=BarrierCurve.flat(130.0)), 4.9).s_mu
     assert shown == pytest.approx(expect, rel=1e-9)
 
 
@@ -499,7 +499,8 @@ def test_sweep_double_barrier_bounds(capsys):
 
 def test_classify_and_sweep_with_an_upper_barrier_alone(capsys):
     mkt = _mkt(sigma="0.15")
-    s_mu = s_mu_flat(MarketParams(mu=0.10, sigma=0.15, r=0.10, T=0.25), 130.0, 4.9)[0]
+    params = MarketParams(mu=0.10, sigma=0.15, r=0.10, T=0.25)
+    s_mu = critical_prices(params, BarrierSet(upper=BarrierCurve.flat(130.0)), 4.9).s_mu
     for s0, want in (("80", "Vanilla\n"), ("125", "UpAndOut\n"), ("130", "KnockedOutAtInception\n")):
         argv = ["classify", "--s0", s0, "--upper", "130", *mkt, "--nu", "4.9"]
         assert _call(capsys, *argv) == (0, want, "")

@@ -4,6 +4,7 @@ determinism, memory, and step accounting."""
 import math
 import sys
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -607,6 +608,55 @@ class TestBudget:
         with pytest.raises(DomainError):
             path_moments(mk_params(), DKO, 100.0, McConfig(10, 10, 0), lambda x, w, m_l, m_u: (w,),
                          workers=workers)
+
+
+# a peak at t = 0.1: between the nodes 0 and 0.25 at 4 steps a year, on
+# the node 0.1 at 10; the PDE gives 0.485 from s0 = 100 over T = 0.5
+KNOTTED = BarrierSet(lower=BarrierCurve.tabulated(((0.0, 70.0), (0.1, 95.0), (0.5, 70.0))))
+
+
+class TestOffGridKnots:
+    def test_knot_between_nodes_warns(self):
+        with pytest.warns(RuntimeWarning) as caught:
+            warned = engine_paths(mk_params(T=0.5), KNOTTED, 100.0, 4096, 4, 0)[1]
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "knot at t=0.1 is not a node of the 2-step grid (step 0.25)" in message
+        assert "biased" in message
+        assert caught[0].filename == __file__
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            again = engine_paths(mk_params(T=0.5), KNOTTED, 100.0, 4096, 4, 0)[1]
+        # the warning moves no bit
+        assert again.mean.tobytes() == warned.mean.tobytes()
+        assert again.m2.tobytes() == warned.m2.tobytes()
+
+    def test_mc_price_warns_at_its_caller(self):
+        spec = OptionSpec(Payoff.CALL, 100.0, KNOTTED)
+        with pytest.warns(RuntimeWarning, match="knot at t=0.1 is not a node") as caught:
+            mc_price(mk_params(T=0.5), spec, 100.0, McConfig(4096, 4, 0))
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("params, barriers, steps", [
+        (mk_params(T=0.5), KNOTTED, 10),
+        # 1.5/13 and the benchmark's (n//2)*T/n sit on their grids up to
+        # rounding: 19*1.5/39 is 18.999999999999996 steps of 1.5/39
+        (mk_params(), BarrierSet(
+            lower=BarrierCurve.tabulated(((0.0, 85.0), (1.5 / 13, 87.55), (0.25, 84.15))),
+            upper=BarrierCurve.tabulated(((0.0, 118.0), (1.5 / 13, 115.64), (0.25, 119.18)))), 52),
+        (mk_params(T=1.5), BarrierSet(lower=BarrierCurve.tabulated(
+            ((0.0, 85.0), (19 * 1.5 / 39, 87.0), (1.5, 84.0)))), 26),
+        (mk_params(), BarrierSet(lower=BarrierCurve.flat(70.0)), 3),
+        (mk_params(), BarrierSet(upper=BarrierCurve.exponential(130.0, 0.3)), 3),
+        (mk_params(), DKO, 200),
+        (mk_params(), CORRIDOR, 12),
+        (mk_params(), BarrierSet(), 200),
+    ], ids=["knot-on-a-node", "thirteenths", "benchmark-midpoint", "flat", "exponential",
+            "flat-corridor", "exponential-corridor", "vanilla"])
+    def test_nodes_and_lines_do_not_warn(self, params, barriers, steps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            engine_paths(params, barriers, 100.0, 1000, steps, 0)
 
 
 class TestStepAccounting:

@@ -18,7 +18,7 @@ from barrierkit.passage import (
     default_grid,
 )
 from barrierkit.pricing.closed import _leg, breach_prob_closed, double_knockout_closed
-from barrierkit.critical import s_ml_flat
+from barrierkit.critical import critical_prices, prob_inside
 from barrierkit.numerics import std_normal_cdf
 from barrierkit.pricing.mc import McConfig
 from oracles import (BREACH_EXPONENTIAL, BREACH_FAR_CORRIDOR, BREACH_UNDER_STEEP_DRIFT,
@@ -78,7 +78,7 @@ class TestClosedFlat:
         # the paper's criterion bounds the pointwise tail Phi(-nu), not the
         # chance of touching the barrier first (README, "Known deviations")
         p = mk_params(sigma=sigma, T=T)
-        s_ml = s_ml_flat(p, 70.0, nu)[0]
+        s_ml = critical_prices(p, BarrierSet(lower=BarrierCurve.flat(70.0)), nu).s_ml
         ratio = _flat(p, "lower", 70.0, s_ml) / std_normal_cdf(-nu)
         assert ratio == pytest.approx(KNOCKOUT_OVER_TAIL_AT_S_ML[(T, sigma, nu)], rel=1e-13)
         assert 2.03 < ratio < 2.39
@@ -124,11 +124,9 @@ class TestClosedFlat:
     def test_bounded_below_by_terminal_probability(self):
         # breaching by T includes every path that also ends beyond the
         # barrier, so the first-passage mass dominates the terminal mass
-        from barrierkit.critical import prob_above_lower
-
         p = mk_params()
         lo = BarrierCurve.flat(70.0)
-        terminal_below = 1.0 - prob_above_lower(p, lo, 100.0, 0.25)
+        terminal_below = 1.0 - prob_inside(p, lo, 100.0, 0.25, "lower")
         assert _flat(p, "lower", 70.0) >= terminal_below
 
     def test_domain(self):
