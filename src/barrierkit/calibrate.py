@@ -31,12 +31,15 @@ from .model import (
     require_price_level,
     side_sign,
 )
-from .pricing.closed import _vanilla, down_and_out_call_closed
+from .pricing.closed import _vanilla, down_and_out_call_closed, up_and_out_call_closed
 
 BISECT_TOL_S = 1e-6
 SWEEP_POINTS = 64
 NU_MAX = 20.0
 FLOOR_THETA = 1e-30
+
+# each side's own closed knock-out call, numeric_critical_price's default pricer
+_SIDE_PRICER = {"lower": down_and_out_call_closed, "upper": up_and_out_call_closed}
 
 TABLE1_STRIKE = 100.0
 TABLE1_BARRIER = 70.0
@@ -68,13 +71,14 @@ def numeric_critical_price(
     barrier: float,
     side: str,
     theta: float,
-    pricer: Callable,
+    pricer: Callable | None = None,
 ) -> float:
     """Measured onset of indistinguishability from the vanilla price.
 
     Lower side: smallest s0 (within 1e-6) such that
     |pricer(s0) - vanilla(s0)| < 0.5*theta holds there and at every
-    point of a 64-point verification sweep up to the bracket end.
+    point of a 64-point verification sweep up to the bracket end; the
+    pricer defaults to the side's own closed knock-out call.
     Upper side: mirrored (largest s0, sweep runs downward). Bisection
     runs on the indicator between barrier*(1 +- 1e-9) and barrier times
     e^(+-10 sigma sqrt(T)); if even the far end is distinguishable the
@@ -84,6 +88,7 @@ def numeric_critical_price(
     """
     _check_theta(theta)
     side_sign(side)
+    pricer = _SIDE_PRICER[side] if pricer is None else pricer
     require_price_level("barrier", barrier)
     require_price_level("strike", strike)
     half = 0.5 * theta
@@ -181,6 +186,7 @@ def reproduce_table1(reference_nu: float = 4.9, theta: float = FLOOR_THETA):
     for T, sigma in TABLE1_ROWS:
         params = MarketParams(mu=TABLE1_RATE, sigma=sigma, r=TABLE1_RATE, T=T)
         analytic = critical_prices(params, barriers, reference_nu).s_ml
+        # the default pricer, passed because benchmark/tracer.py reads it as the sixth argument
         numeric = numeric_critical_price(
             params, TABLE1_STRIKE, TABLE1_BARRIER, "lower", theta, down_and_out_call_closed
         )

@@ -14,10 +14,12 @@ import csv
 import io
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
-from .calibrate import FLOOR_THETA, implied_nu, numeric_critical_price, reproduce_table1
-from .classify import classify_double, classify_down_and_out, classify_up_and_out
+from .calibrate import (FLOOR_THETA, _SIDE_PRICER, implied_nu, numeric_critical_price,
+                        reproduce_table1)
+from .classify import classify_double
 from .critical import critical_prices
 from .model import (
     BarrierCurve,
@@ -357,15 +359,6 @@ def _initial_levels(barriers: BarrierSet, T: float) -> tuple[float | None, float
     )
 
 
-def _classify(s0: float, bl0: float | None, bu0: float | None, crit: CriticalPrices):
-    """Effective option type at s0 for whichever barriers are present."""
-    if bl0 is not None and bu0 is not None:
-        return classify_double(s0, bl0, bu0, crit.s_ml, crit.s_mu)
-    if bl0 is not None:
-        return classify_down_and_out(s0, bl0, crit.s_ml)
-    return classify_up_and_out(s0, bu0, crit.s_mu)
-
-
 def _critical_setup(args) -> tuple[MarketParams, BarrierSet, CriticalPrices]:
     """Market, barriers and critical prices: the opening of classify, critical and sweep."""
     params = _params_from_args(args)
@@ -377,7 +370,7 @@ def _critical_setup(args) -> tuple[MarketParams, BarrierSet, CriticalPrices]:
 
 def _cmd_classify(args) -> _Report:
     params, barriers, crit = _critical_setup(args)
-    label = _classify(args.s0, *_initial_levels(barriers, params.T), crit)
+    label = classify_double(args.s0, *_initial_levels(barriers, params.T), crit.s_ml, crit.s_mu)
     return _Report(("classification",), [(label.value,)], [label.value])
 
 
@@ -450,11 +443,10 @@ def _cmd_calibrate(args) -> _Report:
     theta = _theta_from_args(args)
     if (args.lower is None) == (args.upper is None):
         raise ValidationError("calibrate needs exactly one of --lower/--upper")
-    if args.lower is not None:
-        side, level, pricer = "lower", args.lower, down_and_out_call_closed
-    else:
-        side, level, pricer = "upper", args.upper, up_and_out_call_closed
-    s_crit = numeric_critical_price(params, args.strike, level, side, theta, pricer)
+    side = "lower" if args.lower is not None else "upper"
+    level = getattr(args, side)
+    # the default pricer, passed because benchmark/tracer.py reads it as the sixth argument
+    s_crit = numeric_critical_price(params, args.strike, level, side, theta, _SIDE_PRICER[side])
     nu = implied_nu(params, level, side, s_crit)
     return _Report(
         ("theta", "numeric_critical", "implied_nu"),
@@ -487,17 +479,13 @@ def _cmd_sweep(args) -> _Report:
     params, barriers, crit = _critical_setup(args)
     span = math.exp(10.0 * params.sigma * math.sqrt(params.T))
     bl0, bu0 = _initial_levels(barriers, params.T)
-    if bl0 is not None and bu0 is not None:
-        lo, hi = bl0 * 1.02, bu0 * 0.98
-    elif bl0 is not None:
-        lo, hi = bl0 * 1.02, bl0 * span
-    else:
-        lo, hi = bu0 / span, bu0 * 0.98
+    lo = bl0 * 1.02 if bl0 is not None else bu0 / span
+    hi = bu0 * 0.98 if bu0 is not None else bl0 * span
     n_points = 33
     rows = []
     for i in range(n_points):
         s0 = lo + (hi - lo) * i / (n_points - 1)
-        label = _classify(s0, bl0, bu0, crit)
+        label = classify_double(s0, bl0, bu0, crit.s_ml, crit.s_mu)
         barrier_price = _closed_price(params, args.strike, barriers, s0).value
         vanilla = bs_vanilla(params, Payoff.CALL, args.strike, s0).value
         rows.append((s0, label.value, barrier_price, vanilla, abs(barrier_price - vanilla)))
@@ -521,6 +509,11 @@ _HANDLERS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A library warning in the CLI's own one-line form, on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv) -> int:
     """Dispatch one command; returns the process exit code."""
     argv = list(argv)
@@ -528,7 +521,9 @@ def run(argv) -> int:
         parser = build_parser()
         argv = _inject_config(argv, parser)
         args = parser.parse_args(argv)
-        report = _HANDLERS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            report = _HANDLERS[args.command](args)
         _require_finite(report.rows)
         if args.csv:
             sys.stdout.write(emit_csv(report.rows, report.header))

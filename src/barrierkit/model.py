@@ -249,6 +249,16 @@ class Payoff(enum.Enum):
     PUT = "put"
 
 
+def _to_payoff(value) -> Payoff:
+    """Payoff from itself or "call"/"put"; a misspelling is refused, never read as a put."""
+    if isinstance(value, Payoff):
+        return value
+    try:
+        return Payoff(value)
+    except ValueError:
+        raise DomainError(f"payoff must be 'call' or 'put', got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class OptionSpec:
     """Knock-out option: payoff, strike, barriers, and expiry-paid rebates."""
@@ -260,12 +270,7 @@ class OptionSpec:
     rebate_upper: float = 0.0
 
     def __post_init__(self) -> None:
-        # accept the string forms "call"/"put"; identity checks downstream
-        # must never silently route a misspelled payoff to the put branch
-        try:
-            object.__setattr__(self, "payoff", Payoff(self.payoff))
-        except ValueError:
-            raise DomainError(f"payoff must be 'call' or 'put', got {self.payoff!r}") from None
+        object.__setattr__(self, "payoff", _to_payoff(self.payoff))
         require_price_level("strike", self.strike)
         if self.rebate_lower < 0.0 or self.rebate_upper < 0.0:
             raise DomainError("rebates must be nonnegative")

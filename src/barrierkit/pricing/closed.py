@@ -25,7 +25,7 @@ import math
 import sys
 
 from ..model import (BarrierSet, BarrierShape, DomainError, MarketParams, NumericsError,
-                     Payoff, PriceEstimate, require_growth, require_price_level)
+                     Payoff, PriceEstimate, _to_payoff, require_growth, require_price_level)
 from ..numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -124,12 +124,7 @@ def bs_vanilla(params: MarketParams, payoff: Payoff, strike: float, s0: float) -
     """
     require_price_level("s0", s0)
     require_price_level("strike", strike)
-    if not isinstance(payoff, Payoff):
-        try:
-            payoff = Payoff(payoff)  # tolerate the string forms "call"/"put"
-        except ValueError:
-            raise DomainError(f"payoff must be 'call' or 'put', got {payoff!r}") from None
-    return PriceEstimate(_vanilla(params, strike, s0, payoff is Payoff.PUT))
+    return PriceEstimate(_vanilla(params, strike, s0, _to_payoff(payoff) is Payoff.PUT))
 
 
 def _knockout_call(params: MarketParams, strike: float | None, s0: float,
@@ -243,6 +238,19 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
     return max(s0 * asset - strike * cash, 0.0)
 
 
+def _single_knockout_call(params: MarketParams, strike: float, barrier: float, s0: float,
+                          growth: float, lower: bool) -> PriceEstimate:
+    """The validated body of both single-barrier calls: the line (barrier,
+    growth) on the lower side, or on the upper one."""
+    require_price_level("s0", s0)
+    require_price_level("strike", strike)
+    require_price_level("barrier", barrier)
+    require_growth(growth)
+    line = (barrier, growth)
+    return PriceEstimate(_knockout_call(params, strike, s0, line if lower else None,
+                                        None if lower else line))
+
+
 def down_and_out_call_closed(
     params: MarketParams, strike: float, barrier: float, s0: float, growth: float = 0.0
 ) -> PriceEstimate:
@@ -252,22 +260,14 @@ def down_and_out_call_closed(
     the vanilla representation exactly (bit for bit) once that mass drops
     below half an ulp of the price.
     """
-    require_price_level("s0", s0)
-    require_price_level("strike", strike)
-    require_price_level("barrier", barrier)
-    require_growth(growth)
-    return PriceEstimate(_knockout_call(params, strike, s0, (barrier, growth), None))
+    return _single_knockout_call(params, strike, barrier, s0, growth, lower=True)
 
 
 def up_and_out_call_closed(
     params: MarketParams, strike: float, barrier: float, s0: float, growth: float = 0.0
 ) -> PriceEstimate:
     """Up-and-out call on the barrier B*exp(growth*t), zero rebate; worthless unless K < B_T."""
-    require_price_level("s0", s0)
-    require_price_level("strike", strike)
-    require_price_level("barrier", barrier)
-    require_growth(growth)
-    return PriceEstimate(_knockout_call(params, strike, s0, None, (barrier, growth)))
+    return _single_knockout_call(params, strike, barrier, s0, growth, lower=False)
 
 
 def double_knockout_closed(

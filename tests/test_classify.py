@@ -1,15 +1,19 @@
 """Degeneracy classification rules for single and double knock-outs."""
 
+import math
 import random
 
 import pytest
 
+from barrierkit.calibrate import FLOOR_THETA, numeric_critical_price
 from barrierkit.classify import (
     classify_double,
     classify_down_and_out,
     classify_up_and_out,
 )
 from barrierkit.model import Classification as C
+from barrierkit.model import DomainError, MarketParams, NumericsError
+from barrierkit.pricing.closed import down_and_out_call_closed, up_and_out_call_closed
 
 
 class TestDownAndOut:
@@ -87,3 +91,89 @@ class TestDouble:
             assert isinstance(cat, C)
             cats.add(cat)
         assert len(cats) >= 4  # the sampler reached every regime
+
+
+# The single-side and double formulas as three separate rules, written out
+# here as the reference that the one rule must reproduce label for label.
+def _down_formula(s0, b_l0, s_ml):
+    if s0 <= b_l0:
+        return C.KNOCKED_OUT_AT_INCEPTION
+    if s0 >= s_ml:
+        return C.VANILLA
+    return C.DOWN_AND_OUT
+
+
+def _up_formula(s0, b_u0, s_mu):
+    if s0 >= b_u0:
+        return C.KNOCKED_OUT_AT_INCEPTION
+    if s0 <= s_mu:
+        return C.VANILLA
+    return C.UP_AND_OUT
+
+
+def _double_formula(s0, b_l0, b_u0, s_ml, s_mu):
+    if s0 <= b_l0 or s0 >= b_u0:
+        return C.KNOCKED_OUT_AT_INCEPTION
+    lower_live, upper_live = s0 < s_ml, s0 > s_mu
+    if lower_live and upper_live:
+        return C.TYPICAL_DOUBLE_BARRIER
+    if lower_live:
+        return C.DOWN_AND_OUT
+    if upper_live:
+        return C.UP_AND_OUT
+    return C.VANILLA
+
+
+class TestOneRule:
+    def test_every_name_matches_its_formula(self):
+        rng = random.Random(23)
+        seen = set()
+        for i in range(100_000):
+            b_l0 = 100.0 * math.exp(rng.uniform(-3.0, 0.5))
+            b_u0 = b_l0 * math.exp(rng.uniform(1e-6, 3.0))
+            s_ml = b_l0 * math.exp(rng.uniform(-0.5, 4.0))
+            s_mu = b_u0 * math.exp(-rng.uniform(-0.5, 4.0))
+            # s0 exactly on a barrier or a critical price in four draws of six
+            s0 = (b_l0 * math.exp(rng.uniform(-0.5, 3.5)), b_l0, b_u0, s_ml, s_mu,
+                  b_u0 * math.exp(-rng.uniform(-0.5, 3.5)))[i % 6]
+            down = _down_formula(s0, b_l0, s_ml)
+            up = _up_formula(s0, b_u0, s_mu)
+            double = _double_formula(s0, b_l0, b_u0, s_ml, s_mu)
+            assert classify_down_and_out(s0, b_l0, s_ml) is down
+            assert classify_up_and_out(s0, b_u0, s_mu) is up
+            assert classify_double(s0, b_l0, b_u0, s_ml, s_mu) is double
+            # a single barrier is the double rule with the other side absent
+            assert classify_double(s0, b_l0, None, s_ml, None) is down
+            assert classify_double(s0, None, b_u0, None, s_mu) is up
+            seen |= {down, up, double}
+        assert seen == set(C)
+
+    @pytest.mark.parametrize("s0", [math.nan, 0.0, -5.0, math.inf])
+    @pytest.mark.parametrize("rule", [
+        lambda s0: classify_down_and_out(s0, 70.0, 99.0),
+        lambda s0: classify_up_and_out(s0, 130.0, 88.0),
+        lambda s0: classify_double(s0, 70.0, 130.0, 99.0, 88.0),
+        lambda s0: classify_double(s0, 70.0, None, 99.0, None),
+        lambda s0: classify_double(s0, None, 130.0, None, 88.0),
+    ], ids=["down", "up", "double", "lower-alone", "upper-alone"])
+    def test_needs_a_positive_finite_s0(self, rule, s0):
+        with pytest.raises(DomainError, match="s0 must be positive and finite"):
+            rule(s0)
+
+    @pytest.mark.parametrize("theta", [1e-2, 1e-6, FLOOR_THETA])
+    @pytest.mark.parametrize("side, barrier, pricer", [
+        ("lower", 70.0, down_and_out_call_closed),
+        ("upper", 130.0, up_and_out_call_closed),
+    ], ids=["lower", "upper"])
+    def test_the_side_picks_its_own_pricer(self, side, barrier, pricer, theta):
+        p = MarketParams(mu=0.10, sigma=0.30, r=0.10, T=0.25)
+        if side == "upper" and theta == FLOOR_THETA:
+            # the documented floor: the up-and-out correction never underflows
+            for call in (lambda: numeric_critical_price(p, 100.0, barrier, side, theta),
+                         lambda: numeric_critical_price(p, 100.0, barrier, side, theta, pricer)):
+                with pytest.raises(NumericsError, match="unreachable"):
+                    call()
+            return
+        assert numeric_critical_price(p, 100.0, barrier, side, theta) == numeric_critical_price(
+            p, 100.0, barrier, side, theta, pricer
+        )

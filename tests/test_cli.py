@@ -484,6 +484,8 @@ def test_sweep_csv_shape(capsys):
     assert "Vanilla" in labels
     first = float(lines[1].split(",")[0])
     assert first == pytest.approx(70.0 * 1.02, rel=1e-12)
+    # up to 10 sigma*sqrt(T) above the barrier
+    assert float(lines[-1].split(",")[0]) == pytest.approx(70.0 * math.exp(10.0 * 0.15 * 0.5), rel=1e-9)
 
 
 def test_sweep_double_barrier_bounds(capsys):
@@ -940,6 +942,22 @@ def test_theta_wins_over_digits_with_warning(capsys):
     assert "warning: --theta given, ignoring --digits" in err
     s_crit = float(out.splitlines()[0].split("=")[1])
     assert s_crit == pytest.approx(77.978580549279580342, abs=1e-4)
+
+
+def test_library_warning_prints_in_the_cli_form(capsys, tmp_path):
+    # the engine's off-grid-knot RuntimeWarning, on one line as the CLI's own
+    # warnings are, in place of Python's file:line form and echoed source line
+    knots = tmp_path / "knots.csv"
+    knots.write_text("0,70\n0.1,95\n0.5,70\n")
+    argv = ["breach", "--s0", "100", "--lower-file", str(knots), "--sigma", "0.3", "--r", "0.1",
+            "--T", "0.5", "--method", "mc", "--paths", "20000", "--steps", "4"]
+    warning = ("warning: barrier knot at t=0.1 is not a node of the 2-step grid (step 0.25): "
+               "the bridge cuts the corner there, so the Monte Carlo estimate is biased\n")
+    code, out, err = _call(capsys, *argv)
+    assert code == 0 and err == warning
+    assert out.startswith("p_lower = ")
+    child = _run_child(argv, timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (0, out, warning)
 
 
 # ---------------------------------------------------------------- config files

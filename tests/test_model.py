@@ -165,7 +165,7 @@ class TestOptionSpec:
     def test_payoff_accepts_string_forms(self):
         assert OptionSpec(payoff="call", strike=100.0).payoff is Payoff.CALL
         assert OptionSpec(payoff="put", strike=100.0).payoff is Payoff.PUT
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^payoff must be 'call' or 'put', got 'straddle'$"):
             OptionSpec(payoff="straddle", strike=100.0)
 
     def test_strike_and_rebate_domains(self):

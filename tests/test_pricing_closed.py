@@ -71,7 +71,7 @@ class TestVanilla:
             bs_vanilla(p, "call", 100.0, 100.0).value
             == bs_vanilla(p, Payoff.CALL, 100.0, 100.0).value
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^payoff must be 'call' or 'put', got 'calll'$"):
             bs_vanilla(p, "calll", 100.0, 100.0)
 
     def test_domain(self):
