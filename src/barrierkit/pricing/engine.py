@@ -10,11 +10,13 @@ the product of its steps' survival chances and its mass per side the sum
 of each step's exit chance times the weight before it, so monitoring is
 continuous (conditional Monte Carlo on the bridge: Glasserman, Monte
 Carlo Methods in Financial Engineering, 2004, 6.4). A cell (path, step)
-counts only where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side; elsewhere
-1 - p rounds to 1.0, an exact skip. The series runs on the list of these
-near cells alone, and each path carries its weight and masses over its
-own near cells in step order, so every product and sum is the one the
-whole row would give.
+counts only where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side, since
+elsewhere 1 - p rounds to 1.0, and only while its step starts strictly
+inside the lines: the step that reaches a line survives with 0, so a
+step that starts there follows a weight of 0 and adds 0. Both skips are
+exact. The series runs on the list of these live near cells alone, and
+each path carries its weight and masses over its own cells in step
+order, so every product and sum is the one the whole row would give.
 
 Reproducibility: block b of _B paths draws its normals from
 PCG64(SeedSequence((seed, b))) through NumPy's ziggurat, row-major, one
@@ -119,8 +121,9 @@ def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
     P_u is the same in the upper gaps w - d, and S = 1 - P_l - P_u; where
     one line is past the cutoff, only the other's n = 0 term is kept. An end
     at or past a line survives with 0, and its mass goes to that side less
-    the other side's first exit, which the series still gives there. A
-    start past a line (a path whose weight is already 0) stays finite.
+    the other side's first exit, which the series still gives there. The
+    engine never passes a start on or past a line (its path's weight is
+    already 0); for a direct caller such a start still gives finite values.
     The results are views into buf's kernel arrays (a _Buffers with room
     for the cells), which are made here when buf is None.
     """
@@ -175,9 +178,10 @@ def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
 @dataclass(frozen=True)
 class PathMoments:
     """Count, mean and sum of squared deviations (M2) of each integrand
-    output over every path, the step grid they were taken on, the cells
-    (path, step) the bridge series ran on, and its image pairs per step
-    (0 without a corridor)."""
+    output over every path, and the step grid they were taken on.
+    near_cells counts the cells (path, step) the bridge series ran on:
+    those near a line whose step starts strictly inside the lines. terms
+    is the series' image pairs per step (0 without a corridor)."""
 
     count: int
     mean: np.ndarray
@@ -253,8 +257,8 @@ def path_moments(
     from the bridge between nodes, so monitoring is continuous; the
     integrand returns a tuple of per-path arrays. workers=None uses every
     CPU in this process's affinity mask; neither the workers nor the blocks
-    change a bit. Assumes s0 strictly inside the barriers at t=0 (callers
-    apply BarrierSet.side_at_inception first).
+    change a bit. s0 must be strictly inside the barriers at t=0, else
+    DomainError: callers apply BarrierSet.side_at_inception first.
     """
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -281,6 +285,10 @@ def path_moments(
     line = _barrier_logs(barriers.lower or barriers.upper, n, dt, T) if sides else None
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
     width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
+    # the scan lists a step only while its start is inside, so node 0 must be
+    if sides and not (x0_gap[0] > 0.0 and (sides == 1 or x0_gap[0] < width[0])):
+        raise DomainError(f"s0={s0} is on or past a barrier at t=0 in log space: "
+                          "resolve it with BarrierSet.side_at_inception first")
     terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if sides == 2 else 0
     _warn_off_grid_knots(barriers, n, dt, T)  # after the level reads, which refuse a short table
 
@@ -313,8 +321,14 @@ def path_moments(
         if hit.size == 0:
             return (x_T, weight, mass_l, mass_u), 0
         h = hit.size  # the rows with a cell near a line, (h, n) cells and (h, n + 1) nodes
-        on = np.take(near, hit, axis=0, out=buf.on[:h], mode="clip").reshape(-1)
-        cell = _flatnonzero(on, buf.cell.reshape(-1))
+        on = np.take(near, hit, axis=0, out=buf.on[:h], mode="clip")
+        nodes = np.take(gap, hit, axis=0, out=buf.nodes[:h], mode="clip")
+        # a step that starts on or past a line follows a weight of 0: it adds
+        # nothing, so only live cells are listed (near is free once on is taken)
+        on &= np.greater(nodes[:, :-1], 0.0, out=buf.near[:h])
+        if sides == 2:  # w - d > 0 exactly where d < w
+            on &= np.less(nodes[:, :-1], width[:-1], out=buf.near[:h])
+        cell = _flatnonzero(on.reshape(-1), buf.cell.reshape(-1))
         cells = cell.size  # cell r*n + j is step j of hit row r
         row = np.floor_divide(cell, n, out=buf.flat("row", cells))
         node = np.add(cell, row, out=buf.flat("node", cells))  # r*(n + 1) + j: the step's first node
@@ -324,7 +338,6 @@ def path_moments(
             w0 = np.take(width, j, out=buf.flat("w0", cells), mode="clip")
             j += 1
             corridor = (w0, np.take(width, j, out=buf.flat("w1", cells), mode="clip"), terms)
-        nodes = np.take(gap, hit, axis=0, out=buf.nodes[:h], mode="clip")
         d0 = np.take(nodes.reshape(-1), node, out=buf.flat("d0", cells), mode="clip")
         node += 1
         d1 = np.take(nodes.reshape(-1), node, out=buf.flat("d1", cells), mode="clip")

@@ -152,7 +152,8 @@ class TestStepKernel:
         assert kernel(d0, d1, c) == (0.0, 1.0, 0.0)
 
     def test_start_past_a_line_stays_finite(self):
-        # a path already knocked out has weight 0: its later steps must not be NaN
+        # the engine lists no step of a path already knocked out, but a
+        # direct caller may pass one: it must not be NaN
         out = step_exits(np.array([-0.5, -0.5, 0.9]), np.array([0.1, -0.2, 0.1]), 0.04,
                          np.array([0.4] * 3), np.array([0.4] * 3), 2)
         assert all(np.all(np.isfinite(v)) for v in out)
@@ -230,17 +231,19 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
 
 
 def full_row_reference(params, barriers, s0, paths, steps_per_year, seed):
-    """Per-path (x_T, weight, mass_l, mass_u) and the count of near cells,
+    """Per-path (x_T, weight, mass_l, mass_u), the count of near cells and
+    the count of those whose step starts strictly inside every line,
     vectorised over whole rows: step_exits on every cell of each row that
     has a cell near a line, then the weights and masses accumulated along
-    the row with every other cell masked out."""
+    the row with every cell that is not near masked out. A near cell that
+    starts on or past a line stays in: it must add nothing."""
     n = n_steps_for(steps_per_year, params.T)
     has_l = barriers.lower is not None
     nodes = [i * params.T / n for i in range(n)] + [params.T]
     logs = [np.array([math.log(curve.value_at(t, params.T)) for t in nodes])
             for curve in (barriers.lower, barriers.upper) if curve is not None]
     n_draw, c, x0 = (n if logs else 1), params.sigma**2 * params.T / n, math.log(s0)
-    out, near_cells = [], 0
+    out, near_cells, live_cells = [], 0, 0
     for b in range(-(-paths // engine._B)):
         m = min(engine._B, paths - b * engine._B)
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
@@ -270,7 +273,9 @@ def full_row_reference(params, barriers, s0, paths, steps_per_year, seed):
         for col, p in zip((2, 3) if has_l else (3, 2), (p_l, p_u)):
             out[-1][hit, col] = np.add.accumulate(np.where(on, w[:, :-1] * p, 0.0), axis=1)[:, -1]
         near_cells += int(on.sum())
-    return np.vstack(out), near_cells
+        inside = np.logical_and.reduce([g[:, :-1] > 0.0 for g in gaps])[hit]
+        live_cells += int((on & inside).sum())
+    return np.vstack(out), near_cells, live_cells
 
 
 def engine_paths(params, barriers, s0, paths, steps_per_year, seed):
@@ -337,19 +342,35 @@ class TestFullRowReference:
                 lower=BarrierCurve.tabulated(((0.0, 85.0), (1.5 / 13, 87.55), (0.25, 84.15))),
                 upper=BarrierCurve.tabulated(((0.0, 118.0), (1.5 / 13, 115.64), (0.25, 119.18)))), 52),
             (mk_params(sigma=0.05), DKO, 200),
+            # a tie-heavy corridor: most paths leave within a few of its 13 steps
+            (MarketParams(mu=0.05, sigma=2.0, r=0.05, T=0.25),
+             BarrierSet(lower=BarrierCurve.flat(80.0), upper=BarrierCurve.flat(125.0)), 52),
         ],
         ids=["sparse-flat-double", "dense-corridor", "single-lower", "single-upper", "tabulated",
-             "no-near-cell"],
+             "no-near-cell", "tie-heavy-corridor"],
     )
-    def test_near_cells_only_move_no_bit(self, params, barriers, steps):
-        # the series on the near cells alone, with each path's weight and
-        # masses carried over them in step order, gives every bit of the
-        # whole-row computation; 6000 paths are a block and a part block
+    def test_near_cells_only_move_no_bit(self, params, barriers, steps, monkeypatch):
+        # the series on the live near cells alone, with each path's weight
+        # and masses carried over them in step order, gives every bit of the
+        # whole-row computation over every near cell; 6000 paths are a block
+        # and a part block
+        starts_inside = []
+
+        def spy(d0, d1, c, *corridor, **kw):
+            inside = np.all(d0 > 0.0) and (not corridor or np.all(corridor[0] - d0 > 0.0))
+            starts_inside.append(bool(inside))
+            return step_exits(d0, d1, c, *corridor, **kw)
+
+        monkeypatch.setattr(engine, "step_exits", spy)
         got, res = engine_paths(params, barriers, 100.0, 6_000, steps, 19)
-        want, near_cells = full_row_reference(params, barriers, 100.0, 6_000, steps, 19)
+        want, near_cells, live_cells = full_row_reference(params, barriers, 100.0, 6_000, steps, 19)
         assert np.array_equal(got, want)
-        assert res.near_cells == near_cells
+        assert res.near_cells == live_cells
         assert (near_cells == 0) == (params.sigma == 0.05)
+        # the engine hands the kernel no step that starts on or past a line
+        assert all(starts_inside) and bool(starts_inside) == (live_cells > 0)
+        if params.sigma == 2.0:  # there, most near cells follow a knock-out
+            assert live_cells < 0.5 * near_cells
 
 
 class TestWeights:
@@ -515,12 +536,13 @@ class TestMemory:
         assert peaks[1] <= 1.05 * budget
 
     def test_kernel_works_in_the_worker_buffers(self, monkeypatch):
-        # a corridor whose rows are mostly near a line, on one worker: the
-        # step kernel allocates nothing per slice, so the peak is the
-        # worker's buffers, eight doubles a path (the slice's outputs and
-        # the block's reduction) and NumPy's fixed-size ufunc buffers
+        # a corridor whose cells are mostly near a line and still live, on
+        # one worker: the step kernel allocates nothing per slice, so the
+        # peak is the worker's buffers, eight doubles a path (the slice's
+        # outputs and the block's reduction) and NumPy's fixed-size ufunc
+        # buffers
         p = mk_params()
-        barriers = BarrierSet(lower=BarrierCurve.flat(95.0), upper=BarrierCurve.flat(105.0))
+        barriers = BarrierSet(lower=BarrierCurve.flat(88.0), upper=BarrierCurve.flat(113.0))
         n = n_steps_for(100, p.T)
         monkeypatch.setattr(engine, "_B", 512)
         monkeypatch.setattr(engine, "_BLOCK_BYTES", slice_bytes(512, barriers, n))
@@ -602,6 +624,23 @@ class TestBudget:
         # the engine reads a McConfig, which refuses the run before it starts
         with pytest.raises(DomainError, match="paths must be >= 1"):
             path_moments(mk_params(), DKO, 100.0, McConfig(0, 10, 0), lambda x, w, m_l, m_u: (w,))
+
+    @pytest.mark.parametrize("barriers, s0", [
+        (BarrierSet(lower=BarrierCurve.flat(90.0)), 90.0),
+        (BarrierSet(lower=BarrierCurve.flat(90.0)), 80.0),
+        (BarrierSet(upper=BarrierCurve.flat(110.0)), 110.0),
+        (BarrierSet(upper=BarrierCurve.flat(110.0)), 120.0),
+        (CORRIDOR, 88.0),
+        (CORRIDOR, 112.0),
+        (DKO, 60.0),
+        (DKO, 140.0),
+    ], ids=["on-lower", "past-lower", "on-upper", "past-upper", "corridor-on-lower",
+            "corridor-on-upper", "corridor-past-lower", "corridor-past-upper"])
+    def test_s0_on_or_past_a_line_rejected(self, barriers, s0):
+        # the scan lists a step only while it starts inside the lines, so
+        # node 0 must be inside: the callers resolve inception first
+        with pytest.raises(DomainError, match="on or past a barrier at t=0"):
+            path_moments(mk_params(), barriers, s0, McConfig(10, 12, 0), lambda x, w, m_l, m_u: (w,))
 
     @pytest.mark.parametrize("workers", [0, -1], ids=["workers-0", "workers-negative"])
     def test_workers_positive(self, workers):
