@@ -28,11 +28,6 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def std_normal_sf(x: float) -> float:
-    """Survival function 1 - Phi(x), exact in the upper tail."""
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def nu_for_accuracy(pi: float) -> float:
     """Smallest cutoff nu with Phi(nu) >= 1 - pi, i.e. upper-tail mass <= pi.
 

@@ -83,7 +83,7 @@ def _leg(g: float, um: float, t1: float, t2: float, q1: float, q2: float, srt: f
     """
     sh = g * srt
     hi, lo = q2 - sh, q1 - sh
-    if lo >= 0.0:  # std_normal_sf and std_normal_cdf, inlined
+    if lo >= 0.0:  # Phi(-lo) - Phi(-hi), else Phi(hi) - Phi(lo): std_normal_cdf inlined
         d = 0.5 * math.erfc(lo / _SQRT2) - 0.5 * math.erfc(hi / _SQRT2)
     else:
         d = 0.5 * math.erfc(-hi / _SQRT2) - 0.5 * math.erfc(-lo / _SQRT2)

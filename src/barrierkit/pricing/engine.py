@@ -14,9 +14,17 @@ counts only where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side, since
 elsewhere 1 - p rounds to 1.0, and only while its step starts strictly
 inside the lines: the step that reaches a line survives with 0, so a
 step that starts there follows a weight of 0 and adds 0. Both skips are
-exact. The series runs on the list of these live near cells alone, and
-each path carries its weight and masses over its own cells in step
-order, so every product and sum is the one the whole row would give.
+exact. The series runs on the list of these live near cells alone.
+
+Layout: the normals are drawn row-major (below); everything after the
+draw is node-major, node (or step) j of every path in a slice one
+contiguous row, so each operation runs on long vectors: the walk is a
+sweep that adds step j's row to node j's, the near tests multiply whole
+rows, and a path's weight is a product and its masses sums down its
+column (np.multiply.accumulate and np.add.reduce over the rows), each
+taken one step at a time in step order. Cells off the list hold 1 in the
+product and 0 in the sums, so every product and sum is the one a path's
+own row of steps would give.
 
 Reproducibility: block b of _B paths draws its normals from
 PCG64(SeedSequence((seed, b))) through NumPy's ziggurat, row-major, one
@@ -205,19 +213,27 @@ class _Buffers:
 
     @staticmethod
     def layout(n_draw: int, n: int, sides: int) -> dict[str, tuple[int, type]]:
-        """Columns and dtype of each array, by name: the normals (turned in
-        place into cumulative log-returns, then the gaps' products) and, with
-        barriers, the gaps to each line, the near-line masks, the rows with a
-        near cell (their mask, and their gaps, then weights, at each node),
-        and lists over the near cells, filled from the front: their index
-        (in a corridor, then their step), row and first node, gaps and
-        widths, and the step kernel's arrays (step_exits, with the list of
-        cells near both lines)."""
+        """Values per path and dtype of each flat array, by name. A slice of
+        m paths views the front of each: the normals row-major, one row of
+        n_draw per path (turned into the steps' log-returns, then the gaps'
+        products, then each step's exit mass); everything after the draw
+        node-major, node or step j of every path one contiguous row. With
+        barriers: the gaps to each line at each node, the near-line masks,
+        the paths with a near cell (their mask, and their gaps, then
+        weights, at each node), and lists over the near cells, filled from
+        the front: their index (step j of hit path r is cell j*h + r,
+        which is also its first node in the node rows), last node
+        ((j + 1)*h + r) and step j, their gaps and widths, and the step
+        kernel's arrays (step_exits, with the list of cells near both
+        lines). Only a corridor reads the steps; a single line holds the
+        column too, as without it mc_grid's peak RSS rose from 68.3 to
+        71.5 MiB (glibc, 2-core Xeon): the C heap keeps freed buffers, and
+        how much depends on their sizes."""
         f8, i8, b1 = np.float64, np.intp, np.bool_
         arrays = {"z": (n_draw, f8)}
         if sides:
             arrays.update(gap=(n + 1, f8), near=(n, b1), on=(n, b1), nodes=(n + 1, f8),
-                          cell=(n, i8), row=(n, i8), node=(n, i8),
+                          cell=(n, i8), end=(n, i8), step=(n, i8),
                           d0=(n, f8), d1=(n, f8), s=(n, f8), p_l=(n, f8))
         if sides == 2:
             arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), p_u=(n, f8),
@@ -235,11 +251,15 @@ class _Buffers:
 
     def __init__(self, rows: int, n_draw: int, n: int, sides: int) -> None:
         for name, (cols, dtype) in self.layout(n_draw, n, sides).items():
-            setattr(self, name, np.empty((rows, cols), dtype=dtype))
+            setattr(self, name, np.empty(rows * cols, dtype=dtype))
 
     def flat(self, name: str, size: int) -> np.ndarray:
-        """The first `size` cells of array `name`, row after row."""
-        return getattr(self, name).reshape(-1)[:size]
+        """The first `size` cells of array `name`."""
+        return getattr(self, name)[:size]
+
+    def grid(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """The first rows*cols cells of array `name`, as rows of cols."""
+        return getattr(self, name)[: rows * cols].reshape(rows, cols)
 
 
 def path_moments(
@@ -295,65 +315,67 @@ def path_moments(
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
         """(x_T, weight, mass_l, mass_u) for the next m rows of gen, and the
         count of cells the series ran on."""
-        z = buf.z[:m]
+        z = buf.grid("z", m, n_draw)
         gen.standard_normal(out=z)
         z *= vol
         z += drift
-        np.add.accumulate(z, axis=1, out=z)  # log-return at each node after t=0
-        x_T = x0 + z[:, -1]
         weight, mass_l, mass_u = np.ones(m), np.zeros(m), np.zeros(m)
         if not sides:
-            return (x_T, weight, mass_l, mass_u), 0
-        gap, near = buf.gap[:m], buf.near[:m]
-        gap[:, 0] = x0_gap[0]
+            return (x0 + z[:, 0], weight, mass_l, mass_u), 0
+        gap = buf.grid("gap", n + 1, m)  # row j: node j of every path
+        gap[1] = z[:, 0]
+        for j in range(1, n):  # the log-return at each node after t=0, added in step order
+            np.add(gap[j], z[:, j], out=gap[j + 1])
+        x_T = x0 + gap[n]
+        gap[0] = x0_gap[0]
         if has_l:
-            np.add(z, x0_gap[1:], out=gap[:, 1:])
+            gap[1:] += x0_gap[1:, None]
         else:
-            np.subtract(x0_gap[1:], z, out=gap[:, 1:])
+            np.subtract(x0_gap[1:, None], gap[1:], out=gap[1:])
+        near = buf.grid("near", n, m)
         lines = [(gap, near)]
         if sides == 2:
-            lines.append((np.subtract(width, gap, out=buf.gap_u[:m]), buf.near_u[:m]))
+            lines.append((np.subtract(width[:, None], gap, out=buf.grid("gap_u", n + 1, m)),
+                          buf.grid("near_u", n, m)))
         for g, g_near in lines:  # 2*d0*d1/c below the cutoff: the series counts (z is spent)
-            np.less(np.multiply(g[:, :-1], g[:, 1:], out=z), 0.5 * _CUTOFF * c, out=g_near)
+            np.less(np.multiply(g[:-1], g[1:], out=buf.grid("z", n, m)), 0.5 * _CUTOFF * c, out=g_near)
         if sides == 2:
-            near |= buf.near_u[:m]
-        hit = np.flatnonzero(near.any(axis=1))
+            near |= buf.grid("near_u", n, m)
+        hit = np.flatnonzero(near.any(axis=0))
         if hit.size == 0:
             return (x_T, weight, mass_l, mass_u), 0
-        h = hit.size  # the rows with a cell near a line, (h, n) cells and (h, n + 1) nodes
-        on = np.take(near, hit, axis=0, out=buf.on[:h], mode="clip")
-        nodes = np.take(gap, hit, axis=0, out=buf.nodes[:h], mode="clip")
+        h = hit.size  # the paths with a cell near a line: (n, h) cells and (n + 1, h) nodes
+        on = np.take(near, hit, axis=1, out=buf.grid("on", n, h), mode="clip")
+        nodes = np.take(gap, hit, axis=1, out=buf.grid("nodes", n + 1, h), mode="clip")
         # a step that starts on or past a line follows a weight of 0: it adds
         # nothing, so only live cells are listed (near is free once on is taken)
-        on &= np.greater(nodes[:, :-1], 0.0, out=buf.near[:h])
+        on &= np.greater(nodes[:-1], 0.0, out=buf.grid("near", n, h))
         if sides == 2:  # w - d > 0 exactly where d < w
-            on &= np.less(nodes[:, :-1], width[:-1], out=buf.near[:h])
-        cell = _flatnonzero(on.reshape(-1), buf.cell.reshape(-1))
-        cells = cell.size  # cell r*n + j is step j of hit row r
-        row = np.floor_divide(cell, n, out=buf.flat("row", cells))
-        node = np.add(cell, row, out=buf.flat("node", cells))  # r*(n + 1) + j: the step's first node
+            on &= np.less(nodes[:-1], width[:-1, None], out=buf.grid("near", n, h))
+        cell = _flatnonzero(on.reshape(-1), buf.flat("cell", n * h))
+        cells = cell.size  # cell j*h + r is step j of hit path r, and its first node
+        end = np.add(cell, h, out=buf.flat("end", cells))  # and its last
         corridor = ()
         if sides == 2:  # the corridor's widths at each step's two nodes
-            j = np.remainder(cell, n, out=cell)  # the list now holds each cell's step
+            j = np.floor_divide(cell, h, out=buf.flat("step", cells))
             w0 = np.take(width, j, out=buf.flat("w0", cells), mode="clip")
             j += 1
             corridor = (w0, np.take(width, j, out=buf.flat("w1", cells), mode="clip"), terms)
-        d0 = np.take(nodes.reshape(-1), node, out=buf.flat("d0", cells), mode="clip")
-        node += 1
-        d1 = np.take(nodes.reshape(-1), node, out=buf.flat("d1", cells), mode="clip")
+        d0 = np.take(nodes.reshape(-1), cell, out=buf.flat("d0", cells), mode="clip")
+        d1 = np.take(nodes.reshape(-1), end, out=buf.flat("d1", cells), mode="clip")
         s, p_l, p_u = step_exits(d0, d1, c, *corridor, buf=buf)
         w = nodes  # the gaps are read: now the weight at each node
         w.fill(1.0)  # a cell away from every line keeps 1 and adds 0
-        w.reshape(-1)[node] = s
-        np.multiply.accumulate(w, axis=1, out=w)
-        weight[hit] = w[:, -1]
-        node -= 1
-        before = np.take(w.reshape(-1), node, out=d0, mode="clip")  # the weight before each step
+        w.reshape(-1)[end] = s
+        np.multiply.accumulate(w, axis=0, out=w)
+        weight[hit] = w[-1]
+        before = np.take(w.reshape(-1), cell, out=d0, mode="clip")  # the weight before each step
         exits = ((mass_l, p_l), (mass_u, p_u)) if sides == 2 else ((mass_l if has_l else mass_u, p_l),)
-        for mass, p in exits:  # add.at adds in index order: a path's steps in order, as a row sum
-            total = np.zeros(h)
-            np.add.at(total, row, np.multiply(before, p, out=d1))
-            mass[hit] = total
+        steps = buf.grid("z", n, h)  # each step's exit mass; only the listed cells are ever written
+        steps.fill(0.0)
+        for mass, p in exits:  # summed over the steps in order, as a row sum
+            steps.reshape(-1)[cell] = np.multiply(before, p, out=d1)
+            mass[hit] = np.add.reduce(steps, axis=0)
         return (x_T, weight, mass_l, mass_u), cells
 
     block_stats: list = [None] * n_blocks

@@ -302,10 +302,13 @@ class TestScalarReference:
             (NEAR_DKO, 100, 0.30, 0.25),
             (CORRIDOR, 12, 0.40, 0.25),
             (BarrierSet(), 100, 0.30, 0.25),
+            # one step: the walk has no step to add after the first
+            (NEAR_DKO, 4, 0.30, 0.25),
             # 335 steps, and 335 * (T / 335) rounds one ulp past T
             (BarrierSet(lower=BarrierCurve.exponential(80.0, 0.1)), 365, 0.30, 0.9169050509759932),
         ],
-        ids=["single-lower", "single-upper", "flat-double", "corridor", "no-barrier", "last-node-at-T"],
+        ids=["single-lower", "single-upper", "flat-double", "corridor", "no-barrier", "one-step-corridor",
+             "last-node-at-T"],
     )
     def test_matches_scalar_scan(self, barriers, steps, sigma, T, monkeypatch):
         # 1500 paths in blocks of 512, scanned in slices of 200 rows
@@ -345,9 +348,16 @@ class TestFullRowReference:
             # a tie-heavy corridor: most paths leave within a few of its 13 steps
             (MarketParams(mu=0.05, sigma=2.0, r=0.05, T=0.25),
              BarrierSet(lower=BarrierCurve.flat(80.0), upper=BarrierCurve.flat(125.0)), 52),
+            # short rows: one step, where the walk adds nothing after the
+            # first, and three tie-heavy steps
+            (mk_params(), DKO, 4),
+            (mk_params(), BarrierSet(upper=BarrierCurve.flat(110.0)), 4),
+            (MarketParams(mu=0.05, sigma=2.0, r=0.05, T=0.25),
+             BarrierSet(lower=BarrierCurve.flat(80.0), upper=BarrierCurve.flat(125.0)), 12),
         ],
         ids=["sparse-flat-double", "dense-corridor", "single-lower", "single-upper", "tabulated",
-             "no-near-cell", "tie-heavy-corridor"],
+             "no-near-cell", "tie-heavy-corridor", "one-step-corridor", "one-step-upper",
+             "three-step-tie-heavy-corridor"],
     )
     def test_near_cells_only_move_no_bit(self, params, barriers, steps, monkeypatch):
         # the series on the live near cells alone, with each path's weight
