@@ -2,9 +2,7 @@
 
 Subcommands: classify, critical, price, breach, calibrate, table1,
 sweep. Human-readable text by default, CSV with --csv. Exit codes:
-0 success, 2 input validation, 3 numerical failure. A config file of
-key=value lines (# comments, UTF-8) can supply any flag; explicit
-flags win over file values, unknown keys are rejected.
+0 success, 2 input validation, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -62,85 +60,6 @@ def _fmt(value) -> str:
     return f"{value:.10g}" if isinstance(value, float) else str(value)
 
 
-def _read_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file; undecodable bytes are invalid input."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return list(fh)
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text ({exc})") from None
-
-
-def _read_config(path: str) -> list[tuple[str, str]]:
-    entries = []
-    for lineno, raw in enumerate(_read_lines(path), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        entries.append((key.strip().replace("_", "-"), value.strip()))
-    return entries
-
-
-def _config_keys(parser: argparse.ArgumentParser, cmd: str) -> dict[str, bool] | None:
-    """A subcommand's --config keys, read from its own options.
-
-    Maps each long option's name to whether it is a switch (takes no
-    value); None for a name that is not a subcommand.
-    """
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    if cmd not in sub.choices:
-        return None
-    return {
-        opt[2:]: action.nargs == 0
-        for action in sub.choices[cmd]._actions
-        if action.dest != "help"
-        for opt in action.option_strings
-        if opt.startswith("--")
-    }
-
-
-def _inject_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
-    """Turn config-file entries into flags placed before the user's own.
-
-    argparse keeps the last occurrence of a repeated flag, so inserting
-    the file's values immediately after the subcommand makes explicit
-    flags override them.
-    """
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return argv
-    cmd = next((tok for tok in argv if not tok.startswith("-")), None)
-    allowed = None if cmd is None else _config_keys(parser, cmd)
-    if allowed is None:
-        return argv  # let argparse produce its own diagnostic
-    extra: list[str] = []
-    for key, value in _read_config(path):
-        if key == "config":
-            raise ValidationError("config files cannot nest another config")
-        if key not in allowed:
-            raise ValidationError(f"unknown config key for {cmd}: {key!r}")
-        if allowed[key]:
-            flag = value.strip().lower()
-            if flag in ("1", "true", "yes", "on"):
-                extra.append(f"--{key}")
-            elif flag in ("0", "false", "no", "off"):
-                pass
-            else:
-                raise ValidationError(f"config key {key!r} wants true/false, got {value!r}")
-        else:
-            extra.extend([f"--{key}", value])
-    at = argv.index(cmd) + 1
-    return argv[:at] + extra + argv[at:]
-
-
 def _price_level(text: str) -> float:
     """argparse type of --s0 and --strike: a positive, finite number."""
     try:
@@ -168,8 +87,9 @@ def _add_barriers(p: argparse.ArgumentParser) -> None:
 
 
 def _add_accuracy(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu", type=float, help="distance parameter nu (wins over --pi)")
-    p.add_argument("--pi", type=float, help="breach-probability budget; nu from its quantile")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--nu", type=float, help="distance parameter nu")
+    group.add_argument("--pi", type=float, help="breach-probability budget; nu from its quantile")
 
 
 def _add_mc(p: argparse.ArgumentParser) -> None:
@@ -180,7 +100,6 @@ def _add_mc(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
-    p.add_argument("--config", help="key=value file; explicit flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,14 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strike", type=_price_level, default=100.0)
     p.add_argument("--lower", type=float, help="flat lower barrier level")
     p.add_argument("--upper", type=float, help="flat upper barrier level")
-    p.add_argument("--theta", type=float, help="accuracy threshold (power of ten)")
-    p.add_argument("--digits", type=int, help="theta = 10^-digits")
+    p.add_argument("--theta", type=float, required=True, help="accuracy threshold (power of ten)")
     _add_market(p)
     _add_common(p)
 
     p = sub.add_parser("table1", help="four-row calibration table (K=100, B=70, r=0.10)")
-    p.add_argument("--theta", type=float, help="accuracy threshold (power of ten)")
-    p.add_argument("--digits", type=int, help="theta = 10^-digits")
+    p.add_argument("--theta", type=float, default=FLOOR_THETA, help="accuracy threshold (power of ten)")
     p.add_argument("--nu", type=float, default=4.9, help="reference nu for the analytic column")
     _add_common(p)
 
@@ -247,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_knots(path: str) -> tuple[tuple[float, float], ...]:
     knots = []
-    for lineno, raw in enumerate(_read_lines(path), 1):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text ({exc})") from None
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -293,28 +215,7 @@ def _mc_from_args(args) -> McConfig:
 
 
 def _nu_from_args(args) -> float:
-    if args.nu is not None:
-        if args.pi is not None:
-            print("warning: --nu given, ignoring --pi", file=sys.stderr)
-        return args.nu
-    if args.pi is not None:
-        return nu_for_accuracy(args.pi)
-    raise ValidationError("need --nu or --pi to fix the accuracy distance")
-
-
-def _theta_from_args(args, default: float | None = None) -> float:
-    if args.theta is not None:
-        if args.digits is not None:
-            print("warning: --theta given, ignoring --digits", file=sys.stderr)
-        return args.theta
-    if args.digits is not None:
-        try:
-            return 10.0 ** (-args.digits)
-        except OverflowError:
-            raise ValidationError(f"--digits {args.digits} is out of range") from None
-    if default is not None:
-        return default
-    raise ValidationError("need --theta or --digits")
+    return args.nu if args.nu is not None else nu_for_accuracy(args.pi)
 
 
 def _closed_price(params: MarketParams, strike: float, barriers: BarrierSet, s0: float):
@@ -440,17 +341,17 @@ def _cmd_breach(args) -> _Report:
 
 def _cmd_calibrate(args) -> _Report:
     params = _params_from_args(args)
-    theta = _theta_from_args(args)
     if (args.lower is None) == (args.upper is None):
         raise ValidationError("calibrate needs exactly one of --lower/--upper")
     side = "lower" if args.lower is not None else "upper"
     level = getattr(args, side)
     # the default pricer, passed because benchmark/tracer.py reads it as the sixth argument
-    s_crit = numeric_critical_price(params, args.strike, level, side, theta, _SIDE_PRICER[side])
+    s_crit = numeric_critical_price(params, args.strike, level, side, args.theta,
+                                    _SIDE_PRICER[side])
     nu = implied_nu(params, level, side, s_crit)
     return _Report(
         ("theta", "numeric_critical", "implied_nu"),
-        [(theta, s_crit, nu)],
+        [(args.theta, s_crit, nu)],
         [f"numeric critical price = {_fmt(s_crit)}", f"implied nu = {_fmt(nu)}"],
     )
 
@@ -463,8 +364,7 @@ _PRECISION_NOTE = (
 
 
 def _cmd_table1(args) -> _Report:
-    theta = _theta_from_args(args, default=FLOOR_THETA)
-    rows = reproduce_table1(reference_nu=args.nu, theta=theta)
+    rows = reproduce_table1(reference_nu=args.nu, theta=args.theta)
     data = [row.as_tuple() for row in rows]
     lines = ["T      sigma  analytic_sml  numeric_sml  implied_nu"] + [
         f"{T:<6.2f} {sigma:<6.2f} {analytic:<13.6g} {numeric:<12.6g} {nu:.4g}"
@@ -516,11 +416,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def run(argv) -> int:
     """Dispatch one command; returns the process exit code."""
-    argv = list(argv)
     try:
-        parser = build_parser()
-        argv = _inject_config(argv, parser)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             report = _HANDLERS[args.command](args)

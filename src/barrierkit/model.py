@@ -216,13 +216,22 @@ class BarrierSet:
     def side_at_inception(self, s0: float, T: float, past_ok: bool = True) -> str | None:
         """The side ("lower"/"upper") s0 is on or past at t = 0, else None.
 
-        Past it is a DomainError unless past_ok: the pricers knock out
+        Decided on the log gaps the path engine walks, so that every
+        pricer sees one answer within ulps of a line: ln s0 - ln L(0) to
+        the lower line, and ln U(0) - ln s0 to the upper one, or in a
+        corridor the width ln U(0) - ln L(0) less the lower gap. Past a
+        line is a DomainError unless past_ok: the pricers knock out
         there, and the closed, Monte Carlo and PDE breach routes refuse it.
         """
-        for side, curve, sign in (("lower", self.lower, 1.0), ("upper", self.upper, -1.0)):
-            gap = math.inf if curve is None else sign * (s0 - curve.value_at(0.0, T))
+        x0 = math.log(s0)
+        levels = [None if c is None else c.value_at(0.0, T) for c in (self.lower, self.upper)]
+        lo, hi = (None if v is None else math.log(v) for v in levels)
+        gap_l = math.inf if lo is None else x0 - lo
+        # in a corridor the engine measures the upper line from the lower one
+        gap_u = math.inf if hi is None else hi - x0 if lo is None else (hi - lo) - gap_l
+        for side, level, gap in zip(("lower", "upper"), levels, (gap_l, gap_u)):
             if gap < 0.0 and not past_ok:
-                raise DomainError(f"s0={s0} past the {side} barrier {curve.value_at(0.0, T)}")
+                raise DomainError(f"s0={s0} past the {side} barrier {level}")
             if gap <= 0.0:
                 return side
         return None

@@ -306,8 +306,8 @@ def path_moments(
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
     width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
     # the scan lists a step only while its start is inside, so node 0 must be
-    if sides and not (x0_gap[0] > 0.0 and (sides == 1 or x0_gap[0] < width[0])):
-        raise DomainError(f"s0={s0} is on or past a barrier at t=0 in log space: "
+    if barriers.side_at_inception(s0, T) is not None:
+        raise DomainError(f"s0={s0} is on or past a barrier at t=0: "
                           "resolve it with BarrierSet.side_at_inception first")
     terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if sides == 2 else 0
     _warn_off_grid_knots(barriers, n, dt, T)  # after the level reads, which refuse a short table

@@ -1,8 +1,9 @@
-"""CLI surface: dispatch, formats, exit codes, config merging."""
+"""CLI surface: dispatch, formats, exit codes, the README's command lines."""
 
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import barrierkit
-from barrierkit.cli import _PRECISION_NOTE, _fmt, emit_csv, run
+from barrierkit.cli import _HANDLERS, _PRECISION_NOTE, _fmt, build_parser, emit_csv, run
 from barrierkit.critical import critical_prices
 from barrierkit.model import BarrierCurve, BarrierSet, MarketParams, McConfig, ValidationError
 from barrierkit.passage import breach_prob_mc
@@ -396,6 +397,30 @@ def test_breach_s0_on_the_barrier_is_certain_under_every_method(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["breach", "--s0", "70.00000000000001", "--lower", "70", "--method", "mc",
+          "--paths", "1000"], "p_lower = 1\np_upper = 0\np_total = 1\n"),
+        (["breach", "--s0", "70.00000000000001", "--lower", "70", "--method", "pde"],
+         "p_total = 1\n"),
+        (["price", "--s0", "70.00000000000001", "--strike", "100", "--lower", "70",
+          "--method", "mc", "--paths", "1000"], "price = 0  [MonteCarlo]\n"),
+        (["breach", "--s0", "129.99999999999997", "--lower", "70", "--upper", "130",
+          "--method", "mc", "--paths", "1000"], "p_lower = 0\np_upper = 1\np_total = 1\n"),
+        (["breach", "--s0", "129.99999999999997", "--lower", "70", "--upper", "130",
+          "--method", "pde"], "p_total = 1\n"),
+        (["price", "--s0", "129.99999999999997", "--strike", "100", "--lower", "70",
+          "--upper", "130", "--method", "mc", "--paths", "1000"], "price = 0  [MonteCarlo]\n"),
+    ],
+    ids=["breach-mc", "breach-pde", "price-mc", "corridor-breach-mc", "corridor-breach-pde",
+         "corridor-price-mc"],
+)
+def test_s0_within_ulps_of_a_line_is_on_it_under_every_method(capsys, argv, want):
+    # inside in price, on the line in the log space the engine walks
+    assert _call(capsys, *argv, *MKT)[:2] == (0, want)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         # 1000 * (T / 1000) rounds one ulp past this T
@@ -431,7 +456,7 @@ def test_calibrate_text_output(capsys):
 def test_calibrate_csv_header(capsys):
     code, out, _ = _call(
         capsys, "calibrate", "--upper", "130", "--strike", "100",
-        "--digits", "2", *MKT, "--csv",
+        "--theta", "1e-2", *MKT, "--csv",
     )
     assert code == 0
     lines = out.splitlines()
@@ -567,9 +592,9 @@ def test_exit_2_missing_barrier(capsys):
 
 
 def test_exit_2_missing_accuracy(capsys):
-    code, _, err = _call(capsys, "critical", "--lower", "70", *MKT)
-    assert code == 2
-    assert "need --nu or --pi" in err
+    code, out, err = _call(capsys, "critical", "--lower", "70", *MKT)
+    assert (code, out) == (2, "")
+    assert "--nu" in err and "--pi" in err
 
 
 def test_exit_2_crossed_barriers(capsys):
@@ -601,7 +626,8 @@ def test_exit_2_calibrate_needs_one_side(capsys):
 
 def test_exit_2_calibrate_needs_an_accuracy(capsys):
     code, out, err = _call(capsys, "calibrate", "--lower", "70", *MKT)
-    assert (code, out, err) == (2, "", "error: need --theta or --digits\n")
+    assert (code, out) == (2, "")
+    assert "--theta" in err
 
 
 @pytest.mark.parametrize("flag", ["--s0", "--strike"])
@@ -667,8 +693,6 @@ def test_exit_2_non_positive_or_non_finite_price_levels(capsys, argv):
         ["sweep", "--strike", "100", "--lower", "70", "--upper", "130", "--nu", "inf", *MKT],
         ["calibrate", "--lower", "70", "--theta", "nan", *MKT],
         ["calibrate", "--lower", "70", "--theta", "inf", *MKT],
-        ["calibrate", "--lower", "70", "--digits", "-400", *MKT],
-        ["table1", "--digits", "-400"],
         ["table1", "--theta", "nan"],
         ["table1", "--nu", "nan"],
     ],
@@ -821,7 +845,7 @@ def test_exit_2_unknown_flag(capsys):
     code, _, _ = _call(capsys, "price", "--s0", "100", "--strike", "100",
                        "--bogus", "1", *MKT)
     assert code == 2
-    # --digits sets theta, so only calibrate and table1 take it
+    # theta has one flag, --theta, on calibrate and table1 alone
     for cmd in (["classify", "--s0", "110"], ["critical"], ["sweep", "--strike", "100"]):
         code, out, err = _call(capsys, *cmd, "--lower", "70", *MKT, "--nu", "4.9", "--digits", "6")
         assert code == 2 and out == "" and "--digits" in err
@@ -832,14 +856,40 @@ def test_exit_2_unknown_subcommand(capsys):
     assert _call(capsys)[0] == 2
 
 
-def test_exit_2_missing_config_file(capsys):
-    code, _, err = _call(
-        capsys, "critical", "--lower", "70", *MKT, "--nu", "4.9",
-        "--config", "/no/such/file.cfg",
-    )
-    assert code == 2
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+@pytest.mark.parametrize("argv", [
+    ["classify", "--s0", "110", "--lower", "70", *MKT, "--nu", "4.9"],
+    ["critical", "--lower", "70", *MKT, "--nu", "4.9"],
+    ["price", "--s0", "100", "--strike", "100", "--lower", "70", *MKT],
+    ["breach", "--s0", "100", "--lower", "70", *MKT],
+    ["calibrate", "--lower", "70", *MKT, "--theta", "1e-2"],
+    ["table1"],
+    ["sweep", "--strike", "100", "--lower", "70", *MKT, "--nu", "4.9"],
+], ids=lambda argv: argv[0])
+def test_exit_2_no_config_file_and_no_digits(capsys, tmp_path, argv):
+    # each value has one flag: there is no config file, and theta is --theta
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("csv = true\n", encoding="utf-8")
+    assert _call(capsys, *argv)[0] == 0
+    for extra in (["--config", str(cfg)], ["--digits", "6"]):
+        code, out, err = _call(capsys, *argv, *extra)
+        assert (code, out) == (2, ""), extra
+        assert extra[0] in err
+
+
+def _readme_command_lines():
+    """The `barrierkit ...` lines of README's command-line block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("barrierkit ")]
+
+
+def test_readme_command_lines_parse():
+    parser = build_parser()
+    commands = [shlex.split(line)[1:] for line in _readme_command_lines()]
+    assert {argv[0] for argv in commands} == set(_HANDLERS)
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_closed_method_rejects_curved_shapes(capsys, tmp_path):
@@ -920,28 +970,11 @@ def test_growth_without_level_rejected(capsys):
 # ---------------------------------------------------------------- warnings
 
 
-def test_nu_wins_over_pi_with_warning(capsys):
-    base = [
-        "critical", "--lower", "70", "--sigma", "0.15",
-        "--r", "0.10", "--T", "0.25",
-    ]
-    code, plain, err = _call(capsys, *base, "--nu", "4.9")
-    assert code == 0 and err == ""
-    code, both, err = _call(capsys, *base, "--nu", "4.9", "--pi", "1e-6")
-    assert code == 0
-    assert both == plain
-    assert err == "warning: --nu given, ignoring --pi\n"
-
-
-def test_theta_wins_over_digits_with_warning(capsys):
-    code, out, err = _call(
-        capsys, "calibrate", "--lower", "70", "--theta", "1e-2",
-        "--digits", "6", *MKT,
-    )
-    assert code == 0
-    assert "warning: --theta given, ignoring --digits" in err
-    s_crit = float(out.splitlines()[0].split("=")[1])
-    assert s_crit == pytest.approx(77.978580549279580342, abs=1e-4)
+def test_nu_and_pi_exclude_each_other(capsys):
+    code, out, err = _call(capsys, "critical", "--lower", "70", "--sigma", "0.15",
+                           "--r", "0.10", "--T", "0.25", "--nu", "4.9", "--pi", "1e-6")
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
 
 
 def test_library_warning_prints_in_the_cli_form(capsys, tmp_path):
@@ -958,122 +991,6 @@ def test_library_warning_prints_in_the_cli_form(capsys, tmp_path):
     assert out.startswith("p_lower = ")
     child = _run_child(argv, timeout=120)
     assert (child.returncode, child.stdout, child.stderr) == (0, out, warning)
-
-
-# ---------------------------------------------------------------- config files
-
-
-def test_config_equivalent_to_flags(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# double knock-out setup\n"
-        "lower = 70\n"
-        "upper = 130\n"
-        "sigma = 0.30\n"
-        "r = 0.10   # carry matches the discount rate\n"
-        "T = 0.25\n"
-        "nu = 4.9\n",
-        encoding="utf-8",
-    )
-    code, from_file, _ = _call(capsys, "critical", "--config", str(cfg))
-    assert code == 0
-    code, from_flags, _ = _call(
-        capsys, "critical", "--lower", "70", "--upper", "130", *MKT, "--nu", "4.9",
-    )
-    assert from_file == from_flags
-
-
-def test_explicit_flag_overrides_config(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lower = 70\nsigma = 0.30\nr = 0.10\nT = 0.25\nnu = 2.0\n",
-                   encoding="utf-8")
-    code, overridden, _ = _call(
-        capsys, "critical", f"--config={cfg}", "--nu", "4.9",
-    )
-    assert code == 0
-    code, direct, _ = _call(capsys, "critical", "--lower", "70", *MKT, "--nu", "4.9")
-    assert overridden == direct
-    code, from_file, _ = _call(capsys, "critical", "--config", str(cfg))
-    assert from_file != direct
-
-
-def test_config_underscore_keys(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lower_growth = 0.05\n", encoding="utf-8")
-    code, from_file, _ = _call(
-        capsys, "critical", "--config", str(cfg), "--lower", "70",
-        *MKT, "--nu", "4.9",
-    )
-    assert code == 0
-    code, from_flags, _ = _call(
-        capsys, "critical", "--lower", "70", "--lower-growth", "0.05",
-        *MKT, "--nu", "4.9",
-    )
-    assert from_file == from_flags
-
-
-def test_config_bool_csv_key(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("csv = true\n", encoding="utf-8")
-    code, out, _ = _call(
-        capsys, "critical", "--config", str(cfg), "--lower", "70",
-        *MKT, "--nu", "4.9",
-    )
-    assert code == 0
-    assert out.startswith("quantity,value,t_at_extremum\n")
-    cfg.write_text("csv = off\n", encoding="utf-8")
-    code, out, _ = _call(
-        capsys, "critical", "--config", str(cfg), "--lower", "70",
-        *MKT, "--nu", "4.9",
-    )
-    assert code == 0
-    assert out.startswith("s_ml = ")
-    cfg.write_text("csv = maybe\n", encoding="utf-8")
-    code, _, err = _call(
-        capsys, "critical", "--config", str(cfg), "--lower", "70",
-        *MKT, "--nu", "4.9",
-    )
-    assert code == 2
-    assert "true/false" in err
-
-
-def test_config_unknown_key_rejected(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("paths = 100\n", encoding="utf-8")
-    code, _, err = _call(
-        capsys, "critical", "--config", str(cfg), "--lower", "70",
-        *MKT, "--nu", "4.9",
-    )
-    assert code == 2
-    assert "unknown config key" in err
-
-
-def test_config_cannot_nest(capsys, tmp_path):
-    inner = tmp_path / "inner.cfg"
-    inner.write_text("nu = 4.9\n", encoding="utf-8")
-    cfg = tmp_path / "outer.cfg"
-    cfg.write_text(f"config = {inner}\n", encoding="utf-8")
-    code, _, err = _call(
-        capsys, "critical", "--config", str(cfg), "--lower", "70",
-        *MKT, "--nu", "4.9",
-    )
-    assert code == 2
-    assert "nest" in err
-
-
-def test_config_malformed_line(capsys, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("lower 70\n", encoding="utf-8")
-    code, _, err = _call(
-        capsys, "critical", "--config", str(cfg), *MKT, "--nu", "4.9",
-    )
-    assert code == 2
-    assert "key=value" in err
-    assert ":1:" in err
-    cfg.write_bytes(b"lower = 70\nnu = 4\xe9\n")
-    code, out, err = _call(capsys, "critical", "--config", str(cfg), *MKT)
-    assert (code, out) == (2, "")
-    assert "not UTF-8" in err
 
 
 # ---------------------------------------------------------------- determinism

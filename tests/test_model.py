@@ -17,6 +17,9 @@ from barrierkit.model import (
     RebateError,
 )
 from barrierkit.critical import critical_prices
+from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
+from barrierkit.pricing.closed import breach_prob_closed
+from barrierkit.pricing.engine import path_moments
 from barrierkit.pricing.mc import McConfig, mc_price
 
 
@@ -159,6 +162,57 @@ class TestBarrierSet:
     def test_any_present(self):
         assert not BarrierSet().any_present
         assert BarrierSet(lower=BarrierCurve.flat(70.0)).any_present
+
+
+class TestInception:
+    """side_at_inception decides on the log gaps the path engine walks."""
+
+    LOWER = BarrierSet(lower=BarrierCurve.flat(70.0))
+    UPPER = BarrierSet(upper=BarrierCurve.flat(130.0))
+    CORRIDOR = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
+
+    # inside in price, on the line in log: log(nextafter(70)) == log(70), and in the
+    # corridor log(s0) - log(70) rounds to the width log(130) - log(70)
+    @pytest.mark.parametrize("barriers, s0, side", [
+        (LOWER, 70.00000000000001, "lower"),
+        (CORRIDOR, 70.00000000000001, "lower"),
+        (CORRIDOR, 129.99999999999997, "upper"),
+    ], ids=["lower", "corridor-lower", "corridor-upper"])
+    def test_within_ulps_of_a_line_every_pricer_answers(self, barriers, s0, side):
+        params = mk_params()
+        assert barriers.side_at_inception(s0, params.T, past_ok=False) == side
+        spec = OptionSpec(payoff=Payoff.CALL, strike=100.0, barriers=barriers)
+        cfg = McConfig(paths=1000)
+        assert mc_price(params, spec, s0, cfg).value == 0.0
+        est = breach_prob_mc(params, barriers, s0, cfg)
+        assert (est.p_lower, est.p_upper) == ((1.0, 0.0) if side == "lower" else (0.0, 1.0))
+        grid = default_grid(params, barriers, s0, params.T)
+        assert breach_prob_pde(params, barriers, s0, params.T, grid) == 1.0
+        assert breach_prob_closed(params, barriers, s0) == 1.0
+
+    @pytest.mark.parametrize("barriers", [
+        LOWER, UPPER, CORRIDOR,
+        BarrierSet(lower=BarrierCurve.exponential(70.0, 0.3),
+                   upper=BarrierCurve.tabulated([(0.0, 130.0), (0.25, 120.0)])),
+    ], ids=["lower", "upper", "corridor", "curved-corridor"])
+    def test_the_engine_refuses_exactly_where_inception_says(self, barriers):
+        params, cfg = mk_params(), McConfig(paths=8, steps_per_year=12)
+        levels = [c.value_at(0.0, params.T) for c in (barriers.lower, barriers.upper) if c]
+        seen = set()
+        for level in levels:
+            s0 = level
+            for _ in range(4):
+                s0 = math.nextafter(s0, 0.0)
+            for _ in range(9):
+                side = barriers.side_at_inception(s0, params.T)
+                seen.add(side)
+                if side is None:
+                    path_moments(params, barriers, s0, cfg, lambda x_T, w, m_l, m_u: (w,))
+                else:
+                    with pytest.raises(DomainError, match="on or past a barrier"):
+                        path_moments(params, barriers, s0, cfg, lambda x_T, w, m_l, m_u: (w,))
+                s0 = math.nextafter(s0, math.inf)
+        assert None in seen and len(seen) == 1 + len(levels)
 
 
 class TestOptionSpec:
