@@ -6,13 +6,13 @@ category. A single barrier is the double rule with the other side absent
 (its level None, its critical price not read). The rule depends only on
 those price levels, never on the strike, payoff kind, or rebates.
 Boundary conventions: sitting exactly at a critical price counts as
-degenerate (the closed comparisons go to Vanilla), and starting exactly
-on a barrier counts as knocked out.
+degenerate (the closed comparisons go to Vanilla), and starting on a
+barrier, as model.inception_side decides it for every pricer, knocks out.
 """
 
 from __future__ import annotations
 
-from .model import Classification, require_price_level
+from .model import Classification, inception_side, require_price_level
 
 
 def classify_double(
@@ -29,7 +29,7 @@ def classify_double(
     band is open. An s0 that is not positive and finite is a DomainError.
     """
     require_price_level("s0", s0)
-    if (b_l0 is not None and s0 <= b_l0) or (b_u0 is not None and s0 >= b_u0):
+    if inception_side(s0, b_l0, b_u0) is not None:
         return Classification.KNOCKED_OUT_AT_INCEPTION
     lower_live = b_l0 is not None and s0 < s_ml  # below s_ml the lower barrier still matters
     upper_live = b_u0 is not None and s0 > s_mu  # above s_mu the upper barrier still matters

@@ -252,14 +252,6 @@ def _require_finite(rows) -> None:
                 )
 
 
-def _initial_levels(barriers: BarrierSet, T: float) -> tuple[float | None, float | None]:
-    """Lower and upper barrier levels at t = 0; None for an absent side."""
-    return tuple(
-        None if curve is None else curve.value_at(0.0, T)
-        for curve in (barriers.lower, barriers.upper)
-    )
-
-
 def _critical_setup(args) -> tuple[MarketParams, BarrierSet, CriticalPrices]:
     """Market, barriers and critical prices: the opening of classify, critical and sweep."""
     params = _params_from_args(args)
@@ -271,7 +263,7 @@ def _critical_setup(args) -> tuple[MarketParams, BarrierSet, CriticalPrices]:
 
 def _cmd_classify(args) -> _Report:
     params, barriers, crit = _critical_setup(args)
-    label = classify_double(args.s0, *_initial_levels(barriers, params.T), crit.s_ml, crit.s_mu)
+    label = classify_double(args.s0, *barriers.levels_at(0.0, params.T), crit.s_ml, crit.s_mu)
     return _Report(("classification",), [(label.value,)], [label.value])
 
 
@@ -378,7 +370,7 @@ def _cmd_table1(args) -> _Report:
 def _cmd_sweep(args) -> _Report:
     params, barriers, crit = _critical_setup(args)
     span = math.exp(10.0 * params.sigma * math.sqrt(params.T))
-    bl0, bu0 = _initial_levels(barriers, params.T)
+    bl0, bu0 = barriers.levels_at(0.0, params.T)
     lo = bl0 * 1.02 if bl0 is not None else bu0 / span
     hi = bu0 * 0.98 if bu0 is not None else bl0 * span
     n_points = 33

@@ -68,6 +68,31 @@ def side_sign(side: str) -> float:
     raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
 
 
+def inception_side(s0: float, lower: float | None, upper: float | None,
+                   past_ok: bool = True) -> str | None:
+    """The side ("lower"/"upper") s0 is on or past at t = 0, else None.
+
+    lower and upper are the levels at t = 0, None for an absent side.
+    Decided on the log gaps the path engine walks, so that every pricer,
+    breach route and the classifier see one answer within ulps of a line:
+    ln s0 - ln lower to the lower line, and ln upper - ln s0 to the upper
+    one, or in a corridor the width ln upper - ln lower less the lower
+    gap. Past a line is a DomainError unless past_ok: the pricers knock
+    out there, and the closed, Monte Carlo and PDE breach routes refuse it.
+    """
+    x0 = math.log(s0)
+    gap_l = math.inf if lower is None else x0 - math.log(lower)
+    # in a corridor the engine measures the upper line from the lower one
+    gap_u = (math.inf if upper is None else math.log(upper) - x0 if lower is None
+             else (math.log(upper) - math.log(lower)) - gap_l)
+    side, level, gap = ("lower", lower, gap_l) if gap_l <= 0.0 else ("upper", upper, gap_u)
+    if not gap <= 0.0:  # NaN too: no comparison with it holds
+        return None
+    if gap < 0.0 and not past_ok:
+        raise DomainError(f"s0={s0} past the {side} barrier {level}")
+    return side
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Lognormal market bundle: drift, volatility, rate, horizon.
@@ -213,43 +238,28 @@ class BarrierSet:
     def any_present(self) -> bool:
         return self.lower is not None or self.upper is not None
 
-    def side_at_inception(self, s0: float, T: float, past_ok: bool = True) -> str | None:
-        """The side ("lower"/"upper") s0 is on or past at t = 0, else None.
+    def levels_at(self, t: float, T: float) -> tuple[float | None, float | None]:
+        """Lower and upper levels at time t in [0, T]; None for an absent side."""
+        return (None if self.lower is None else self.lower.value_at(t, T),
+                None if self.upper is None else self.upper.value_at(t, T))
 
-        Decided on the log gaps the path engine walks, so that every
-        pricer sees one answer within ulps of a line: ln s0 - ln L(0) to
-        the lower line, and ln U(0) - ln s0 to the upper one, or in a
-        corridor the width ln U(0) - ln L(0) less the lower gap. Past a
-        line is a DomainError unless past_ok: the pricers knock out
-        there, and the closed, Monte Carlo and PDE breach routes refuse it.
-        """
-        x0 = math.log(s0)
-        levels = [None if c is None else c.value_at(0.0, T) for c in (self.lower, self.upper)]
-        lo, hi = (None if v is None else math.log(v) for v in levels)
-        gap_l = math.inf if lo is None else x0 - lo
-        # in a corridor the engine measures the upper line from the lower one
-        gap_u = math.inf if hi is None else hi - x0 if lo is None else (hi - lo) - gap_l
-        for side, level, gap in zip(("lower", "upper"), levels, (gap_l, gap_u)):
-            if gap < 0.0 and not past_ok:
-                raise DomainError(f"s0={s0} past the {side} barrier {level}")
-            if gap <= 0.0:
-                return side
-        return None
+    def side_at_inception(self, s0: float, T: float, past_ok: bool = True) -> str | None:
+        """inception_side at the levels at t = 0."""
+        return inception_side(s0, *self.levels_at(0.0, T), past_ok)
 
     def check_ordering(self, T: float) -> None:
-        """Require lower(t) < upper(t) for every t in [0, T].
-
-        Between the union of both curves' breakpoints the log gap is
-        linear, so checking those times is exact.
+        """Require ln lower(t) < ln upper(t), the log width every image series
+        divides by, for every t in [0, T]: levels whose logs round together are
+        refused. The log gap is linear between the union of both curves'
+        breakpoints, so checking those times is exact.
         """
         if self.lower is None or self.upper is None:
             return
         for t in sorted({*self.lower.breakpoints(T), *self.upper.breakpoints(T)}):
-            lo = self.lower.value_at(t, T)
-            hi = self.upper.value_at(t, T)
-            if lo >= hi:
+            lo, hi = self.levels_at(t, T)
+            if math.log(hi) - math.log(lo) <= 0.0:
                 raise BarrierOrderError(
-                    f"lower barrier {lo} not below upper barrier {hi} at t={t}"
+                    f"lower barrier {lo} not below upper barrier {hi} in log-price at t={t}"
                 )
 
 

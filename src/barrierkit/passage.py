@@ -172,6 +172,7 @@ def breach_prob_pde(
         raise DomainError("need at least one barrier")
     if not 0.0 < T < math.inf:
         raise DomainError(f"T must be positive and finite, got {T}")
+    barriers.check_ordering(T)
     if barriers.side_at_inception(s0, T, past_ok=False) is not None:
         return 1.0
     c1, sig_rt = params.mu - 0.5 * params.sigma**2, params.sigma * math.sqrt(T)

@@ -2,8 +2,8 @@
 
 Standard library only, so the closed-form commands never load NumPy or
 SciPy. European payoffs under lognormal dynamics with continuous barrier
-monitoring and zero rebates; knocked-at-inception inputs (s0 at or beyond
-a barrier) price to zero, as the Monte Carlo engine reports them.
+monitoring and zero rebates; an s0 on or past a barrier at inception
+(model.inception_side) prices to zero, as the Monte Carlo engine reports it.
 
 The knock-outs are one image (reflection) form: the surviving paths'
 terminal density is the free one minus image terms, one for a single
@@ -25,7 +25,8 @@ import math
 import sys
 
 from ..model import (BarrierSet, BarrierShape, DomainError, MarketParams, NumericsError,
-                     Payoff, PriceEstimate, _to_payoff, require_growth, require_price_level)
+                     Payoff, PriceEstimate, _to_payoff, inception_side, require_growth,
+                     require_price_level)
 from ..numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -166,7 +167,7 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
     beyond L_T and U_T plus the image terms over [L_T, U_T], summed as they
     stand rather than as one minus the survival, so a remote breach keeps its digits.
     """
-    if (lower and s0 <= lower[0]) or (upper and s0 >= upper[0]):
+    if inception_side(s0, lower and lower[0], upper and upper[0]) is not None:
         return 0.0
     T, sig = params.T, params.sigma
     s2t, srt = sig * sig * T, sig * math.sqrt(T)

@@ -411,9 +411,18 @@ def test_breach_s0_on_the_barrier_is_certain_under_every_method(capsys):
           "--method", "pde"], "p_total = 1\n"),
         (["price", "--s0", "129.99999999999997", "--strike", "100", "--lower", "70",
           "--upper", "130", "--method", "mc", "--paths", "1000"], "price = 0  [MonteCarlo]\n"),
+        (["price", "--s0", "70.00000000000001", "--strike", "60", "--lower", "70",
+          "--method", "closed"], "price = 0  [Closed]\n"),
+        (["price", "--s0", "129.99999999999997", "--strike", "100", "--lower", "70",
+          "--upper", "130", "--method", "closed"], "price = 0  [Closed]\n"),
+        (["classify", "--s0", "70.00000000000001", "--lower", "70", "--nu", "4.9"],
+         "KnockedOutAtInception\n"),
+        (["classify", "--s0", "129.99999999999997", "--lower", "70", "--upper", "130",
+          "--nu", "4.9"], "KnockedOutAtInception\n"),
     ],
     ids=["breach-mc", "breach-pde", "price-mc", "corridor-breach-mc", "corridor-breach-pde",
-         "corridor-price-mc"],
+         "corridor-price-mc", "price-closed", "corridor-price-closed", "classify",
+         "corridor-classify"],
 )
 def test_s0_within_ulps_of_a_line_is_on_it_under_every_method(capsys, argv, want):
     # inside in price, on the line in the log space the engine walks
@@ -603,6 +612,17 @@ def test_exit_2_crossed_barriers(capsys):
     )
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("method", ["mc", "pde"])
+def test_exit_2_barriers_apart_in_price_but_not_in_log(capsys, tmp_path, method):
+    # 129.99999999999997 is below 130 in price, but their logs round together
+    knots = tmp_path / "lower.csv"
+    knots.write_text("0,70\n0.25,129.99999999999997\n")
+    code, out, err = _call(capsys, "breach", "--s0", "100", "--lower-file", str(knots),
+                           "--upper", "130", "--method", method, "--paths", "1000", *MKT)
+    assert (code, out) == (2, "")
+    assert "not below upper barrier 130.0 in log-price at t=0.25" in err
 
 
 def test_exit_2_bad_theta(capsys):
@@ -845,10 +865,6 @@ def test_exit_2_unknown_flag(capsys):
     code, _, _ = _call(capsys, "price", "--s0", "100", "--strike", "100",
                        "--bogus", "1", *MKT)
     assert code == 2
-    # theta has one flag, --theta, on calibrate and table1 alone
-    for cmd in (["classify", "--s0", "110"], ["critical"], ["sweep", "--strike", "100"]):
-        code, out, err = _call(capsys, *cmd, "--lower", "70", *MKT, "--nu", "4.9", "--digits", "6")
-        assert code == 2 and out == "" and "--digits" in err
 
 
 def test_exit_2_unknown_subcommand(capsys):
@@ -977,6 +993,7 @@ def test_nu_and_pi_exclude_each_other(capsys):
     assert "not allowed with argument" in err
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_library_warning_prints_in_the_cli_form(capsys, tmp_path):
     # the engine's off-grid-knot RuntimeWarning, on one line as the CLI's own
     # warnings are, in place of Python's file:line form and echoed source line

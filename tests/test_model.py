@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from barrierkit.classify import classify_double, classify_down_and_out, classify_up_and_out
 from barrierkit.model import (
     BarrierCurve,
     BarrierOrderError,
     BarrierSet,
+    Classification,
     DomainError,
     KnotOrderError,
     MarketParams,
@@ -18,7 +20,8 @@ from barrierkit.model import (
 )
 from barrierkit.critical import critical_prices
 from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
-from barrierkit.pricing.closed import breach_prob_closed
+from barrierkit.pricing.closed import (breach_prob_closed, double_knockout_closed,
+                                       down_and_out_call_closed)
 from barrierkit.pricing.engine import path_moments
 from barrierkit.pricing.mc import McConfig, mc_price
 
@@ -154,6 +157,19 @@ class TestBarrierSet:
         with pytest.raises(BarrierOrderError, match="t=0.1234"):
             bs.check_ordering(1.0)
 
+    def test_ordering_is_decided_on_the_log_width(self):
+        # below 130 in price, but ln 130 - ln 129.99999999999997 rounds to 0, the
+        # width every image series divides by: every breach route refuses it
+        bs = BarrierSet(lower=BarrierCurve.tabulated([(0.0, 70.0), (0.25, 129.99999999999997)]),
+                        upper=BarrierCurve.flat(130.0))
+        params = mk_params()
+        with pytest.raises(BarrierOrderError, match="t=0.25"):
+            bs.check_ordering(params.T)
+        with pytest.raises(BarrierOrderError):
+            breach_prob_mc(params, bs, 100.0, McConfig(paths=1000))
+        with pytest.raises(BarrierOrderError):
+            breach_prob_pde(params, bs, 100.0, params.T, default_grid(params, bs, 100.0, params.T))
+
     def test_single_side_always_ordered(self):
         BarrierSet(lower=BarrierCurve.flat(70.0)).check_ordering(0.25)
         BarrierSet(upper=BarrierCurve.flat(130.0)).check_ordering(0.25)
@@ -189,6 +205,16 @@ class TestInception:
         grid = default_grid(params, barriers, s0, params.T)
         assert breach_prob_pde(params, barriers, s0, params.T, grid) == 1.0
         assert breach_prob_closed(params, barriers, s0) == 1.0
+        # the closed knock-out and the classifier read the same rule
+        if barriers.upper is None:
+            assert down_and_out_call_closed(params, 60.0, 70.0, s0).value == 0.0
+        else:
+            assert double_knockout_closed(params, 100.0, 70.0, 130.0, s0).value == 0.0
+        ko = Classification.KNOCKED_OUT_AT_INCEPTION
+        assert classify_double(s0, *barriers.levels_at(0.0, params.T), 99.0, 88.0) is ko
+        single = (classify_down_and_out(s0, 70.0, 99.0) if side == "lower"
+                  else classify_up_and_out(s0, 130.0, 88.0))
+        assert single is ko
 
     @pytest.mark.parametrize("barriers", [
         LOWER, UPPER, CORRIDOR,
