@@ -12,7 +12,6 @@ import csv
 import io
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .calibrate import (FLOOR_THETA, _SIDE_PRICER, implied_nu, numeric_critical_price,
@@ -401,18 +400,11 @@ _HANDLERS = {
 }
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """A library warning in the CLI's own one-line form, on stderr."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def run(argv) -> int:
     """Dispatch one command; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            report = _HANDLERS[args.command](args)
+        report = _HANDLERS[args.command](args)
         _require_finite(report.rows)
         if args.csv:
             sys.stdout.write(emit_csv(report.rows, report.header))

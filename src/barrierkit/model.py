@@ -122,7 +122,8 @@ class MarketParams:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Paths, steps and seed: all that a Monte Carlo result depends on."""
+    """Paths, steps and seed: all that a Monte Carlo result depends on.
+    steps_per_year sets the uniform nodes; the engine adds one at each knot off them."""
 
     paths: int = 100_000
     steps_per_year: int = 365
@@ -247,15 +248,21 @@ class BarrierSet:
         """inception_side at the levels at t = 0."""
         return inception_side(s0, *self.levels_at(0.0, T), past_ok)
 
+    def breakpoints(self, T: float) -> tuple[float, ...]:
+        """0, T and both curves' knot times inside (0, T), in increasing order:
+        between consecutive ones each barrier is log-linear in t."""
+        curves = [c for c in (self.lower, self.upper) if c is not None]
+        return tuple(sorted({0.0, T, *(t for c in curves for t in c.breakpoints(T))}))
+
     def check_ordering(self, T: float) -> None:
         """Require ln lower(t) < ln upper(t), the log width every image series
         divides by, for every t in [0, T]: levels whose logs round together are
-        refused. The log gap is linear between the union of both curves'
-        breakpoints, so checking those times is exact.
+        refused. The log gap is linear between breakpoints, so checking those
+        times is exact.
         """
         if self.lower is None or self.upper is None:
             return
-        for t in sorted({*self.lower.breakpoints(T), *self.upper.breakpoints(T)}):
+        for t in self.breakpoints(T):
             lo, hi = self.levels_at(t, T)
             if math.log(hi) - math.log(lo) <= 0.0:
                 raise BarrierOrderError(

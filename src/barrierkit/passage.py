@@ -185,11 +185,7 @@ def breach_prob_pde(
         return 0.0
 
     n = grid.n_time
-    times = {k * T / n for k in range(n)} | {T}
-    for curve in (barriers.lower, barriers.upper):
-        if curve is not None:
-            times.update(curve.breakpoints(T))
-    times = sorted(times)
+    times = sorted({k * T / n for k in range(n)}.union(barriers.breakpoints(T)))
 
     def edge(curve, far: float) -> np.ndarray:
         if curve is None:

@@ -290,7 +290,8 @@ def double_knockout_closed(
     require_price_level("s0", s0)
     require_price_level("strike", strike)
     require_price_level("upper", upper)
-    if not (0.0 < lower < upper):
+    # in log space, as at T: levels whose logs round together are refused
+    if not (lower > 0.0 and math.log(upper) - math.log(lower) > 0.0):
         raise DomainError(f"need 0 < lower < upper, got ({lower}, {upper})")
     d_l, d_u = curvature if curvature is not None else (0.0, 0.0)
     require_growth(d_l)

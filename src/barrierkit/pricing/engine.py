@@ -1,16 +1,17 @@
 """Conditional Monte Carlo path engine shared by pricing and breach estimation.
 
-Between two nodes the log-price is a Brownian bridge and each barrier a
-line in log space (exact for flat and exponential barriers, and for
-tabulated ones with knots on nodes; a knot off them warns that the
-estimate is biased), so a step's chance of survival and
-of first exit through each side is an exact image series (`step_exits`).
+The nodes are the uniform i*T/n of McConfig.steps_per_year and every
+barrier breakpoint more than 1e-9 of a step from them, so between two
+nodes the log-price is a Brownian bridge and each barrier a line in log
+space, and a step's chance of survival and of first exit through each
+side is an exact image series (`step_exits`). A whole step lasts T/n; a
+step cut at a knot has its own length, drift, volatility and c.
 A path carries these chances instead of a knock-out test: its weight is
 the product of its steps' survival chances and its mass per side the sum
 of each step's exit chance times the weight before it, so monitoring is
 continuous (conditional Monte Carlo on the bridge: Glasserman, Monte
 Carlo Methods in Financial Engineering, 2004, 6.4). A cell (path, step)
-counts only where 2*d0*d1/(sigma^2*dt) < 54*ln 2 for some side, since
+counts only where 2*d0*d1/c < 54*ln 2 for some side, since
 elsewhere 1 - p rounds to 1.0, and only while its step starts strictly
 inside the lines: the step that reaches a line survives with 0, so a
 step that starts there follows a weight of 0 and adds 0. Both skips are
@@ -46,7 +47,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -65,22 +65,6 @@ def n_steps_for(per_year: int, T: float) -> int:
     return max(1, math.ceil(per_year * T - 1e-12))
 
 
-def _warn_off_grid_knots(barriers: BarrierSet, n: int, dt: float, T: float) -> None:
-    """RuntimeWarning for each tabulated knot inside (0, T) that is not a node.
-
-    Between nodes the bridge takes the barrier as the line through its
-    values there, which cuts a corner at a knot in between. A knot t is a
-    node when t/dt is within 1e-9 of a whole number.
-    """
-    for curve in (barriers.lower, barriers.upper):
-        for t in () if curve is None else curve.breakpoints(T)[1:-1]:
-            if abs(t / dt - round(t / dt)) > 1e-9:
-                warnings.warn(
-                    f"barrier knot at t={t} is not a node of the {n}-step grid (step {dt}): "
-                    "the bridge cuts the corner there, so the Monte Carlo estimate is biased",
-                    RuntimeWarning, stacklevel=4)
-
-
 def _flatnonzero(mask, out):
     """np.flatnonzero(mask) written into out; returns the filled front.
 
@@ -96,11 +80,12 @@ def _flatnonzero(mask, out):
     return out[:count]
 
 
-def _images(a0, a1, w0, w1, k: float, terms: int, p, t, u):
+def _images(a0, a1, w0, w1, k, terms: int, p, t, u):
     """sum_{n=1..N} (R_n - D_n) into p: image terms of first exit through the line a0, a1 gap.
 
-    t and u are scratch; each product is taken in the order of the
-    formulas, so a cell's value does not depend on the arrays it sits in.
+    k is one per cell; t and u are scratch. Each product is
+    taken in the order of the formulas, so a cell's value does not depend
+    on the arrays it sits in.
     """
     p.fill(0.0)
     for n in range(1, terms + 1):
@@ -113,18 +98,20 @@ def _images(a0, a1, w0, w1, k: float, terms: int, p, t, u):
         t *= w1
         t -= np.multiply(w1, a0, out=u)
         t += np.multiply(w0, a1, out=u)
-        t *= k * n
+        t *= np.multiply(k, n, out=u)
         p -= np.exp(t, out=t)
     return p
 
 
-def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
+def step_exits(d0, d1, c, w0=None, w1=None, terms: int = 1, buf=None):
     """Survival S and first-exit masses P_l, P_u of bridged steps, one per cell.
 
     d0, d1 are the log gaps above the lower line at the steps' two ends,
     w0, w1 the corridor widths (None without an upper line, which leaves
     one side's exp(-2*d0*d1/c) and P_u = 0), all 1-D arrays of one length,
-    c = sigma^2*dt, and `terms` the image pairs kept (series_terms). With both lines,
+    c = sigma^2*dt one number or one per cell (buf's z may hold it; k
+    takes its place there), and
+    `terms` the image pairs kept (series_terms, the most any cell needs). With both lines,
     P_l = sum_{n>=0} e^{-2(n*w0+d0)(n*w1+d1)/c} - sum_{n>=1} e^{-2n(n*w0*w1-w1*d0+w0*d1)/c},
     P_u is the same in the upper gaps w - d, and S = 1 - P_l - P_u; where
     one line is past the cutoff, only the other's n = 0 term is kept. An end
@@ -135,10 +122,10 @@ def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
     The results are views into buf's kernel arrays (a _Buffers with room
     for the cells), which are made here when buf is None.
     """
-    k = -2.0 / c
     size = d0.size
     if buf is None:
         buf = _Buffers(size, 1, 1, 1 if w0 is None else 2)
+    k = np.divide(-2.0, c, out=buf.flat("z", size))
     s, p_l = buf.flat("s", size), buf.flat("p_l", size)
     if w0 is None:
         np.maximum(d0, 0.0, out=p_l)
@@ -169,10 +156,12 @@ def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
         v0, v1, x0, x1 = (buf.flat(name, m) for name in ("v0", "v1", "x0", "x1"))
         np.take(w0, idx, out=v0, mode="clip")
         np.take(w1, idx, out=v1, mode="clip")
+        # s is free until the end: it holds k at the listed cells
+        k_both = np.take(k, idx, out=buf.flat("s", m), mode="clip")
         for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
             np.take(g0, idx, out=x0, mode="clip")
             np.take(g1, idx, out=x1, mode="clip")
-            img = _images(x0, x1, v0, v1, k, terms, *(buf.flat(name, m) for name in ("img", "t", "u")))
+            img = _images(x0, x1, v0, v1, k_both, terms, *(buf.flat(name, m) for name in ("img", "t", "u")))
             p[idx] = np.add(np.take(p, idx, out=x0, mode="clip"), img, out=x0)
     np.subtract(1.0, p_u, out=p_l, where=past_l)
     np.subtract(1.0, p_l, out=p_u, where=past_u)
@@ -186,7 +175,8 @@ def step_exits(d0, d1, c: float, w0=None, w1=None, terms: int = 1, buf=None):
 @dataclass(frozen=True)
 class PathMoments:
     """Count, mean and sum of squared deviations (M2) of each integrand
-    output over every path, and the step grid they were taken on.
+    output over every path, and the step grid they were taken on: n_steps
+    counts the uniform steps and those cut at a knot.
     near_cells counts the cells (path, step) the bridge series ran on:
     those near a line whose step starts strictly inside the lines. terms
     is the series' image pairs per step (0 without a corridor)."""
@@ -203,11 +193,6 @@ class PathMoments:
         return np.sqrt(self.m2 / max(self.count - 1, 1) / self.count)
 
 
-def _barrier_logs(curve, n: int, dt: float, T: float) -> np.ndarray:
-    # the last node is T itself: n*dt can round one ulp past it
-    return np.array([math.log(curve.value_at(t, T)) for t in [i * dt for i in range(n)] + [T]])
-
-
 class _Buffers:
     """One worker's slice arrays, reused for every slice it scans."""
 
@@ -216,8 +201,9 @@ class _Buffers:
         """Values per path and dtype of each flat array, by name. A slice of
         m paths views the front of each: the normals row-major, one row of
         n_draw per path (turned into the steps' log-returns, then the gaps'
-        products, then each step's exit mass); everything after the draw
-        node-major, node or step j of every path one contiguous row. With
+        products, then each listed cell's c and k, then each step's exit
+        mass); everything after the draw node-major, node or step j of
+        every path one contiguous row. With
         barriers: the gaps to each line at each node, the near-line masks,
         the paths with a near cell (their mask, and their gaps, then
         weights, at each node), and lists over the near cells, filled from
@@ -225,10 +211,8 @@ class _Buffers:
         which is also its first node in the node rows), last node
         ((j + 1)*h + r) and step j, their gaps and widths, and the step
         kernel's arrays (step_exits, with the list of cells near both
-        lines). Only a corridor reads the steps; a single line holds the
-        column too, as without it mc_grid's peak RSS rose from 68.3 to
-        71.5 MiB (glibc, 2-core Xeon): the C heap keeps freed buffers, and
-        how much depends on their sizes."""
+        lines). Every grid reads the steps: each cell's c, and a corridor's
+        widths."""
         f8, i8, b1 = np.float64, np.intp, np.bool_
         arrays = {"z": (n_draw, f8)}
         if sides:
@@ -287,8 +271,17 @@ def path_moments(
         raise DomainError(f"workers must be >= 1, got {workers}")
     T, sigma = params.T, params.sigma
     barriers.check_ordering(T)  # the corridor series needs a positive width
-    paths, seed, n = cfg.paths, cfg.seed, n_steps_for(cfg.steps_per_year, T)
-    dt = T / n
+    paths, seed, n_grid = cfg.paths, cfg.seed, n_steps_for(cfg.steps_per_year, T)
+    grid_dt = T / n_grid
+    # the uniform nodes, the last T itself (n_grid*grid_dt can round one ulp
+    # past it), and every breakpoint more than 1e-9 of a step from them
+    cuts = {t for t in barriers.breakpoints(T) if abs(t / grid_dt - round(t / grid_dt)) > 1e-9}
+    times = sorted([i * grid_dt for i in range(n_grid)] + [T, *cuts])
+    n = len(times) - 1
+    # a whole step keeps the length T/n_grid; only a step cut at a knot takes
+    # its own, and only then are dt, drift, vol and c one value per step
+    dt = grid_dt if not cuts else np.array(
+        [b - a if a in cuts or b in cuts else grid_dt for a, b in zip(times, times[1:])])
     has_l, has_u = barriers.lower is not None, barriers.upper is not None
     sides = int(has_l) + int(has_u)
     n_draw = n if sides else 1  # without a barrier only the end matters
@@ -298,19 +291,25 @@ def path_moments(
     n_blocks = -(-paths // _B)
     n_bufs = min(workers, n_blocks, _BLOCK_BYTES // row)
     rows = min(_B, _BLOCK_BYTES // (row * n_bufs))
-    h = T / n_draw
-    drift, vol = (params.mu - 0.5 * sigma**2) * h, sigma * math.sqrt(h)
+    span = dt if sides else T  # each draw's time span
+    drift, vol = (params.mu - 0.5 * sigma**2) * span, sigma * np.sqrt(span)
     x0, c = math.log(s0), sigma**2 * dt
+    near_c = np.reshape(0.5 * _CUTOFF * c, (-1, 1))  # a (1, 1) array compares as fast as a number
+    logs = [np.array([math.log(curve.value_at(t, T)) for t in times])
+            for curve in (barriers.lower, barriers.upper) if curve is not None]
     # gaps to the first line the scan measures: the lower one, else the upper
-    line = _barrier_logs(barriers.lower or barriers.upper, n, dt, T) if sides else None
+    line = logs[0] if sides else None
     x0_gap = (x0 - line) if has_l else (line - x0) if sides else None
-    width = _barrier_logs(barriers.upper, n, dt, T) - line if sides == 2 else None
+    width = logs[1] - line if sides == 2 else None
     # the scan lists a step only while its start is inside, so node 0 must be
     if barriers.side_at_inception(s0, T) is not None:
         raise DomainError(f"s0={s0} is on or past a barrier at t=0: "
                           "resolve it with BarrierSet.side_at_inception first")
-    terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if sides == 2 else 0
-    _warn_off_grid_knots(barriers, n, dt, T)  # after the level reads, which refuse a short table
+    c_step = np.broadcast_to(c, (n,))  # each step's c, which the kernel reads per cell
+    terms = 0
+    if sides == 2:  # the most pairs any step needs, the neediest step first so a refusal quotes it
+        steps = zip((width[:-1] * width[1:]).tolist(), c_step.tolist())
+        terms = max(series_terms(ww, cj) for ww, cj in sorted(steps, key=lambda s: s[1] / s[0], reverse=True))
 
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
         """(x_T, weight, mass_l, mass_u) for the next m rows of gen, and the
@@ -338,7 +337,7 @@ def path_moments(
             lines.append((np.subtract(width[:, None], gap, out=buf.grid("gap_u", n + 1, m)),
                           buf.grid("near_u", n, m)))
         for g, g_near in lines:  # 2*d0*d1/c below the cutoff: the series counts (z is spent)
-            np.less(np.multiply(g[:-1], g[1:], out=buf.grid("z", n, m)), 0.5 * _CUTOFF * c, out=g_near)
+            np.less(np.multiply(g[:-1], g[1:], out=buf.grid("z", n, m)), near_c, out=g_near)
         if sides == 2:
             near |= buf.grid("near_u", n, m)
         hit = np.flatnonzero(near.any(axis=0))
@@ -355,15 +354,17 @@ def path_moments(
         cell = _flatnonzero(on.reshape(-1), buf.flat("cell", n * h))
         cells = cell.size  # cell j*h + r is step j of hit path r, and its first node
         end = np.add(cell, h, out=buf.flat("end", cells))  # and its last
+        j = np.floor_divide(cell, h, out=buf.flat("step", cells))  # each cell's step
+        # each cell's c, which step_exits turns into its k in place (z is spent)
+        c_cell = np.take(c_step, j, out=buf.flat("z", cells), mode="clip")
         corridor = ()
         if sides == 2:  # the corridor's widths at each step's two nodes
-            j = np.floor_divide(cell, h, out=buf.flat("step", cells))
             w0 = np.take(width, j, out=buf.flat("w0", cells), mode="clip")
             j += 1
             corridor = (w0, np.take(width, j, out=buf.flat("w1", cells), mode="clip"), terms)
         d0 = np.take(nodes.reshape(-1), cell, out=buf.flat("d0", cells), mode="clip")
         d1 = np.take(nodes.reshape(-1), end, out=buf.flat("d1", cells), mode="clip")
-        s, p_l, p_u = step_exits(d0, d1, c, *corridor, buf=buf)
+        s, p_l, p_u = step_exits(d0, d1, c_cell, *corridor, buf=buf)
         w = nodes  # the gaps are read: now the weight at each node
         w.fill(1.0)  # a cell away from every line keeps 1 and adds 0
         w.reshape(-1)[end] = s

@@ -1,8 +1,8 @@
 """Monte Carlo barrier pricing: a thin integrand on the conditional path engine.
 
 Path transitions are exact lognormal steps, and the engine's bridge
-weights make monitoring continuous and exact for barriers that are
-log-linear between nodes, so each path pays
+weights make monitoring continuous and exact: every barrier is log-linear
+between its nodes, which include each knot, so each path pays
 disc * (weight * payoff(S_T) + rebate_l * mass_l + rebate_u * mass_u).
 Rebates are paid at expiry, so a single discount factor applies to
 every outcome. The run itself (paths, steps a year, seed) is a

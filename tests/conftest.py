@@ -3,13 +3,13 @@
 import math
 
 import pytest
+from scipy.linalg import lapack
 
 
 @pytest.fixture(params=["singular", "nan"])
 def failing_step_solve(request, monkeypatch):
     """Make the PDE's tridiagonal LAPACK solve report a singular step, or
     leave a NaN in its solution, on every call."""
-    lapack = pytest.importorskip("scipy.linalg.lapack")
     dgtsv = lapack.dgtsv
 
     def broken(dl, d, du, b, *overwrite):

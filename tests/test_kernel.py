@@ -2,9 +2,9 @@
 determinism, memory, and step accounting."""
 
 import math
+import re
 import sys
 import tracemalloc
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +14,7 @@ from barrierkit.model import (
     BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams, NumericsError,
     OptionSpec, Payoff,
 )
+from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
 from barrierkit.pricing import closed, engine
 from barrierkit.pricing.closed import series_terms
 from barrierkit.pricing.engine import n_steps_for, path_moments, step_exits
@@ -29,6 +30,17 @@ NEAR_DKO = BarrierSet(lower=BarrierCurve.flat(85.0), upper=BarrierCurve.flat(115
 # three steps in a narrowing corridor: many steps near both sides at once
 CORRIDOR = BarrierSet(
     lower=BarrierCurve.exponential(88.0, 0.2), upper=BarrierCurve.exponential(112.0, -0.2)
+)
+
+
+# a peak at t = 0.1: between the uniform nodes 0 and 0.25 at 4 steps a
+# year, on the node 0.1 at 10; with sigma 0.3 and r 0.1 the quadrature
+# gives 0.4852477 from s0 = 100 over T = 0.5
+KNOTTED = BarrierSet(lower=BarrierCurve.tabulated(((0.0, 70.0), (0.1, 95.0), (0.5, 70.0))))
+# a corridor with a knot off the nodes of 12 steps a year on each side
+KNOTTED_CORRIDOR = BarrierSet(
+    lower=BarrierCurve.tabulated(((0.0, 85.0), (0.1, 90.0), (0.25, 84.0))),
+    upper=BarrierCurve.tabulated(((0.0, 118.0), (0.17, 110.0), (0.25, 119.0))),
 )
 
 
@@ -158,6 +170,18 @@ class TestStepKernel:
                          np.array([0.4] * 3), np.array([0.4] * 3), 2)
         assert all(np.all(np.isfinite(v)) for v in out)
 
+    def test_c_per_cell_matches_one_c_per_call(self):
+        # unequal steps pass c one per cell: each cell gets every bit it gets
+        # alone, with the image pairs of the step that needs the most
+        d0, d1, w0, w1, c = (np.array(col) for col in zip(*self.GEOMETRIES))
+        terms = max(series_terms(a * b, cj) for a, b, cj in zip(w0, w1, c))
+        for corridor in ((), (w0, w1, terms)):
+            got = step_exits(d0, d1, c, *corridor)
+            for i in range(c.size):
+                one = step_exits(d0[i:i + 1], d1[i:i + 1], float(c[i]),
+                                 *(v[i:i + 1] for v in corridor[:2]), *corridor[2:])
+                assert [float(v[i]) for v in got] == [float(v[0]) for v in one]
+
     def test_series_terms_bound_the_first_image_left_out(self):
         ww = 0.3 * 0.25  # the least product of widths 0.3, 0.25, 0.4 at adjacent nodes
         for c in (1e-4, 0.04, 1.0, 10.0, 0.3, 7.77, 123.4, 4010.0):
@@ -168,28 +192,48 @@ class TestStepKernel:
         with pytest.raises(NumericsError, match="1e\\+03 image pairs"):
             series_terms(ww, 4020.0)
 
+    def test_a_narrowing_corridor_is_refused_with_its_neediest_step(self):
+        # the width falls from 2e-9 to 1e-9 over 13 steps: the last needs the
+        # most image pairs, and the refusal quotes that count
+        lower, upper = BarrierCurve.exponential(99.9999999, 0.0), BarrierCurve.exponential(100.0000001, -4e-9)
+        barriers = BarrierSet(lower, upper)
+        w0, w1 = (math.log(upper.value_at(t, 0.25) / lower.value_at(t, 0.25)) for t in (0.25 * 12 / 13, 0.25))
+        need = closed._CUTOFF * 0.3**2 * (0.25 / 13) / (2.0 * w0 * w1)
+        params = mk_params(sigma=0.3, T=0.25)
+        with pytest.raises(NumericsError, match=re.escape(f"about {math.sqrt(need):.3g} image pairs")):
+            path_moments(params, barriers, 100.0, McConfig(100, 52, 0), lambda *s: (s[1],), workers=1)
+
 
 def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=True):
     """One path at a time, one step at a time, on normals re-derived from the
     documented layout: path p is row p % B of block p // B, and block b
-    draws (rows, n) normals from PCG64(SeedSequence((seed, b))). Each step
-    whose gaps to a line satisfy 2*d0*d1/c < 54*ln 2 takes its survival and
-    exit masses from step_exits. bridge=False is naive node monitoring,
-    which the engine does not offer: a step ending on or past a line moves
-    the whole weight to that side. Returns per-path (x_T, weight, mass_l, mass_u)."""
-    n = n_steps_for(steps_per_year, params.T)
+    draws (rows, n) normals from PCG64(SeedSequence((seed, b))). The nodes
+    are the documented ones: i*T/u for the u uniform steps, T, and each knot
+    inside (0, T) more than 1e-9 of a step from them; a whole step has the
+    length T/u, a step cut at a knot its own. Each step whose gaps to a line
+    satisfy 2*d0*d1/c < 54*ln 2, c = sigma^2 times its length, takes its
+    survival and exit masses from step_exits. bridge=False is naive node
+    monitoring, which the engine does not offer: a step ending on or past a
+    line moves the whole weight to that side. Returns per-path (x_T,
+    weight, mass_l, mass_u)."""
+    T = params.T
+    u = n_steps_for(steps_per_year, T)
+    curves = [curve for curve in (barriers.lower, barriers.upper) if curve is not None]
+    cuts = {t for curve in curves for t, _ in curve.knots
+            if 0.0 < t < T and abs(t * u / T - round(t * u / T)) > 1e-9}
+    nodes = sorted([i * (T / u) for i in range(u)] + [T, *cuts])  # u*(T/u) can round past T
+    n = len(nodes) - 1
     has_l, has_u = barriers.lower is not None, barriers.upper is not None
-    n_draw = n if has_l or has_u else 1
-    h, dt = params.T / n_draw, params.T / n
-    drift = (params.mu - 0.5 * params.sigma**2) * h
-    vol = params.sigma * math.sqrt(h)
-    c = params.sigma**2 * dt
-    near = 0.5 * 54.0 * math.log(2.0) * c
-    nodes = [i * dt for i in range(n)] + [params.T]  # n*dt can round past T
-    logs = {side: np.array([math.log(curve.value_at(t, params.T)) for t in nodes])
+    n_draw = n if curves else 1
+    lengths = ([b - a if a in cuts or b in cuts else T / u for a, b in zip(nodes, nodes[1:])]
+               if curves else [T])
+    mu1 = params.mu - 0.5 * params.sigma**2
+    drift = [mu1 * h for h in lengths]
+    vol = [params.sigma * math.sqrt(h) for h in lengths]
+    c = [params.sigma**2 * h for h in lengths]
+    logs = {side: np.array([math.log(curve.value_at(t, T)) for t in nodes])
             for side, curve in (("l", barriers.lower), ("u", barriers.upper)) if curve is not None}
     width = logs["u"] - logs["l"] if has_l and has_u else None
-    terms = series_terms(float(np.min(width[:-1] * width[1:])), c) if width is not None else 0
     x0 = math.log(s0)
     out = np.empty((paths, 4))
     B = engine._B
@@ -200,8 +244,8 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
         z = gen.standard_normal((rows, n_draw))[row]
         cum, w, m_l, m_u = 0.0, 1.0, 0.0, 0.0
         for i in range(n_draw):
-            prev, cum = cum, cum + (z[i] * vol + drift)
-            if n_draw < n:
+            prev, cum = cum, cum + (z[i] * vol[i] + drift[i])
+            if not curves:
                 continue
             # gaps to each line at the step's two nodes; node 0 has cum 0.0
             gaps = {}
@@ -211,6 +255,7 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
                 gaps["u"] = ((logs["u"][i] - x0) - prev, (logs["u"][i + 1] - x0) - cum)
             if width is not None:
                 gaps["u"] = (width[i] - gaps["l"][0], width[i + 1] - gaps["l"][1])
+            near = 0.5 * 54.0 * math.log(2.0) * c[i]
             fired = any((g0 * g1 < near) if bridge else (g1 <= 0.0) for g0, g1 in gaps.values())
             if not fired:
                 continue
@@ -219,9 +264,9 @@ def reference_scan(params, barriers, s0, paths, steps_per_year, seed, bridge=Tru
                 p_u = float(has_u and gaps["u"][1] <= 0.0)
                 s = 1.0 - p_l - p_u
             elif width is not None:
-                s, p_l, p_u = kernel(*gaps["l"], c, width[i], width[i + 1])
+                s, p_l, p_u = kernel(*gaps["l"], c[i], width[i], width[i + 1])
             else:
-                s, p_one, _ = kernel(*gaps["l" if has_l else "u"], c)
+                s, p_one, _ = kernel(*gaps["l" if has_l else "u"], c[i])
                 p_l, p_u = (p_one, 0.0) if has_l else (0.0, p_one)
             m_l += w * p_l
             m_u += w * p_u
@@ -306,9 +351,12 @@ class TestScalarReference:
             (NEAR_DKO, 4, 0.30, 0.25),
             # 335 steps, and 335 * (T / 335) rounds one ulp past T
             (BarrierSet(lower=BarrierCurve.exponential(80.0, 0.1)), 365, 0.30, 0.9169050509759932),
+            # knots off the uniform nodes: steps of unequal length
+            (KNOTTED, 4, 0.30, 0.5),
+            (KNOTTED_CORRIDOR, 12, 0.40, 0.25),
         ],
         ids=["single-lower", "single-upper", "flat-double", "corridor", "no-barrier", "one-step-corridor",
-             "last-node-at-T"],
+             "last-node-at-T", "knotted", "knotted-corridor"],
     )
     def test_matches_scalar_scan(self, barriers, steps, sigma, T, monkeypatch):
         # 1500 paths in blocks of 512, scanned in slices of 200 rows
@@ -415,8 +463,9 @@ class TestWeights:
 
 class TestDeterminism:
     def test_slice_and_worker_invariance(self, monkeypatch):
-        for barriers, steps, sigma in ((DKO, 80, 0.30), (CORRIDOR, 12, 0.40), (BarrierSet(), 80, 0.3)):
-            p = mk_params(sigma=sigma)
+        for barriers, steps, sigma, T in ((DKO, 80, 0.30, 0.25), (CORRIDOR, 12, 0.40, 0.25),
+                                          (BarrierSet(), 80, 0.3, 0.25), (KNOTTED, 4, 0.30, 0.5)):
+            p = mk_params(sigma=sigma, T=T)
             kw = dict(cfg=McConfig(paths=15_000, steps_per_year=steps, seed=9),
                       integrand=lambda x, w, m_l, m_u: (w * x, m_l, m_u))
             base = path_moments(p, barriers, 100.0, workers=1, **kw)
@@ -659,53 +708,50 @@ class TestBudget:
                          workers=workers)
 
 
-# a peak at t = 0.1: between the nodes 0 and 0.25 at 4 steps a year, on
-# the node 0.1 at 10; the PDE gives 0.485 from s0 = 100 over T = 0.5
-KNOTTED = BarrierSet(lower=BarrierCurve.tabulated(((0.0, 70.0), (0.1, 95.0), (0.5, 70.0))))
+class TestKnotNodes:
+    # the knotted set's breach chance, from the backward equation on a
+    # 1600 x 1600 grid (0.48522; second order, 2.5e-5 below the quadrature)
+    @pytest.fixture(scope="class")
+    def pde(self):
+        p = mk_params(T=0.5)
+        return breach_prob_pde(p, KNOTTED, 100.0, 0.5, default_grid(p, KNOTTED, 100.0, 0.5, 1600, 1600))
 
+    @pytest.mark.parametrize("steps", [1, 4, 10, 365])
+    def test_knotted_set_matches_the_pde(self, pde, steps):
+        # a node on the knot at 0.1 makes the bridge exact whatever the
+        # uniform grid; without it 1 and 4 steps a year read 0.074 and 0.228
+        est = breach_prob_mc(mk_params(T=0.5), KNOTTED, 100.0, McConfig(200_000, steps, 0))
+        assert abs(est.p_lower - pde) <= 4.0 * est.se_lower + 1e-4
+        assert est.p_upper == 0.0
 
-class TestOffGridKnots:
-    def test_knot_between_nodes_warns(self):
-        with pytest.warns(RuntimeWarning) as caught:
-            warned = engine_paths(mk_params(T=0.5), KNOTTED, 100.0, 4096, 4, 0)[1]
-        assert len(caught) == 1
-        message = str(caught[0].message)
-        assert "knot at t=0.1 is not a node of the 2-step grid (step 0.25)" in message
-        assert "biased" in message
-        assert caught[0].filename == __file__
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            again = engine_paths(mk_params(T=0.5), KNOTTED, 100.0, 4096, 4, 0)[1]
-        # the warning moves no bit
-        assert again.mean.tobytes() == warned.mean.tobytes()
-        assert again.m2.tobytes() == warned.m2.tobytes()
-
-    def test_mc_price_warns_at_its_caller(self):
-        spec = OptionSpec(Payoff.CALL, 100.0, KNOTTED)
-        with pytest.warns(RuntimeWarning, match="knot at t=0.1 is not a node") as caught:
-            mc_price(mk_params(T=0.5), spec, 100.0, McConfig(4096, 4, 0))
-        assert caught[0].filename == __file__
-
-    @pytest.mark.parametrize("params, barriers, steps", [
-        (mk_params(T=0.5), KNOTTED, 10),
+    @pytest.mark.parametrize("params, barriers, steps, cut", [
+        # on the grid: every node is a uniform one
+        (mk_params(T=0.5), KNOTTED, 10, 0),
         # 1.5/13 and the benchmark's (n//2)*T/n sit on their grids up to
         # rounding: 19*1.5/39 is 18.999999999999996 steps of 1.5/39
         (mk_params(), BarrierSet(
             lower=BarrierCurve.tabulated(((0.0, 85.0), (1.5 / 13, 87.55), (0.25, 84.15))),
-            upper=BarrierCurve.tabulated(((0.0, 118.0), (1.5 / 13, 115.64), (0.25, 119.18)))), 52),
+            upper=BarrierCurve.tabulated(((0.0, 118.0), (1.5 / 13, 115.64), (0.25, 119.18)))), 52, 0),
         (mk_params(T=1.5), BarrierSet(lower=BarrierCurve.tabulated(
-            ((0.0, 85.0), (19 * 1.5 / 39, 87.0), (1.5, 84.0)))), 26),
-        (mk_params(), BarrierSet(lower=BarrierCurve.flat(70.0)), 3),
-        (mk_params(), BarrierSet(upper=BarrierCurve.exponential(130.0, 0.3)), 3),
-        (mk_params(), DKO, 200),
-        (mk_params(), CORRIDOR, 12),
-        (mk_params(), BarrierSet(), 200),
+            ((0.0, 85.0), (19 * 1.5 / 39, 87.0), (1.5, 84.0)))), 26, 0),
+        (mk_params(), BarrierSet(lower=BarrierCurve.flat(70.0)), 3, 0),
+        (mk_params(), BarrierSet(upper=BarrierCurve.exponential(130.0, 0.3)), 3, 0),
+        (mk_params(), DKO, 200, 0),
+        (mk_params(), CORRIDOR, 12, 0),
+        (mk_params(), BarrierSet(), 200, 0),
+        # off the grid: a node for each knot, one for a time both curves share
+        (mk_params(T=0.5), KNOTTED, 4, 1),
+        (mk_params(T=0.5), KNOTTED, 365, 1),
+        (mk_params(), KNOTTED_CORRIDOR, 12, 2),
+        (mk_params(), BarrierSet(lower=BarrierCurve.tabulated(((0.0, 85.0), (0.1, 90.0), (0.25, 84.0))),
+                                 upper=BarrierCurve.tabulated(((0.0, 118.0), (0.1, 110.0), (0.25, 119.0)))),
+         12, 1),
     ], ids=["knot-on-a-node", "thirteenths", "benchmark-midpoint", "flat", "exponential",
-            "flat-corridor", "exponential-corridor", "vanilla"])
-    def test_nodes_and_lines_do_not_warn(self, params, barriers, steps):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            engine_paths(params, barriers, 100.0, 1000, steps, 0)
+            "flat-corridor", "exponential-corridor", "vanilla", "knot-off-4", "knot-off-365",
+            "two-knots-off", "shared-knot-off"])
+    def test_a_node_for_each_knot_off_the_grid(self, params, barriers, steps, cut):
+        res = engine_paths(params, barriers, 100.0, 1000, steps, 0)[1]
+        assert res.n_steps == n_steps_for(steps, params.T) + cut
 
 
 class TestStepAccounting:

@@ -175,6 +175,17 @@ class TestBarrierSet:
         BarrierSet(upper=BarrierCurve.flat(130.0)).check_ordering(0.25)
         BarrierSet().check_ordering(0.25)
 
+    def test_breakpoints_are_both_curves_knots_in_order(self):
+        # the union, each time once, 0 and T always, knots outside (0, T) left out
+        bs = BarrierSet(
+            lower=BarrierCurve.tabulated([(-0.5, 90.0), (0.1, 92.0), (1.0, 90.0)]),
+            upper=BarrierCurve.tabulated([(0.0, 120.0), (0.1, 119.0), (0.2, 118.0), (0.3, 121.0),
+                                          (0.8, 119.0)]),
+        )
+        assert bs.breakpoints(0.5) == (0.0, 0.1, 0.2, 0.3, 0.5)
+        assert BarrierSet(lower=BarrierCurve.flat(70.0)).breakpoints(0.25) == (0.0, 0.25)
+        assert BarrierSet().breakpoints(0.25) == (0.0, 0.25)
+
     def test_any_present(self):
         assert not BarrierSet().any_present
         assert BarrierSet(lower=BarrierCurve.flat(70.0)).any_present

@@ -9,6 +9,7 @@ with the implementation under test.
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from barrierkit.model import (
@@ -88,7 +89,6 @@ class TestVanilla:
         # on every call, relative 1e-12 where the price is at least 1e-6 of
         # that scale; deep out-of-the-money calls, down to subnormal prices,
         # keep the absolute bound alone
-        mp = pytest.importorskip("mpmath")
         rng = random.Random(20261022)
         deep = 0
         with mp.workdps(60):
@@ -593,3 +593,9 @@ class TestGrowthPastDoublePrecision:
         assert 0.0 <= value < 1e-300
         with pytest.raises(DomainError, match="barriers cross before expiry"):
             double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0, (30.0, 20.0))
+
+    def test_double_compares_its_barriers_in_log_space_at_inception(self):
+        # below 130 in price, but ln 130 - ln 129.99999999999997 rounds to 0,
+        # the width check_ordering refuses on every breach route
+        with pytest.raises(DomainError, match="need 0 < lower < upper"):
+            double_knockout_closed(mk_params(), 100.0, 129.99999999999997, 130.0, 100.0, (-0.1, 0.0))
