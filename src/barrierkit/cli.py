@@ -372,6 +372,9 @@ def _cmd_sweep(args) -> _Report:
     bl0, bu0 = barriers.levels_at(0.0, params.T)
     lo = bl0 * 1.02 if bl0 is not None else bu0 / span
     hi = bu0 * 0.98 if bu0 is not None else bl0 * span
+    if bl0 is not None and bu0 is not None and lo >= hi:
+        raise ValidationError(f"sweep runs s0 from 1.02*lower = {_fmt(lo)} to 0.98*upper = {_fmt(hi)}: "
+                              f"the corridor {_fmt(bl0)}/{_fmt(bu0)} is narrower than those margins")
     n_points = 33
     rows = []
     for i in range(n_points):

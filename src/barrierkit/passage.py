@@ -115,7 +115,7 @@ def default_grid(
 ) -> PdeGrid:
     """Desk grid: s0 and every reachable barrier level inside, 6 sigma*sqrt(T) of room outside.
 
-    Edges that round to 0 or inf raise NumericsError.
+    Edges that round to 0, inf or together (e^{6 sigma*sqrt(T)} = 1) raise NumericsError.
     """
     try:
         span = math.exp(6.0 * params.sigma * math.sqrt(T))
@@ -125,7 +125,7 @@ def default_grid(
     curves = [c for c in (reachable.lower, reachable.upper) if c is not None]
     levels = [s0, *(v for c in curves for v in c.extremes(T))]
     s_min, s_max = min(levels) / span, max(levels) * span
-    if not (0.0 < s_min and s_max < math.inf):
+    if not (0.0 < s_min < s_max < math.inf):
         raise NumericsError(f"grid edges ({s_min:.6g}, {s_max:.6g}), 6*sigma*sqrt(T) out in "
                             "log-price, leave double precision")
     return PdeGrid(s_min=s_min, s_max=s_max, n_space=n_space, n_time=n_time)

@@ -179,6 +179,8 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
     x1, x2 = (lt if lt > k else k), ut  # no survivor ends below L_T
     if x1 >= x2:
         return 0.0
+    if s2t == 0.0:  # every image weight divides by it: _image_form refuses the NaN
+        return math.nan
     q1, q2 = (x1 - m1t) / srt, (x2 - m1t) / srt
     # u carries the discount -r*T, so no leg holds e^{mu*T} alone; t = u - q^2/2
     t1, t2 = -rt - 0.5 * q1 * q1, -rt - 0.5 * q2 * q2
@@ -239,6 +241,15 @@ def _knockout_call(params: MarketParams, strike: float | None, s0: float,
     return max(s0 * asset - strike * cash, 0.0)
 
 
+def _image_form(params: MarketParams, strike: float | None, s0: float, lower, upper) -> float:
+    """_knockout_call, with a NaN (an overflowed image weight 2/(sigma^2*T) times a zero gap) refused."""
+    value = _knockout_call(params, strike, s0, lower, upper)
+    if value != value:  # NaN
+        s2t = params.sigma * params.sigma * params.T
+        raise NumericsError(f"the image terms leave double precision at variance sigma^2*T = {s2t:.6g}")
+    return value
+
+
 def _single_knockout_call(params: MarketParams, strike: float, barrier: float, s0: float,
                           growth: float, lower: bool) -> PriceEstimate:
     """The validated body of both single-barrier calls: the line (barrier,
@@ -248,8 +259,8 @@ def _single_knockout_call(params: MarketParams, strike: float, barrier: float, s
     require_price_level("barrier", barrier)
     require_growth(growth)
     line = (barrier, growth)
-    return PriceEstimate(_knockout_call(params, strike, s0, line if lower else None,
-                                        None if lower else line))
+    return PriceEstimate(_image_form(params, strike, s0, line if lower else None,
+                                     None if lower else line))
 
 
 def down_and_out_call_closed(
@@ -298,7 +309,7 @@ def double_knockout_closed(
     require_growth(d_u)
     if math.log(lower) + d_l * params.T >= math.log(upper) + d_u * params.T:
         raise DomainError("barriers cross before expiry")
-    return PriceEstimate(_knockout_call(params, strike, s0, (lower, d_l), (upper, d_u)))
+    return PriceEstimate(_image_form(params, strike, s0, (lower, d_l), (upper, d_u)))
 
 
 def _lines(barriers: BarrierSet) -> tuple[tuple[float, float] | None, tuple[float, float] | None]:
@@ -312,7 +323,7 @@ def _lines(barriers: BarrierSet) -> tuple[tuple[float, float] | None, tuple[floa
 
 def breach_prob_closed(params: MarketParams, barriers: BarrierSet, s0: float) -> float:
     """P(a flat or exponential barrier, one side or a corridor, is breached
-    before T): _knockout_call with no strike. An s0 on a barrier at t = 0
+    before T): _image_form with no strike. An s0 on a barrier at t = 0
     has breached it, 1 exactly; past one is a DomainError."""
     require_price_level("s0", s0)
     lower, upper = _lines(barriers)
@@ -321,4 +332,4 @@ def breach_prob_closed(params: MarketParams, barriers: BarrierSet, s0: float) ->
     barriers.check_ordering(params.T)
     if barriers.side_at_inception(s0, params.T, past_ok=False) is not None:
         return 1.0
-    return min(max(_knockout_call(params, None, s0, lower, upper), 0.0), 1.0)
+    return min(max(_image_form(params, None, s0, lower, upper), 0.0), 1.0)

@@ -3,9 +3,10 @@
 The nodes are the uniform i*T/n of McConfig.steps_per_year and every
 barrier breakpoint more than 1e-9 of a step from them, so between two
 nodes the log-price is a Brownian bridge and each barrier a line in log
-space, and a step's chance of survival and of first exit through each
-side is an exact image series (`step_exits`). A whole step lasts T/n; a
-step cut at a knot has its own length, drift, volatility and c.
+space, and a step's chances of survival and of first exit through each
+side are an exact image series (`step_exits`), one line alone being the
+corridor with its far line at infinity. A whole step lasts T/n; a step
+cut at a knot has its own length, drift, volatility and c.
 A path carries these chances instead of a knock-out test: its weight is
 the product of its steps' survival chances and its mass per side the sum
 of each step's exit chance times the weight before it, so monitoring is
@@ -103,39 +104,28 @@ def _images(a0, a1, w0, w1, k, terms: int, p, t, u):
     return p
 
 
-def step_exits(d0, d1, c, w0=None, w1=None, terms: int = 1, buf=None):
+def step_exits(d0, d1, c, w0=math.inf, w1=math.inf, terms: int = 1, buf=None):
     """Survival S and first-exit masses P_l, P_u of bridged steps, one per cell.
 
     d0, d1 are the log gaps above the lower line at the steps' two ends,
-    w0, w1 the corridor widths (None without an upper line, which leaves
-    one side's exp(-2*d0*d1/c) and P_u = 0), all 1-D arrays of one length,
-    c = sigma^2*dt one number or one per cell (buf's z may hold it; k
-    takes its place there), and
-    `terms` the image pairs kept (series_terms, the most any cell needs). With both lines,
+    w0, w1 the corridor widths (1-D arrays of d0's length, or inf for a
+    single line), c = sigma^2*dt one number or one per cell (buf's z may
+    hold it; k takes its place there), and `terms` the image pairs kept
+    (series_terms, the most any cell needs).
     P_l = sum_{n>=0} e^{-2(n*w0+d0)(n*w1+d1)/c} - sum_{n>=1} e^{-2n(n*w0*w1-w1*d0+w0*d1)/c},
     P_u is the same in the upper gaps w - d, and S = 1 - P_l - P_u; where
-    one line is past the cutoff, only the other's n = 0 term is kept. An end
-    at or past a line survives with 0, and its mass goes to that side less
-    the other side's first exit, which the series still gives there. The
-    engine never passes a start on or past a line (its path's weight is
-    already 0); for a direct caller such a start still gives finite values.
-    The results are views into buf's kernel arrays (a _Buffers with room
-    for the cells), which are made here when buf is None.
+    one line is past the cutoff, only the other's n = 0 term is kept, so a
+    single line has P_l = exp(-2*d0*d1/c) and P_u = 0. An end at or past a
+    line survives with 0, and its mass goes to that side less the other
+    side's first exit, which the series still gives there; this also
+    overwrites the NaN (0*inf) of a c that underflows to 0. A start on or
+    past a line, which the engine never passes, is finite for c > 0. The
+    results are views into buf's kernel arrays, made here when buf is None.
     """
     size = d0.size
-    if buf is None:
-        buf = _Buffers(size, 1, 1, 1 if w0 is None else 2)
-    k = np.divide(-2.0, c, out=buf.flat("z", size))
-    s, p_l = buf.flat("s", size), buf.flat("p_l", size)
-    if w0 is None:
-        np.maximum(d0, 0.0, out=p_l)
-        p_l *= k
-        p_l *= np.maximum(d1, 0.0, out=s)
-        np.exp(p_l, out=p_l)
-        return np.subtract(1.0, p_l, out=s), p_l, np.broadcast_to(0.0, (size,))
-    p_u = buf.flat("p_u", size)
-    a0, u0, e1, f1 = (buf.flat(name, size) for name in ("a0", "u0", "e1", "f1"))
-    past_l, past_u, both = (buf.flat(name, size) for name in ("past_l", "past_u", "both"))
+    buf = _Buffers(size, 1, 1, 2) if buf is None else buf
+    s, p_l, p_u, a0, u0, e1, f1, past_l, past_u, both = (buf.flat(name, size) for name in (
+        "s", "p_l", "p_u", "a0", "u0", "e1", "f1", "past_l", "past_u", "both"))
     np.minimum(np.maximum(d0, 0.0, out=a0), w0, out=a0)
     np.subtract(w0, a0, out=u0)
     np.subtract(w1, d1, out=f1)  # the upper gap at the end
@@ -143,10 +133,12 @@ def step_exits(d0, d1, c, w0=None, w1=None, terms: int = 1, buf=None):
     np.less_equal(f1, 0.0, out=past_u)
     np.maximum(d1, 0.0, out=e1)
     np.maximum(f1, 0.0, out=f1)
-    for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
-        np.multiply(g0, k, out=p)
-        p *= g1
-        np.exp(p, out=p)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.divide(-2.0, c, out=buf.flat("z", size))
+        for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
+            np.multiply(g0, k, out=p)
+            p *= g1
+            np.exp(p, out=p)
     # the images matter only where both lines are near: past the cutoff on
     # one side, that side's terms and every image term are below 2^-54
     np.greater(np.minimum(p_l, p_u, out=s), math.exp(-_CUTOFF), out=both)
@@ -198,31 +190,28 @@ class _Buffers:
 
     @staticmethod
     def layout(n_draw: int, n: int, sides: int) -> dict[str, tuple[int, type]]:
-        """Values per path and dtype of each flat array, by name. A slice of
-        m paths views the front of each: the normals row-major, one row of
-        n_draw per path (turned into the steps' log-returns, then the gaps'
-        products, then each listed cell's c and k, then each step's exit
-        mass); everything after the draw node-major, node or step j of
-        every path one contiguous row. With
-        barriers: the gaps to each line at each node, the near-line masks,
-        the paths with a near cell (their mask, and their gaps, then
-        weights, at each node), and lists over the near cells, filled from
-        the front: their index (step j of hit path r is cell j*h + r,
-        which is also its first node in the node rows), last node
-        ((j + 1)*h + r) and step j, their gaps and widths, and the step
-        kernel's arrays (step_exits, with the list of cells near both
-        lines). Every grid reads the steps: each cell's c, and a corridor's
-        widths."""
+        """Values per path and dtype of each flat array, by name; a slice of
+        m paths views the front of each. z holds the normals, one row of
+        n_draw per path, then in turn the gaps' products, each listed cell's
+        c and k, and each step's exit mass. With barriers: each node's gap
+        to the first line, the near-line masks, the paths with a near cell
+        (their mask, and their gaps, then weights, at each node), lists
+        over the near cells (index j*h + r for step j of hit path r, which
+        is also its first node; last node (j + 1)*h + r; step j; gaps) and
+        the step kernel's n = 0 arrays (step_exits), which one line runs as
+        the corridor with its far line at infinity. A corridor adds the
+        upper gaps and masks, each listed cell's widths and the image
+        series' arrays over the cells near both lines."""
         f8, i8, b1 = np.float64, np.intp, np.bool_
         arrays = {"z": (n_draw, f8)}
         if sides:
             arrays.update(gap=(n + 1, f8), near=(n, b1), on=(n, b1), nodes=(n + 1, f8),
                           cell=(n, i8), end=(n, i8), step=(n, i8),
-                          d0=(n, f8), d1=(n, f8), s=(n, f8), p_l=(n, f8))
-        if sides == 2:
-            arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), p_u=(n, f8),
+                          d0=(n, f8), d1=(n, f8), s=(n, f8), p_l=(n, f8), p_u=(n, f8),
                           a0=(n, f8), u0=(n, f8), e1=(n, f8), f1=(n, f8),
-                          past_l=(n, b1), past_u=(n, b1), both=(n, b1), near_both=(n, i8),
+                          past_l=(n, b1), past_u=(n, b1), both=(n, b1))
+        if sides == 2:
+            arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), near_both=(n, i8),
                           v0=(n, f8), v1=(n, f8), x0=(n, f8), x1=(n, f8),
                           img=(n, f8), t=(n, f8), u=(n, f8))
         return arrays
@@ -306,10 +295,9 @@ def path_moments(
         raise DomainError(f"s0={s0} is on or past a barrier at t=0: "
                           "resolve it with BarrierSet.side_at_inception first")
     c_step = np.broadcast_to(c, (n,))  # each step's c, which the kernel reads per cell
-    terms = 0
-    if sides == 2:  # the most pairs any step needs, the neediest step first so a refusal quotes it
-        steps = zip((width[:-1] * width[1:]).tolist(), c_step.tolist())
-        terms = max(series_terms(ww, cj) for ww, cj in sorted(steps, key=lambda s: s[1] / s[0], reverse=True))
+    # the pairs of the neediest step (largest c/ww), which no other step's count passes
+    terms = 0 if sides < 2 else series_terms(*max(
+        zip((width[:-1] * width[1:]).tolist(), c_step.tolist()), key=lambda s: s[1] / s[0]))
 
     def scan(buf: _Buffers, gen: np.random.Generator, m: int):
         """(x_T, weight, mass_l, mass_u) for the next m rows of gen, and the
@@ -331,15 +319,12 @@ def path_moments(
             gap[1:] += x0_gap[1:, None]
         else:
             np.subtract(x0_gap[1:, None], gap[1:], out=gap[1:])
-        near = buf.grid("near", n, m)
-        lines = [(gap, near)]
-        if sides == 2:
-            lines.append((np.subtract(width[:, None], gap, out=buf.grid("gap_u", n + 1, m)),
-                          buf.grid("near_u", n, m)))
-        for g, g_near in lines:  # 2*d0*d1/c below the cutoff: the series counts (z is spent)
-            np.less(np.multiply(g[:-1], g[1:], out=buf.grid("z", n, m)), near_c, out=g_near)
-        if sides == 2:
-            near |= buf.grid("near_u", n, m)
+        near = buf.grid("near", n, m)  # 2*d0*d1/c below the cutoff: the series counts (z is spent)
+        np.less(np.multiply(gap[:-1], gap[1:], out=buf.grid("z", n, m)), near_c, out=near)
+        if sides == 2:  # or the same to the upper line
+            g = np.subtract(width[:, None], gap, out=buf.grid("gap_u", n + 1, m))
+            near |= np.less(np.multiply(g[:-1], g[1:], out=buf.grid("z", n, m)), near_c,
+                            out=buf.grid("near_u", n, m))
         hit = np.flatnonzero(near.any(axis=0))
         if hit.size == 0:
             return (x_T, weight, mass_l, mass_u), 0
@@ -357,14 +342,14 @@ def path_moments(
         j = np.floor_divide(cell, h, out=buf.flat("step", cells))  # each cell's step
         # each cell's c, which step_exits turns into its k in place (z is spent)
         c_cell = np.take(c_step, j, out=buf.flat("z", cells), mode="clip")
-        corridor = ()
+        w0 = w1 = math.inf  # one line: the corridor with its far line at infinity
         if sides == 2:  # the corridor's widths at each step's two nodes
             w0 = np.take(width, j, out=buf.flat("w0", cells), mode="clip")
             j += 1
-            corridor = (w0, np.take(width, j, out=buf.flat("w1", cells), mode="clip"), terms)
+            w1 = np.take(width, j, out=buf.flat("w1", cells), mode="clip")
         d0 = np.take(nodes.reshape(-1), cell, out=buf.flat("d0", cells), mode="clip")
         d1 = np.take(nodes.reshape(-1), end, out=buf.flat("d1", cells), mode="clip")
-        s, p_l, p_u = step_exits(d0, d1, c_cell, *corridor, buf=buf)
+        s, p_l, p_u = step_exits(d0, d1, c_cell, w0, w1, terms, buf=buf)
         w = nodes  # the gaps are read: now the weight at each node
         w.fill(1.0)  # a cell away from every line keeps 1 and adds 0
         w.reshape(-1)[end] = s

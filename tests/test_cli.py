@@ -1,4 +1,5 @@
-"""CLI surface: dispatch, formats, exit codes, the README's command lines."""
+"""CLI surface: dispatch, formats, exit codes, the README's command lines and
+library quick start."""
 
 import math
 import os
@@ -361,6 +362,18 @@ def test_breach_pde_unreachable_barrier_prints_zero(capsys):
         assert (code, out) == (0, "p_total = 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lower", "70", *_mkt(sigma="1e-160")],
+    ["--lower", "70", "--upper", "130", *_mkt(T="1e-300")],
+], ids=["vanishing-sigma", "vanishing-T"])
+def test_breach_pde_grid_edges_that_coincide_are_a_numerical_failure(capsys, argv):
+    # 6*sigma*sqrt(T) of room rounds away: the default grid's edges are both
+    # s0, a grid the user never gave, so this is no invalid input
+    code, out, err = _call(capsys, "breach", "--s0", "100", *argv, "--method", "pde")
+    assert (code, out) == (3, "")
+    assert err.startswith("numerical failure: grid edges (100, 100)")
+
+
 @pytest.mark.parametrize("s0, closed", [("100", 1.1e-225), ("80", 5.0e-121), ("70", 2.1e-58)])
 def test_breach_pde_negligible_under_strong_drift_prints_zero(capsys, s0, closed):
     # the drift carries s0 away from a barrier within the 6-sigma reach;
@@ -381,6 +394,25 @@ def test_breach_pde_certain_under_strong_drift_prints_one(capsys):
         code, out, err = _call(capsys, "breach", "--method", method, *argv)
         assert code == 0, err
         assert out.endswith("p_total = 1\n")
+
+
+@pytest.mark.parametrize("sigma", ["1e-160", "1e-200"])
+@pytest.mark.parametrize("barriers, r, side", [
+    (["--lower", "99"], "-1", "lower"),
+    (["--upper", "101"], "1", "upper"),
+    (["--lower", "99", "--upper", "200"], "-1", "lower"),
+], ids=["lower", "upper", "corridor"])
+def test_mc_at_vanishing_variance_knocks_out_without_a_warning(capsys, sigma, barriers, r, side):
+    # sigma^2*dt underflows, so k = -2/c is -inf: the path runs straight
+    # through the line, and the step that crosses it exits with mass 1; the
+    # suite turns a floating-point warning into an error (pyproject.toml)
+    argv = ["--s0", "100", *barriers, *_mkt(sigma=sigma, r=r, T="1"), "--method", "mc",
+            "--paths", "1000"]
+    other = "upper" if side == "lower" else "lower"
+    assert _call(capsys, "price", "--strike", "90", *argv) == (0, "price = 0  [MonteCarlo]\n", "")
+    code, out, err = _call(capsys, "breach", *argv)
+    assert (code, err) == (0, "")
+    assert f"p_{side} = 1\n" in out and f"p_{other} = 0\n" in out and "p_total = 1\n" in out
 
 
 def test_breach_s0_on_the_barrier_is_certain_under_every_method(capsys):
@@ -531,6 +563,20 @@ def test_sweep_double_barrier_bounds(capsys):
     lines = out.splitlines()
     assert len(lines) == 34
     assert lines[0].startswith("s0")
+
+
+@pytest.mark.parametrize("lower, upper, lo, hi", [
+    ("99", "101", "100.98", "98.98"),
+    ("99.9", "100.1", "101.898", "98.098"),
+])
+def test_sweep_refuses_a_corridor_narrower_than_its_margins(capsys, lower, upper, lo, hi):
+    # s0 runs from 1.02*lower to 0.98*upper: here that range runs downward
+    # and leaves the corridor, so the sweep is invalid input
+    code, out, err = _call(capsys, "sweep", "--strike", "100", "--lower", lower, "--upper", upper,
+                           *MKT, "--nu", "4.9")
+    assert (code, out) == (2, "")
+    assert err == (f"error: sweep runs s0 from 1.02*lower = {lo} to 0.98*upper = {hi}: "
+                   f"the corridor {lower}/{upper} is narrower than those margins\n")
 
 
 def test_classify_and_sweep_with_an_upper_barrier_alone(capsys):
@@ -898,6 +944,18 @@ def _readme_command_lines():
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("barrierkit ")]
+
+
+def test_readme_library_quick_start_runs():
+    # the Python block runs as printed; the Monte Carlo price of its double
+    # knock-out lies within 4 standard errors of the closed one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(block, scope)
+    assert scope["label"] is barrierkit.Classification.TYPICAL_DOUBLE_BARRIER
+    mc, closed = scope["mc"], scope["closed"]
+    assert abs(mc.value - closed.value) <= 4.0 * mc.std_error
 
 
 def test_readme_command_lines_parse():

@@ -134,10 +134,11 @@ class TestStepKernel:
         m_s, m_l, m_u = kernel(w0 - d0, w1 - d1, c, w0, w1)
         # (to a few ulps: the mirrored gaps w - d are rounded)
         assert (m_s, m_l, m_u) == pytest.approx((s, p_u, p_l), abs=4e-15)
-        # a far upper line leaves the one-line form
-        one = math.exp(-2.0 * d0 * d1 / c)
-        assert kernel(d0, d1, c, 40.0, 40.0)[1] == pytest.approx(one, rel=1e-13)
-        assert kernel(d0, d1, c) == pytest.approx((1.0 - one, one, 0.0), rel=1e-13, abs=0)
+        # one line alone, and a far upper one, leave the series' n = 0 term,
+        # exp(d0*k*d1) with k = -2/c, bit for bit (NumPy's exp, as the kernel's)
+        one = float(np.exp(np.array([d0 * (-2.0 / c) * d1]))[0])
+        assert kernel(d0, d1, c, 40.0, 40.0)[1] == one
+        assert kernel(d0, d1, c) == (1.0 - one, one, 0.0)
 
     def test_cutoff_skips_only_what_rounds_away(self):
         c = 0.01

@@ -535,6 +535,14 @@ class TestPde:
         with pytest.raises(NumericsError, match=r"grid edges \(0, .* leave double precision"):
             default_grid(p, bs, 100.0, T)
 
+    @pytest.mark.parametrize("sigma, T", [(1e-160, 0.25), (0.3, 1e-300)])
+    def test_default_grid_edges_that_coincide(self, sigma, T):
+        # e^{6*sigma*sqrt(T)} rounds to 1, and both barriers are out of reach:
+        # both edges are s0, which no input gave
+        p = MarketParams(mu=0.1, sigma=sigma, r=0.1, T=T)
+        with pytest.raises(NumericsError, match=r"grid edges \(100, 100\).* leave double precision"):
+            default_grid(p, DKO, 100.0, T)
+
     def test_default_grid_covers_a_rising_lower_barrier(self):
         # the far edge must clear the barrier's highest level, not just s0
         p = mk_params()

@@ -599,3 +599,40 @@ class TestGrowthPastDoublePrecision:
         # the width check_ordering refuses on every breach route
         with pytest.raises(DomainError, match="need 0 < lower < upper"):
             double_knockout_closed(mk_params(), 100.0, 129.99999999999997, 130.0, 100.0, (-0.1, 0.0))
+
+
+class TestVanishingVariance:
+    """sigma^2*T at 1e-160 is 2.5e-321, and its image weight 2/(sigma^2*T)
+    overflows; at 1e-200 it is 0. A price or a breach chance is finite, or a
+    NumericsError that names the variance: never NaN, never ZeroDivisionError."""
+
+    CORRIDOR = BarrierSet(lower=BarrierCurve.flat(70.0), upper=BarrierCurve.flat(130.0))
+
+    def test_past_the_weight_overflow(self):
+        p = mk_params(sigma=1e-160)
+        # the path is deterministic and clears 70: the down-and-out is the vanilla
+        vanilla = bs_vanilla(p, Payoff.CALL, 100.0, 100.0).value
+        assert down_and_out_call_closed(p, 100.0, 70.0, 100.0).value == vanilla
+        assert vanilla == pytest.approx(100.0 * (1.0 - math.exp(-0.025)), rel=1e-12)
+        refused = (
+            lambda: double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0),
+            lambda: breach_prob_closed(p, BarrierSet(lower=BarrierCurve.flat(70.0)), 100.0),
+            lambda: breach_prob_closed(p, self.CORRIDOR, 100.0),
+        )
+        for call in refused:
+            with pytest.raises(NumericsError, match=r"variance sigma\^2\*T = 2.49997e-321"):
+                call()
+
+    def test_variance_zero(self):
+        p = mk_params(sigma=1e-200)
+        refused = (
+            lambda: down_and_out_call_closed(p, 100.0, 70.0, 100.0),
+            lambda: up_and_out_call_closed(p, 100.0, 130.0, 100.0),
+            lambda: double_knockout_closed(p, 100.0, 70.0, 130.0, 100.0),
+            lambda: breach_prob_closed(p, BarrierSet(lower=BarrierCurve.flat(70.0)), 100.0),
+            lambda: breach_prob_closed(p, BarrierSet(upper=BarrierCurve.flat(130.0)), 100.0),
+            lambda: breach_prob_closed(p, self.CORRIDOR, 100.0),
+        )
+        for call in refused:
+            with pytest.raises(NumericsError, match=r"variance sigma\^2\*T = 0$"):
+                call()
