@@ -33,7 +33,6 @@ from .model import (
     Payoff,
     PriceEstimate,
     PricingMethod,
-    RebateError,
     ValidationError,
 )
 from .numerics import nu_for_accuracy, std_normal_cdf
@@ -87,7 +86,6 @@ __all__ = [
     "PdeGrid",
     "PriceEstimate",
     "PricingMethod",
-    "RebateError",
     "ValidationError",
     "breach_prob_closed",
     "breach_prob_mc",

@@ -4,7 +4,7 @@ Given the initial price, the barrier values at inception, and the
 critical prices from the critical module, one rule picks exactly one
 category. A single barrier is the double rule with the other side absent
 (its level None, its critical price not read). The rule depends only on
-those price levels, never on the strike, payoff kind, or rebates.
+those price levels, never on the strike or payoff kind.
 Boundary conventions: sitting exactly at a critical price counts as
 degenerate (the closed comparisons go to Vanilla), and starting on a
 barrier, as model.inception_side decides it for every pricer, knocks out.

@@ -93,7 +93,8 @@ def _add_accuracy(p: argparse.ArgumentParser) -> None:
 
 def _add_mc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--paths", type=int, default=McConfig.paths, help="Monte Carlo paths")
-    p.add_argument("--steps", type=int, default=McConfig.steps_per_year, help="monitoring steps per year")
+    p.add_argument("--steps", type=int, default=McConfig.steps_per_year,
+                   help="uniform path nodes per year; monitoring is continuous")
     p.add_argument("--seed", type=int, default=McConfig.seed, help="random seed (64-bit)")
 
 
@@ -318,10 +319,9 @@ def _cmd_breach(args) -> _Report:
         rows.append(("p_upper", est.p_upper, est.se_upper))
         rows.append(("p_total", est.p_total, est.se_total))
     else:
-        from .passage import breach_prob_pde, default_grid
+        from .passage import breach_prob_pde
 
-        grid = default_grid(params, barriers, args.s0, params.T)
-        p = breach_prob_pde(params, barriers, args.s0, params.T, grid)
+        p = breach_prob_pde(params, barriers, args.s0, params.T)
         rows.append(("p_total", p, 0.0))
     lines = [
         f"{name} = {_fmt(value)}" + (f" +- {_fmt(se)} (1 se)" if se else "")
@@ -370,11 +370,13 @@ def _cmd_sweep(args) -> _Report:
     params, barriers, crit = _critical_setup(args)
     span = math.exp(10.0 * params.sigma * math.sqrt(params.T))
     bl0, bu0 = barriers.levels_at(0.0, params.T)
-    lo = bl0 * 1.02 if bl0 is not None else bu0 / span
-    hi = bu0 * 0.98 if bu0 is not None else bl0 * span
-    if bl0 is not None and bu0 is not None and lo >= hi:
-        raise ValidationError(f"sweep runs s0 from 1.02*lower = {_fmt(lo)} to 0.98*upper = {_fmt(hi)}: "
-                              f"the corridor {_fmt(bl0)}/{_fmt(bu0)} is narrower than those margins")
+    lo, lo_rule = (bl0 * 1.02, "1.02*lower") if bl0 is not None else (bu0 / span, "upper/e^(10*sigma*sqrt(T))")
+    hi, hi_rule = (bu0 * 0.98, "0.98*upper") if bu0 is not None else (bl0 * span, "lower*e^(10*sigma*sqrt(T))")
+    if lo >= hi:
+        why = (f"the corridor {_fmt(bl0)}/{_fmt(bu0)} is narrower than those margins"
+               if bl0 is not None and bu0 is not None
+               else "10*sigma*sqrt(T) of room is narrower than the 2% margin")
+        raise ValidationError(f"sweep runs s0 from {lo_rule} = {_fmt(lo)} to {hi_rule} = {_fmt(hi)}: {why}")
     n_points = 33
     rows = []
     for i in range(n_points):

@@ -27,10 +27,6 @@ class BarrierOrderError(ValidationError):
     """Lower barrier does not stay strictly below the upper barrier."""
 
 
-class RebateError(ValidationError):
-    """A rebate was supplied for a side that has no barrier."""
-
-
 class KnotOrderError(ValidationError):
     """Tabulated barrier knots are not strictly increasing or do not cover [0, T]."""
 
@@ -287,23 +283,15 @@ def _to_payoff(value) -> Payoff:
 
 @dataclass(frozen=True)
 class OptionSpec:
-    """Knock-out option: payoff, strike, barriers, and expiry-paid rebates."""
+    """Knock-out option: payoff, strike and barriers; once knocked out it pays nothing."""
 
     payoff: Payoff
     strike: float
     barriers: BarrierSet = field(default_factory=BarrierSet)
-    rebate_lower: float = 0.0
-    rebate_upper: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "payoff", _to_payoff(self.payoff))
         require_price_level("strike", self.strike)
-        if self.rebate_lower < 0.0 or self.rebate_upper < 0.0:
-            raise DomainError("rebates must be nonnegative")
-        if self.rebate_lower > 0.0 and self.barriers.lower is None:
-            raise RebateError("lower rebate given but no lower barrier")
-        if self.rebate_upper > 0.0 and self.barriers.upper is None:
-            raise RebateError("upper rebate given but no upper barrier")
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def _fitted_rows(adv: np.ndarray, dif: float, w: float, sub: np.ndarray, sup: np
 
 
 def breach_prob_pde(
-    params: MarketParams, barriers: BarrierSet, s0: float, T: float, grid: PdeGrid
+    params: MarketParams, barriers: BarrierSet, s0: float, T: float, grid: PdeGrid | None = None
 ) -> float:
     """Total breach probability from the backward equation on a barrier-fitted grid.
 
@@ -162,10 +162,12 @@ def breach_prob_pde(
     or where P(S_T past a side's farthest level over [0, T]), a lower bound
     for the breach of any curve on that side, passes 1 - 2*Phi(-6);
     a barrier out of reach (_reachable) is left out, and with none left
-    the answer is 0. A node spacing h = w/(n-1) over sigma*sqrt(T), or a
-    drift against the nodes at either end of the corridor over sigma^2/h,
-    which turns an off-diagonal of the operator negative, leaves the
-    solution unresolved and raises NumericsError.
+    the answer is 0. grid=None solves on default_grid of the barriers in
+    reach, built only once those answers are ruled out. A node spacing
+    h = w/(n-1) over sigma*sqrt(T), or a drift against the nodes at either
+    end of the corridor over sigma^2/h, which turns an off-diagonal of the
+    operator negative, leaves the solution unresolved and raises
+    NumericsError.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
@@ -183,6 +185,8 @@ def breach_prob_pde(
     barriers = _reachable(params, barriers, s0, T)
     if not barriers.any_present:
         return 0.0
+    if grid is None:
+        grid = default_grid(params, barriers, s0, T)
 
     n = grid.n_time
     times = sorted({k * T / n for k in range(n)}.union(barriers.breakpoints(T)))

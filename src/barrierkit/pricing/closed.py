@@ -2,8 +2,8 @@
 
 Standard library only, so the closed-form commands never load NumPy or
 SciPy. European payoffs under lognormal dynamics with continuous barrier
-monitoring and zero rebates; an s0 on or past a barrier at inception
-(model.inception_side) prices to zero, as the Monte Carlo engine reports it.
+monitoring, paying nothing once knocked out; an s0 on or past a barrier at
+inception (model.inception_side) prices to zero, as Monte Carlo does.
 
 The knock-outs are one image (reflection) form: the surviving paths'
 terminal density is the free one minus image terms, one for a single
@@ -266,7 +266,7 @@ def _single_knockout_call(params: MarketParams, strike: float, barrier: float, s
 def down_and_out_call_closed(
     params: MarketParams, strike: float, barrier: float, s0: float, growth: float = 0.0
 ) -> PriceEstimate:
-    """Down-and-out call on the barrier B*exp(growth*t), zero rebate.
+    """Down-and-out call on the barrier B*exp(growth*t).
 
     The vanilla price less the mass the barrier removes, so the value is
     the vanilla representation exactly (bit for bit) once that mass drops
@@ -278,7 +278,7 @@ def down_and_out_call_closed(
 def up_and_out_call_closed(
     params: MarketParams, strike: float, barrier: float, s0: float, growth: float = 0.0
 ) -> PriceEstimate:
-    """Up-and-out call on the barrier B*exp(growth*t), zero rebate; worthless unless K < B_T."""
+    """Up-and-out call on the barrier B*exp(growth*t); worthless unless K < B_T."""
     return _single_knockout_call(params, strike, barrier, s0, growth, lower=False)
 
 

@@ -124,8 +124,8 @@ def step_exits(d0, d1, c, w0=math.inf, w1=math.inf, terms: int = 1, buf=None):
     """
     size = d0.size
     buf = _Buffers(size, 1, 1, 2) if buf is None else buf
-    s, p_l, p_u, a0, u0, e1, f1, past_l, past_u, both = (buf.flat(name, size) for name in (
-        "s", "p_l", "p_u", "a0", "u0", "e1", "f1", "past_l", "past_u", "both"))
+    s, p_l, p_u, a0, u0, e1, f1, past_l, past_u = (buf.flat(name, size) for name in (
+        "s", "p_l", "p_u", "a0", "u0", "e1", "f1", "past_l", "past_u"))
     np.minimum(np.maximum(d0, 0.0, out=a0), w0, out=a0)
     np.subtract(w0, a0, out=u0)
     np.subtract(w1, d1, out=f1)  # the upper gap at the end
@@ -140,21 +140,23 @@ def step_exits(d0, d1, c, w0=math.inf, w1=math.inf, terms: int = 1, buf=None):
             p *= g1
             np.exp(p, out=p)
     # the images matter only where both lines are near: past the cutoff on
-    # one side, that side's terms and every image term are below 2^-54
-    np.greater(np.minimum(p_l, p_u, out=s), math.exp(-_CUTOFF), out=both)
-    if both.any():
-        idx = _flatnonzero(both, buf.flat("near_both", size))
-        m = idx.size
-        v0, v1, x0, x1 = (buf.flat(name, m) for name in ("v0", "v1", "x0", "x1"))
-        np.take(w0, idx, out=v0, mode="clip")
-        np.take(w1, idx, out=v1, mode="clip")
-        # s is free until the end: it holds k at the listed cells
-        k_both = np.take(k, idx, out=buf.flat("s", m), mode="clip")
-        for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
-            np.take(g0, idx, out=x0, mode="clip")
-            np.take(g1, idx, out=x1, mode="clip")
-            img = _images(x0, x1, v0, v1, k_both, terms, *(buf.flat(name, m) for name in ("img", "t", "u")))
-            p[idx] = np.add(np.take(p, idx, out=x0, mode="clip"), img, out=x0)
+    # one side, that side's terms and every image term are below 2^-54; a
+    # single line keeps no image pairs (terms 0) and no cell is near both
+    if terms > 0:
+        both = np.greater(np.minimum(p_l, p_u, out=s), math.exp(-_CUTOFF), out=buf.flat("both", size))
+        if both.any():
+            idx = _flatnonzero(both, buf.flat("near_both", size))
+            m = idx.size
+            v0, v1, x0, x1 = (buf.flat(name, m) for name in ("v0", "v1", "x0", "x1"))
+            np.take(w0, idx, out=v0, mode="clip")
+            np.take(w1, idx, out=v1, mode="clip")
+            # s is free until the end: it holds k at the listed cells
+            k_both = np.take(k, idx, out=buf.flat("s", m), mode="clip")
+            for p, g0, g1 in ((p_l, a0, e1), (p_u, u0, f1)):
+                np.take(g0, idx, out=x0, mode="clip")
+                np.take(g1, idx, out=x1, mode="clip")
+                img = _images(x0, x1, v0, v1, k_both, terms, *(buf.flat(name, m) for name in ("img", "t", "u")))
+                p[idx] = np.add(np.take(p, idx, out=x0, mode="clip"), img, out=x0)
     np.subtract(1.0, p_u, out=p_l, where=past_l)
     np.subtract(1.0, p_l, out=p_u, where=past_u)
     np.subtract(1.0, p_l, out=s)
@@ -196,23 +198,23 @@ class _Buffers:
         c and k, and each step's exit mass. With barriers: each node's gap
         to the first line, the near-line masks, the paths with a near cell
         (their mask, and their gaps, then weights, at each node), lists
-        over the near cells (index j*h + r for step j of hit path r, which
-        is also its first node; last node (j + 1)*h + r; step j; gaps) and
+        over the near cells (index j*h + r for step j of hit path r: its
+        first node in nodes, its last in nodes[1:]; step j; gaps) and
         the step kernel's n = 0 arrays (step_exits), which one line runs as
         the corridor with its far line at infinity. A corridor adds the
-        upper gaps and masks, each listed cell's widths and the image
-        series' arrays over the cells near both lines."""
+        upper gaps and masks, each listed cell's widths, the near-both mask
+        and the image series' arrays over the cells it lists."""
         f8, i8, b1 = np.float64, np.intp, np.bool_
         arrays = {"z": (n_draw, f8)}
         if sides:
             arrays.update(gap=(n + 1, f8), near=(n, b1), on=(n, b1), nodes=(n + 1, f8),
-                          cell=(n, i8), end=(n, i8), step=(n, i8),
+                          cell=(n, i8), step=(n, i8),
                           d0=(n, f8), d1=(n, f8), s=(n, f8), p_l=(n, f8), p_u=(n, f8),
                           a0=(n, f8), u0=(n, f8), e1=(n, f8), f1=(n, f8),
-                          past_l=(n, b1), past_u=(n, b1), both=(n, b1))
+                          past_l=(n, b1), past_u=(n, b1))
         if sides == 2:
-            arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), near_both=(n, i8),
-                          v0=(n, f8), v1=(n, f8), x0=(n, f8), x1=(n, f8),
+            arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), both=(n, b1),
+                          near_both=(n, i8), v0=(n, f8), v1=(n, f8), x0=(n, f8), x1=(n, f8),
                           img=(n, f8), t=(n, f8), u=(n, f8))
         return arrays
 
@@ -337,8 +339,7 @@ def path_moments(
         if sides == 2:  # w - d > 0 exactly where d < w
             on &= np.less(nodes[:-1], width[:-1, None], out=buf.grid("near", n, h))
         cell = _flatnonzero(on.reshape(-1), buf.flat("cell", n * h))
-        cells = cell.size  # cell j*h + r is step j of hit path r, and its first node
-        end = np.add(cell, h, out=buf.flat("end", cells))  # and its last
+        cells = cell.size  # cell j*h + r is step j of hit path r: node j in nodes, node j + 1 in nodes[1:]
         j = np.floor_divide(cell, h, out=buf.flat("step", cells))  # each cell's step
         # each cell's c, which step_exits turns into its k in place (z is spent)
         c_cell = np.take(c_step, j, out=buf.flat("z", cells), mode="clip")
@@ -348,11 +349,11 @@ def path_moments(
             j += 1
             w1 = np.take(width, j, out=buf.flat("w1", cells), mode="clip")
         d0 = np.take(nodes.reshape(-1), cell, out=buf.flat("d0", cells), mode="clip")
-        d1 = np.take(nodes.reshape(-1), end, out=buf.flat("d1", cells), mode="clip")
+        d1 = np.take(nodes[1:].reshape(-1), cell, out=buf.flat("d1", cells), mode="clip")
         s, p_l, p_u = step_exits(d0, d1, c_cell, w0, w1, terms, buf=buf)
         w = nodes  # the gaps are read: now the weight at each node
         w.fill(1.0)  # a cell away from every line keeps 1 and adds 0
-        w.reshape(-1)[end] = s
+        w[1:].reshape(-1)[cell] = s
         np.multiply.accumulate(w, axis=0, out=w)
         weight[hit] = w[-1]
         before = np.take(w.reshape(-1), cell, out=d0, mode="clip")  # the weight before each step

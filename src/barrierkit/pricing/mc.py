@@ -3,11 +3,10 @@
 Path transitions are exact lognormal steps, and the engine's bridge
 weights make monitoring continuous and exact: every barrier is log-linear
 between its nodes, which include each knot, so each path pays
-disc * (weight * payoff(S_T) + rebate_l * mass_l + rebate_u * mass_u).
-Rebates are paid at expiry, so a single discount factor applies to
-every outcome. The run itself (paths, steps a year, seed) is a
-`model.McConfig`, which the engine reads whole; it is importable from
-here too.
+disc * weight * payoff(S_T): a knock-out pays nothing once knocked
+out, the contract the closed forms price. The run itself (paths, steps
+a year, seed) is a `model.McConfig`, which the engine reads whole; it
+is importable from here too.
 """
 
 from __future__ import annotations
@@ -30,20 +29,19 @@ def mc_price(
 ) -> PriceEstimate:
     """Price spec by Monte Carlo, monitored continuously through the
     engine's bridge weights; deterministic in cfg, whatever the worker
-    count. workers=None runs on every CPU this process may use.
+    count. workers=None runs on every CPU this process may use. An s0 on
+    or past a barrier at inception is knocked out: 0, with standard error 0.
     """
     require_price_level("s0", s0)
-    disc = math.exp(-params.r * params.T)
-    side = spec.barriers.side_at_inception(s0, params.T)
-    if side is not None:
-        rebate = spec.rebate_lower if side == "lower" else spec.rebate_upper
-        return PriceEstimate(value=disc * rebate, std_error=0.0, method=PricingMethod.MONTE_CARLO)
+    if spec.barriers.side_at_inception(s0, params.T) is not None:
+        return PriceEstimate(value=0.0, std_error=0.0, method=PricingMethod.MONTE_CARLO)
 
+    disc = math.exp(-params.r * params.T)
     sign = 1.0 if spec.payoff is Payoff.CALL else -1.0
 
     def discounted_payoff(x_T, weight, mass_l, mass_u):
         payoff = np.maximum(sign * (np.exp(x_T) - spec.strike), 0.0)
-        return (disc * (weight * payoff + spec.rebate_lower * mass_l + spec.rebate_upper * mass_u),)
+        return (disc * (weight * payoff),)
 
     res = path_moments(params, spec.barriers, s0, cfg, discounted_payoff, workers)
     return PriceEstimate(value=float(res.mean[0]), std_error=float(res.std_error[0]),

@@ -362,16 +362,16 @@ def test_breach_pde_unreachable_barrier_prints_zero(capsys):
         assert (code, out) == (0, "p_total = 0\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["--lower", "70", *_mkt(sigma="1e-160")],
-    ["--lower", "70", "--upper", "130", *_mkt(T="1e-300")],
-], ids=["vanishing-sigma", "vanishing-T"])
-def test_breach_pde_grid_edges_that_coincide_are_a_numerical_failure(capsys, argv):
-    # 6*sigma*sqrt(T) of room rounds away: the default grid's edges are both
-    # s0, a grid the user never gave, so this is no invalid input
-    code, out, err = _call(capsys, "breach", "--s0", "100", *argv, "--method", "pde")
-    assert (code, out) == (3, "")
-    assert err.startswith("numerical failure: grid edges (100, 100)")
+@pytest.mark.parametrize("argv, want", [
+    (["--s0", "100", "--lower", "70", *_mkt(sigma="1e-160")], "p_total = 0\n"),
+    (["--s0", "100", "--lower", "70", "--upper", "130", *_mkt(T="1e-300")], "p_total = 0\n"),
+    (["--s0", "70", "--lower", "70", *_mkt(sigma="1e-160")], "p_total = 1\n"),
+], ids=["vanishing-sigma", "vanishing-T", "on-the-line"])
+def test_breach_pde_answers_without_a_grid_where_its_edges_would_coincide(capsys, argv, want):
+    # 6*sigma*sqrt(T) of room rounds away, so the default grid's edges would
+    # be one level; but every barrier is out of reach (0) or s0 is on one
+    # (1), and neither answer needs a grid
+    assert _call(capsys, "breach", *argv, "--method", "pde") == (0, want, "")
 
 
 @pytest.mark.parametrize("s0, closed", [("100", 1.1e-225), ("80", 5.0e-121), ("70", 2.1e-58)])
@@ -577,6 +577,20 @@ def test_sweep_refuses_a_corridor_narrower_than_its_margins(capsys, lower, upper
     assert (code, out) == (2, "")
     assert err == (f"error: sweep runs s0 from 1.02*lower = {lo} to 0.98*upper = {hi}: "
                    f"the corridor {lower}/{upper} is narrower than those margins\n")
+
+
+@pytest.mark.parametrize("barrier, ends", [
+    (["--lower", "70"], "1.02*lower = 71.4 to lower*e^(10*sigma*sqrt(T)) = 70.35087646"),
+    (["--upper", "130"], "upper/e^(10*sigma*sqrt(T)) = 129.3516223 to 0.98*upper = 127.4"),
+], ids=["lower", "upper"])
+def test_sweep_refuses_one_barrier_with_less_room_than_its_margin(capsys, barrier, ends):
+    # 10*sigma*sqrt(T) = 0.005 of room is inside the 2% margin at the
+    # barrier, so the range would run s0 downward
+    code, out, err = _call(capsys, "sweep", "--strike", "100", *barrier,
+                           *_mkt(sigma="0.001"), "--nu", "4.9")
+    assert (code, out) == (2, "")
+    assert err == (f"error: sweep runs s0 from {ends}: "
+                   "10*sigma*sqrt(T) of room is narrower than the 2% margin\n")
 
 
 def test_classify_and_sweep_with_an_upper_barrier_alone(capsys):

@@ -16,7 +16,6 @@ from barrierkit.model import (
     OptionSpec,
     Payoff,
     PriceEstimate,
-    RebateError,
 )
 from barrierkit.critical import critical_prices
 from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
@@ -259,27 +258,9 @@ class TestOptionSpec:
         with pytest.raises(DomainError, match="^payoff must be 'call' or 'put', got 'straddle'$"):
             OptionSpec(payoff="straddle", strike=100.0)
 
-    def test_strike_and_rebate_domains(self):
+    def test_strike_domain(self):
         with pytest.raises(DomainError):
             OptionSpec(payoff=Payoff.CALL, strike=0.0)
-        with pytest.raises(DomainError):
-            OptionSpec(
-                payoff=Payoff.CALL,
-                strike=100.0,
-                barriers=BarrierSet(lower=BarrierCurve.flat(70.0)),
-                rebate_lower=-1.0,
-            )
-
-    def test_rebate_needs_matching_barrier(self):
-        with pytest.raises(RebateError):
-            OptionSpec(payoff=Payoff.CALL, strike=100.0, rebate_lower=5.0)
-        with pytest.raises(RebateError):
-            OptionSpec(
-                payoff=Payoff.CALL,
-                strike=100.0,
-                barriers=BarrierSet(lower=BarrierCurve.flat(70.0)),
-                rebate_upper=5.0,
-            )
 
     def test_ordering_checked_through_check_ordering(self):
         spec = OptionSpec(

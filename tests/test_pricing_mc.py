@@ -4,8 +4,6 @@ Seeds are fixed, so the 3-standard-error checks are reproducible
 regressions rather than flaky statistical gates.
 """
 
-import math
-
 import pytest
 
 from barrierkit.model import (
@@ -23,7 +21,6 @@ from barrierkit.pricing.closed import (
     double_knockout_closed,
     down_and_out_call_closed,
 )
-from barrierkit.passage import breach_prob_mc
 from barrierkit.pricing.mc import McConfig, mc_price
 
 
@@ -31,14 +28,13 @@ def mk_params(sigma=0.30, T=0.25, r=0.10):
     return MarketParams(mu=r, sigma=sigma, r=r, T=T)
 
 
-def spec_dko(strike=100.0, lower=70.0, upper=130.0, payoff=Payoff.CALL, **rebates):
+def spec_dko(strike=100.0, lower=70.0, upper=130.0, payoff=Payoff.CALL):
     return OptionSpec(
         payoff=payoff,
         strike=strike,
         barriers=BarrierSet(
             lower=BarrierCurve.flat(lower), upper=BarrierCurve.flat(upper)
         ),
-        **rebates,
     )
 
 
@@ -128,32 +124,12 @@ class TestDeterminism:
         assert a.value != b.value
 
 
-class TestRebatesAndEdges:
-    def test_knocked_out_at_inception_pays_discounted_rebate(self):
+class TestEdges:
+    def test_knocked_out_at_inception_prices_zero(self):
         p = mk_params()
-        spec = spec_dko(rebate_lower=5.0)
-        est = mc_price(p, spec, 65.0, McConfig(paths=100, steps_per_year=10, seed=0))
-        assert est.value == pytest.approx(5.0 * math.exp(-0.10 * 0.25), rel=1e-15)
-        assert est.std_error == 0.0
-        est = mc_price(p, spec_dko(rebate_upper=2.0), 135.0, McConfig(paths=100, steps_per_year=10, seed=0))
-        assert est.value == pytest.approx(2.0 * math.exp(-0.10 * 0.25), rel=1e-15)
-
-    def test_rebates_raise_knockout_price(self):
-        p = mk_params()
-        cfg = McConfig(paths=20_000, steps_per_year=100, seed=4)
-        plain = mc_price(p, spec_dko(), 100.0, cfg)
-        cushioned = mc_price(p, spec_dko(rebate_lower=5.0, rebate_upper=5.0), 100.0, cfg)
-        assert cushioned.value > plain.value
-
-    def test_rebate_pays_the_side_breached_first(self):
-        # on the same draws a rebate adds disc * rebate * P(that side first)
-        p = mk_params()
-        cfg = McConfig(paths=20_000, steps_per_year=100, seed=4)
-        plain = mc_price(p, spec_dko(), 100.0, cfg).value
-        breach = breach_prob_mc(p, spec_dko().barriers, 100.0, cfg)
-        for side, prob in (("lower", breach.p_lower), ("upper", breach.p_upper)):
-            got = mc_price(p, spec_dko(**{f"rebate_{side}": 5.0}), 100.0, cfg).value
-            assert got - plain == pytest.approx(math.exp(-0.10 * 0.25) * 5.0 * prob, rel=1e-9)
+        for s0 in (65.0, 135.0):
+            est = mc_price(p, spec_dko(), s0, McConfig(paths=100, steps_per_year=10, seed=0))
+            assert (est.value, est.std_error) == (0.0, 0.0)
 
     def test_method_tag(self):
         p = mk_params()
