@@ -47,11 +47,12 @@ def breach_prob_mc(
     """Estimate P(lower first) and P(upper first) as the mean of each path's
     first-exit mass per side; the masses and the survival weight share one
     unit, so the two sum to at most 1. An s0 on a barrier at t = 0 has
-    breached it: 1, exactly.
+    breached it: 1, exactly, once check_ordering has passed the barriers.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
         raise DomainError("need at least one barrier")
+    barriers.check_ordering(params.T)
     side = barriers.side_at_inception(s0, params.T, past_ok=False)
     if side is not None:
         hit_l = float(side == "lower")
@@ -167,7 +168,7 @@ def breach_prob_pde(
     h = w/(n-1) over sigma*sqrt(T), or a drift against the nodes at either
     end of the corridor over sigma^2/h, which turns an off-diagonal of the
     operator negative, leaves the solution unresolved and raises
-    NumericsError.
+    NumericsError, as does a sigma*sqrt(T) that underflows to 0.
     """
     require_price_level("s0", s0)
     if not barriers.any_present:
@@ -178,6 +179,8 @@ def breach_prob_pde(
     if barriers.side_at_inception(s0, T, past_ok=False) is not None:
         return 1.0
     c1, sig_rt = params.mu - 0.5 * params.sigma**2, params.sigma * math.sqrt(T)
+    if sig_rt == 0.0:
+        raise NumericsError(f"sigma*sqrt(T) underflows to 0 at variance sigma^2*T = {params.sigma**2 * T:.6g}")
     for curve, sign in ((barriers.lower, 1.0), (barriers.upper, -1.0)):
         far = None if curve is None else curve.extremes(T)[sign < 0]
         if far and std_normal_cdf(sign * (math.log(far) - math.log(s0) - c1 * T) / sig_rt) > 1.0 - _OUT_OF_REACH:

@@ -39,7 +39,8 @@ in block order: no per-path array outlives its block. Workers take the
 next block from one shared list, each on one set of buffers
 (_Buffers.layout) that holds every array a slice works in, the step
 kernel's included, so a slice allocates only vectors of one value per
-path. The workers' buffers share _BLOCK_BYTES, so peak memory grows
+path and its near-cell lists (np.flatnonzero's indices, 8 bytes a listed
+cell). The workers' buffers share _BLOCK_BYTES, so peak memory grows
 neither with the paths nor with the workers.
 """
 
@@ -59,26 +60,10 @@ from .closed import _CUTOFF, series_terms
 
 _B = 4096  # paths per block; each block draws from its own stream
 _BLOCK_BYTES = 2**26  # the row slices of all workers together (_Buffers.row_bytes)
-_CHUNK = 2**13  # mask cells per np.flatnonzero call: the indices it allocates stay at 64 KiB
 
 
 def n_steps_for(per_year: int, T: float) -> int:
     return max(1, math.ceil(per_year * T - 1e-12))
-
-
-def _flatnonzero(mask, out):
-    """np.flatnonzero(mask) written into out; returns the filled front.
-
-    NumPy allocates the indices it finds, so it sees _CHUNK cells of the
-    mask at a time: what a slice allocates stays that small, whatever
-    its cells.
-    """
-    count = 0
-    for lo in range(0, mask.size, _CHUNK):
-        found = np.flatnonzero(mask[lo : lo + _CHUNK])
-        np.add(found, lo, out=out[count : count + found.size])
-        count += found.size
-    return out[:count]
 
 
 def _images(a0, a1, w0, w1, k, terms: int, p, t, u):
@@ -145,7 +130,7 @@ def step_exits(d0, d1, c, w0=math.inf, w1=math.inf, terms: int = 1, buf=None):
     if terms > 0:
         both = np.greater(np.minimum(p_l, p_u, out=s), math.exp(-_CUTOFF), out=buf.flat("both", size))
         if both.any():
-            idx = _flatnonzero(both, buf.flat("near_both", size))
+            idx = np.flatnonzero(both)
             m = idx.size
             v0, v1, x0, x1 = (buf.flat(name, m) for name in ("v0", "v1", "x0", "x1"))
             np.take(w0, idx, out=v0, mode="clip")
@@ -197,25 +182,23 @@ class _Buffers:
         n_draw per path, then in turn the gaps' products, each listed cell's
         c and k, and each step's exit mass. With barriers: each node's gap
         to the first line, the near-line masks, the paths with a near cell
-        (their mask, and their gaps, then weights, at each node), lists
-        over the near cells (index j*h + r for step j of hit path r: its
-        first node in nodes, its last in nodes[1:]; step j; gaps) and
-        the step kernel's n = 0 arrays (step_exits), which one line runs as
-        the corridor with its far line at infinity. A corridor adds the
-        upper gaps and masks, each listed cell's widths, the near-both mask
-        and the image series' arrays over the cells it lists."""
+        (their mask, and their gaps, then weights, at each node), the
+        near cells' steps and gaps and the step kernel's n = 0 arrays
+        (step_exits), which one line runs as the corridor with its far line
+        at infinity. A corridor adds the upper gaps and masks, each listed
+        cell's widths, the near-both mask and the image series' arrays over
+        the cells it lists. The lists of cells themselves are not held:
+        np.flatnonzero allocates them, 8 bytes a listed cell."""
         f8, i8, b1 = np.float64, np.intp, np.bool_
         arrays = {"z": (n_draw, f8)}
         if sides:
-            arrays.update(gap=(n + 1, f8), near=(n, b1), on=(n, b1), nodes=(n + 1, f8),
-                          cell=(n, i8), step=(n, i8),
+            arrays.update(gap=(n + 1, f8), near=(n, b1), on=(n, b1), nodes=(n + 1, f8), step=(n, i8),
                           d0=(n, f8), d1=(n, f8), s=(n, f8), p_l=(n, f8), p_u=(n, f8),
                           a0=(n, f8), u0=(n, f8), e1=(n, f8), f1=(n, f8),
                           past_l=(n, b1), past_u=(n, b1))
         if sides == 2:
             arrays.update(gap_u=(n + 1, f8), near_u=(n, b1), w0=(n, f8), w1=(n, f8), both=(n, b1),
-                          near_both=(n, i8), v0=(n, f8), v1=(n, f8), x0=(n, f8), x1=(n, f8),
-                          img=(n, f8), t=(n, f8), u=(n, f8))
+                          v0=(n, f8), v1=(n, f8), x0=(n, f8), x1=(n, f8), img=(n, f8), t=(n, f8), u=(n, f8))
         return arrays
 
     @staticmethod
@@ -338,7 +321,7 @@ def path_moments(
         on &= np.greater(nodes[:-1], 0.0, out=buf.grid("near", n, h))
         if sides == 2:  # w - d > 0 exactly where d < w
             on &= np.less(nodes[:-1], width[:-1, None], out=buf.grid("near", n, h))
-        cell = _flatnonzero(on.reshape(-1), buf.flat("cell", n * h))
+        cell = np.flatnonzero(on)
         cells = cell.size  # cell j*h + r is step j of hit path r: node j in nodes, node j + 1 in nodes[1:]
         j = np.floor_divide(cell, h, out=buf.flat("step", cells))  # each cell's step
         # each cell's c, which step_exits turns into its k in place (z is spent)

@@ -30,9 +30,11 @@ def mc_price(
     """Price spec by Monte Carlo, monitored continuously through the
     engine's bridge weights; deterministic in cfg, whatever the worker
     count. workers=None runs on every CPU this process may use. An s0 on
-    or past a barrier at inception is knocked out: 0, with standard error 0.
+    or past a barrier at inception is knocked out: 0, with standard error 0,
+    once check_ordering has passed the barriers.
     """
     require_price_level("s0", s0)
+    spec.barriers.check_ordering(params.T)
     if spec.barriers.side_at_inception(s0, params.T) is not None:
         return PriceEstimate(value=0.0, std_error=0.0, method=PricingMethod.MONTE_CARLO)
 

@@ -597,10 +597,10 @@ class TestMemory:
 
     def test_kernel_works_in_the_worker_buffers(self, monkeypatch):
         # a corridor whose cells are mostly near a line and still live, on
-        # one worker: the step kernel allocates nothing per slice, so the
-        # peak is the worker's buffers, eight doubles a path (the slice's
-        # outputs and the block's reduction) and NumPy's fixed-size ufunc
-        # buffers
+        # one worker: the step kernel allocates only its near-cell lists
+        # per slice, here within the slack, so the peak is the worker's
+        # buffers, eight doubles a path (the slice's outputs and the
+        # block's reduction) and NumPy's fixed-size ufunc buffers
         p = mk_params()
         barriers = BarrierSet(lower=BarrierCurve.flat(88.0), upper=BarrierCurve.flat(113.0))
         n = n_steps_for(100, p.T)
@@ -618,6 +618,27 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= held + 8 * 8 * 512 + 2**18
         assert res.near_cells > 0.7 * 2048 * n
+
+    def test_near_cell_lists_stay_within_two_indices_a_cell(self):
+        # the shape of breach_ties' pooled op, whose cells are ~90% listed:
+        # over the buffers a slice allocates eight doubles a path and its
+        # lists, the live near cells and the near-both cells, 8 bytes each
+        p = MarketParams(mu=0.05, sigma=0.4, r=0.05, T=1.0)
+        barriers = BarrierSet(lower=BarrierCurve.exponential(60.0, 0.05),
+                              upper=BarrierCurve.exponential(160.0, -0.05))
+        n, rows = n_steps_for(12, p.T), engine._B
+        held = sum(a.nbytes for a in vars(engine._Buffers(rows, n, n, 2)).values())
+        kw = dict(integrand=lambda x, w, m_l, m_u: (w, m_l), workers=1)
+        # first-call allocations of the interpreter
+        path_moments(p, barriers, 100.0, McConfig(10, 12, 3), **kw)
+        tracemalloc.start()
+        try:
+            res = path_moments(p, barriers, 100.0, McConfig(2 * rows, 12, 3), **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= held + 8 * 8 * rows + 16 * rows * n + 2**18
+        assert res.near_cells > 0.85 * 2 * rows * n
 
 
 class TestTerminalLaw:

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from barrierkit.model import (BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams,
-                              NumericsError)
+                              NumericsError, OptionSpec, Payoff)
 from barrierkit.passage import (
     BreachEstimate,
     PdeGrid,
@@ -20,7 +20,7 @@ from barrierkit.passage import (
 from barrierkit.pricing.closed import _leg, breach_prob_closed, double_knockout_closed
 from barrierkit.critical import critical_prices, prob_inside
 from barrierkit.numerics import std_normal_cdf
-from barrierkit.pricing.mc import McConfig
+from barrierkit.pricing.mc import McConfig, mc_price
 from oracles import (BREACH_EXPONENTIAL, BREACH_FAR_CORRIDOR, BREACH_UNDER_STEEP_DRIFT,
                      CORRIDOR_BREACH, KNOCKOUT_OVER_TAIL_AT_S_ML)
 
@@ -211,6 +211,22 @@ class TestClosedSets:
             assert abs(got - want) <= 5e-13 * want + 1e-300, (i, got, want)
 
 class TestMc:
+    @pytest.mark.parametrize("barriers,s0", [
+        (BarrierSet(lower=BarrierCurve.flat(130.0), upper=BarrierCurve.flat(70.0)), 100.0),
+        (BarrierSet(lower=BarrierCurve.exponential(90.0, 2.0), upper=BarrierCurve.flat(110.0)), 85.0),
+    ], ids=["swapped-flat", "lower-crosses-upper"])
+    @pytest.mark.parametrize("method", ["mc_price", "breach_prob_mc"])
+    def test_crossed_set_is_refused_before_inception(self, barriers, s0, method):
+        # s0 is past the lower line at t = 0 in both sets, but the set
+        # itself is refused first, as the closed forms and the PDE refuse
+        # it; 90*e^(2t) passes 110 at t = 0.1, before T
+        p, cfg = mk_params(), McConfig(paths=100, steps_per_year=12, seed=0)
+        with pytest.raises(BarrierOrderError):
+            if method == "mc_price":
+                mc_price(p, OptionSpec(payoff=Payoff.CALL, strike=100.0, barriers=barriers), s0, cfg)
+            else:
+                breach_prob_mc(p, barriers, s0, cfg)
+
     def test_double_barrier_sides_against_closed(self):
         # single-sided reflection values bound each side from above; the
         # totals still agree closely because double-counting is rare here
@@ -418,6 +434,15 @@ class TestPde:
         p = mk_params()
         with pytest.raises(NumericsError, match="tridiagonal solve failed"):
             breach_prob_pde(p, DKO, 100.0, 0.25, default_grid(p, DKO, 100.0, 0.25))
+
+    @pytest.mark.parametrize("grid", [None, PdeGrid(s_min=50.0, s_max=200.0)], ids=["default", "given"])
+    def test_underflowed_sigma_sqrt_t_is_a_numerics_error(self, grid):
+        # sigma*sqrt(T) = 1e-350 rounds to 0, which the far-side check
+        # would divide by; the closed forms refuse the same variance
+        p = MarketParams(mu=-1.0, sigma=1e-200, r=-1.0, T=1e-300)
+        bs = BarrierSet(lower=BarrierCurve.flat(99.0), upper=BarrierCurve.flat(101.0))
+        with pytest.raises(NumericsError, match=r"sigma\^2\*T = 0"):
+            breach_prob_pde(p, bs, 100.0, 1e-300, grid)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
