@@ -36,7 +36,7 @@ from .model import (
     ValidationError,
 )
 from .numerics import nu_for_accuracy, std_normal_cdf
-from .pricing import (
+from .pricing.closed import (
     breach_prob_closed,
     bs_vanilla,
     double_knockout_closed,

@@ -170,9 +170,6 @@ class CalibrationRow:
     numeric_s_ml: float
     implied_nu: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.T, self.sigma, self.analytic_s_ml, self.numeric_s_ml, self.implied_nu)
-
 
 def reproduce_table1(reference_nu: float = 4.9, theta: float = FLOOR_THETA):
     """Run the four-row calibration: K=100, lower barrier 70, r=0.10.

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .calibrate import (FLOOR_THETA, _SIDE_PRICER, implied_nu, numeric_critical_price,
                         reproduce_table1)
@@ -356,7 +356,7 @@ _PRECISION_NOTE = (
 
 def _cmd_table1(args) -> _Report:
     rows = reproduce_table1(reference_nu=args.nu, theta=args.theta)
-    data = [row.as_tuple() for row in rows]
+    data = [astuple(row) for row in rows]
     lines = ["T      sigma  analytic_sml  numeric_sml  implied_nu"] + [
         f"{T:<6.2f} {sigma:<6.2f} {analytic:<13.6g} {numeric:<12.6g} {nu:.4g}"
         for T, sigma, analytic, numeric, nu in data

@@ -22,7 +22,6 @@ import math
 from .model import (
     BarrierCurve,
     BarrierSet,
-    BarrierShape,
     CriticalPrices,
     DomainError,
     MarketParams,
@@ -67,7 +66,7 @@ def _times_barrier(curve: BarrierCurve, x: float, t: float, T: float) -> float:
     exp(g*t) alone overflows. A t outside [0, T] goes to value_at, which
     rejects it. A product past double precision raises NumericsError.
     """
-    if curve.shape is BarrierShape.EXPONENTIAL and 0.0 <= t <= T:
+    if not curve.knots and 0.0 <= t <= T:
         level, x = curve.level, curve.growth * t + x
     else:
         level = curve.value_at(t, T)
@@ -103,7 +102,7 @@ def _log_slope(curve: BarrierCurve, a: float, b: float, T: float) -> float:
     A line returns its own growth (0 when flat), which the difference
     quotient would round; a table's segment takes that quotient.
     """
-    if curve.shape is BarrierShape.EXPONENTIAL:
+    if not curve.knots:
         return curve.growth
     return (math.log(curve.value_at(b, T)) - math.log(curve.value_at(a, T))) / (b - a)
 
@@ -153,6 +152,7 @@ def critical_prices(
     """Extremal critical prices for every barrier present, exact for every shape."""
     if not barriers.any_present:
         raise DomainError("no barriers present, nothing to extremize")
+    barriers.check_ordering(params.T)
     s_ml = t_max = s_mu = t_min = None
     if barriers.lower is not None:
         s_ml, t_max = _extremum(params, barriers.lower, nu, "lower")

@@ -134,33 +134,25 @@ class McConfig:
             raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
 
 
-class BarrierShape(enum.Enum):
-    EXPONENTIAL = "exponential"
-    TABULATED = "tabulated"
-
-
 @dataclass(frozen=True)
 class BarrierCurve:
     """One absorbing boundary level as a function of time.
 
-    Two shapes: a line in log-level, ``B * exp(growth * t)`` (a flat
-    barrier is the line at growth 0), and a table of knots interpolated
-    linearly in log-level (so positivity is automatic and exponential
-    segments are represented exactly).
+    A curve is a table exactly when it has knots, interpolated linearly
+    in log-level (so positivity is automatic and exponential segments
+    are represented exactly); without knots it is the line in log-level
+    ``level * exp(growth * t)``, and a flat barrier is the line at growth 0.
     """
 
-    shape: BarrierShape
     level: float = math.nan
     growth: float = 0.0
     knots: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.shape is BarrierShape.EXPONENTIAL:
+        if not self.knots:
             require_price_level("barrier level", self.level)
             require_growth(self.growth)
         else:
-            if len(self.knots) < 2:
-                raise KnotOrderError("tabulated barrier needs at least two knots")
             ts = [t for t, _ in self.knots]
             if not all(math.isfinite(t) for t in ts):
                 raise DomainError(f"tabulated barrier times must be finite, got {ts}")
@@ -177,17 +169,20 @@ class BarrierCurve:
 
     @classmethod
     def exponential(cls, level: float, growth: float) -> "BarrierCurve":
-        return cls(shape=BarrierShape.EXPONENTIAL, level=level, growth=growth)
+        return cls(level=level, growth=growth)
 
     @classmethod
     def tabulated(cls, knots) -> "BarrierCurve":
-        return cls(shape=BarrierShape.TABULATED, knots=tuple((float(t), float(v)) for t, v in knots))
+        knots = tuple((float(t), float(v)) for t, v in knots)
+        if len(knots) < 2:  # checked here: with no knots the curve would be a line
+            raise KnotOrderError("tabulated barrier needs at least two knots")
+        return cls(knots=knots)
 
     def value_at(self, t: float, T: float) -> float:
         """Level at time t in [0, T]; NumericsError where a line leaves double precision."""
         if t < 0.0 or t > T:
             raise DomainError(f"t={t} outside [0, {T}]")
-        if self.shape is BarrierShape.EXPONENTIAL:
+        if not self.knots:
             try:
                 level = self.level * math.exp(self.growth * t)
             except OverflowError:

@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 import sys
 
-from ..model import (BarrierSet, BarrierShape, DomainError, MarketParams, NumericsError,
-                     Payoff, PriceEstimate, _to_payoff, inception_side, require_growth,
-                     require_price_level)
+from ..model import (BarrierSet, DomainError, MarketParams, NumericsError, Payoff,
+                     PriceEstimate, _to_payoff, inception_side, require_growth, require_price_level)
 from ..numerics import std_normal_cdf
 
 _SQRT2 = math.sqrt(2.0)
@@ -316,7 +315,7 @@ def _lines(barriers: BarrierSet) -> tuple[tuple[float, float] | None, tuple[floa
     """Each side's curve B*exp(g*t) as its (B, g) pair, None where absent; the
     closed forms take no tabulated curve."""
     curves = (barriers.lower, barriers.upper)
-    if any(c is not None and c.shape is BarrierShape.TABULATED for c in curves):
+    if any(c is not None and c.knots for c in curves):
         raise DomainError("the closed form needs flat or exponential barriers")
     return tuple(None if c is None else (c.level, c.growth) for c in curves)
 

@@ -5,8 +5,7 @@ weights make monitoring continuous and exact: every barrier is log-linear
 between its nodes, which include each knot, so each path pays
 disc * weight * payoff(S_T): a knock-out pays nothing once knocked
 out, the contract the closed forms price. The run itself (paths, steps
-a year, seed) is a `model.McConfig`, which the engine reads whole; it
-is importable from here too.
+a year, seed) is a `model.McConfig`, which the engine reads whole.
 """
 
 from __future__ import annotations

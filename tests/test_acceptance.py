@@ -14,6 +14,7 @@ README's "Known deviations" section carries the analysis.
 import math
 import random
 import time
+from dataclasses import astuple
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_a2_measured_worthlessness_onset_prices():
 
 def test_a3_floor_calibration_implied_nu(capsys):
     """Implied nu of the four-row calibration at the quantization floor."""
-    rows = [row.as_tuple() for row in reproduce_table1()]
+    rows = [astuple(row) for row in reproduce_table1()]
     nus = {(T, sigma): nu for (T, sigma, _, _, nu) in rows}
     nu_11, nu_13 = nus[(0.25, 0.15)], nus[(0.25, 0.30)]
     nu_21, nu_23 = nus[(0.50, 0.15)], nus[(0.50, 0.30)]

@@ -8,6 +8,7 @@ floor crossings live in oracles.py with their derivation.
 
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ class TestFloorTable:
             assert row.numeric_s_ml == pytest.approx(s_ref, abs=1e-4)
             assert row.implied_nu == pytest.approx(v, abs=1e-6)
             assert row.implied_nu == pytest.approx(nu_ref, abs=1e-6)
-            assert row.as_tuple() == (
+            assert astuple(row) == (
                 row.T, row.sigma, row.analytic_s_ml, row.numeric_s_ml, row.implied_nu
             )
         assert isinstance(rows[0], CalibrationRow)

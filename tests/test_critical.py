@@ -6,7 +6,8 @@ import random
 import pytest
 
 from barrierkit.critical import _times_barrier, critical_curve, critical_prices, prob_inside
-from barrierkit.model import BarrierCurve, BarrierSet, DomainError, MarketParams, NumericsError
+from barrierkit.model import (BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams,
+                             NumericsError)
 from barrierkit.numerics import std_normal_cdf
 
 from oracles import CURVED_CRITICAL, FAR_HORIZON_CRITICAL
@@ -190,6 +191,17 @@ class TestCriticalPrices:
         with pytest.raises(DomainError):
             critical_prices(mk_params(0.3, 0.25), BarrierSet(), 4.9)
 
+    @pytest.mark.parametrize("T, lower, upper", [
+        # the lines swapped: 130 over 70 everywhere
+        (0.25, BarrierCurve.flat(130.0), BarrierCurve.flat(70.0)),
+        # 70*e^{0.4t} meets 130*e^{-0.3t} at t = ln(13/7)/0.7, about 0.88
+        (1.0, BarrierCurve.exponential(70.0, 0.4), BarrierCurve.exponential(130.0, -0.3)),
+    ], ids=["swapped", "crossing"])
+    def test_crossed_set_rejected(self, T, lower, upper):
+        # as the pricers and breach routes refuse it, rather than extremize each side alone
+        with pytest.raises(BarrierOrderError):
+            critical_prices(mk_params(0.3, T), BarrierSet(lower=lower, upper=upper), 3.0)
+
     def test_growing_lower_peaks_at_horizon(self):
         # a growing barrier keeps the curve increasing, so the maximum sits
         # at the horizon; at the second horizon a 1000-step grid on [0, T]
@@ -272,8 +284,8 @@ class TestCurvedExtrema:
         # first one keeps the tie
         p = mk_params(0.5, 2.0, r=0.125)
         knotted = BarrierCurve.tabulated([(0.0, 70.0), (1.0, 70.0), (2.0, 70.0)])
-        cp = critical_prices(p, BarrierSet(lower=knotted, upper=knotted), 0.0)
-        assert (cp.s_ml, cp.t_at_max, cp.s_mu, cp.t_at_min) == (70.0, 1.0, 70.0, 1.0)
+        for side in ("lower", "upper"):
+            assert _side(critical_prices(p, BarrierSet(**{side: knotted}), 0.0), side) == (70.0, 1.0)
 
     @pytest.mark.parametrize("curve, mu, sigma", [
         # 70*e^712.6: math.exp itself overflows

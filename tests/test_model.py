@@ -67,6 +67,17 @@ class TestBarrierCurve:
         # a flat barrier is the line at growth 0, not a shape of its own
         assert flat == exp
 
+    def test_direct_construction_is_a_table_exactly_when_it_has_knots(self):
+        assert BarrierCurve(level=70.0) == BarrierCurve.flat(70.0)
+        assert BarrierCurve(level=70.0, growth=0.1) == BarrierCurve.exponential(70.0, 0.1)
+        knots = ((0.0, 70.0), (1.0, 80.0))
+        assert BarrierCurve(knots=knots) == BarrierCurve.tabulated(knots)
+        with pytest.raises(KnotOrderError):
+            BarrierCurve(knots=((0.5, 70.0), (1.0, 80.0)))
+        # one knot built directly is a table covering t = 0 alone, refused past it
+        with pytest.raises(KnotOrderError):
+            BarrierCurve(knots=((0.0, 70.0),)).value_at(0.1, 1.0)
+
     def test_tabulated_log_linear_midpoint(self):
         c = BarrierCurve.tabulated([(0.0, 70.0), (1.0, 77.0)])
         # 70 * (77/70)^0.5, frozen at high precision
