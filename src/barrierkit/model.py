@@ -153,6 +153,9 @@ class BarrierCurve:
             require_price_level("barrier level", self.level)
             require_growth(self.growth)
         else:
+            if not math.isnan(self.level) or self.growth != 0.0:
+                raise DomainError(f"a tabulated barrier takes no level or growth, "
+                                  f"got level={self.level}, growth={self.growth}")
             ts = [t for t, _ in self.knots]
             if not all(math.isfinite(t) for t in ts):
                 raise DomainError(f"tabulated barrier times must be finite, got {ts}")

@@ -16,7 +16,11 @@ counts only where 2*d0*d1/c < 54*ln 2 for some side, since
 elsewhere 1 - p rounds to 1.0, and only while its step starts strictly
 inside the lines: the step that reaches a line survives with 0, so a
 step that starts there follows a weight of 0 and adds 0. Both skips are
-exact. The series runs on the list of these live near cells alone.
+exact. The series runs on the list of these live near cells alone, and
+only on the paths the integrand reads (`reads`): a price reads only the
+paths that pay, since one that ends out of the money adds
+disc*(weight*0.0) = 0.0 whatever its weight. Every other path keeps
+weight 1 and masses 0, as a path far from every line does.
 
 Layout: the normals are drawn row-major (below); everything after the
 draw is node-major, node (or step) j of every path in a slice one
@@ -157,8 +161,9 @@ class PathMoments:
     output over every path, and the step grid they were taken on: n_steps
     counts the uniform steps and those cut at a knot.
     near_cells counts the cells (path, step) the bridge series ran on:
-    those near a line whose step starts strictly inside the lines. terms
-    is the series' image pairs per step (0 without a corridor)."""
+    those near a line whose step starts strictly inside the lines, on the
+    paths the integrand reads (for a price, only the paths that pay).
+    terms is the series' image pairs per step (0 without a corridor)."""
 
     count: int
     mean: np.ndarray
@@ -227,6 +232,7 @@ def path_moments(
     cfg: McConfig,
     integrand: Callable[..., tuple],
     workers: int | None = None,
+    reads: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> PathMoments:
     """Moments of integrand(x_T, weight, mass_l, mass_u) over cfg.paths paths.
 
@@ -237,6 +243,9 @@ def path_moments(
     CPU in this process's affinity mask; neither the workers nor the blocks
     change a bit. s0 must be strictly inside the barriers at t=0, else
     DomainError: callers apply BarrierSet.side_at_inception first.
+    reads(x_T), when given, marks the paths whose chances the integrand
+    reads; the bridge runs on no other path, which keeps weight 1 and
+    masses 0 (a price reads only the paths that pay). None reads every path.
     """
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -310,7 +319,10 @@ def path_moments(
             g = np.subtract(width[:, None], gap, out=buf.grid("gap_u", n + 1, m))
             near |= np.less(np.multiply(g[:-1], g[1:], out=buf.grid("z", n, m)), near_c,
                             out=buf.grid("near_u", n, m))
-        hit = np.flatnonzero(near.any(axis=0))
+        live = near.any(axis=0)
+        if reads is not None:  # a path the integrand does not read keeps weight 1 and masses 0
+            live &= reads(x_T)
+        hit = np.flatnonzero(live)
         if hit.size == 0:
             return (x_T, weight, mass_l, mass_u), 0
         h = hit.size  # the paths with a cell near a line: (n, h) cells and (n + 1, h) nodes

@@ -40,10 +40,15 @@ def mc_price(
     disc = math.exp(-params.r * params.T)
     sign = 1.0 if spec.payoff is Payoff.CALL else -1.0
 
-    def discounted_payoff(x_T, weight, mass_l, mass_u):
-        payoff = np.maximum(sign * (np.exp(x_T) - spec.strike), 0.0)
-        return (disc * (weight * payoff),)
+    def payoff(x_T):
+        return np.maximum(sign * (np.exp(x_T) - spec.strike), 0.0)
 
-    res = path_moments(params, spec.barriers, s0, cfg, discounted_payoff, workers)
+    def discounted_payoff(x_T, weight, mass_l, mass_u):
+        return (disc * (weight * payoff(x_T)),)
+
+    # a path that pays 0 adds disc * (weight * 0.0) = 0.0 whatever its
+    # weight, so the engine runs the bridge only on the paths that pay
+    res = path_moments(params, spec.barriers, s0, cfg, discounted_payoff, workers,
+                       reads=lambda x_T: payoff(x_T) > 0.0)
     return PriceEstimate(value=float(res.mean[0]), std_error=float(res.std_error[0]),
                          method=PricingMethod.MONTE_CARLO)

@@ -18,6 +18,7 @@ from dataclasses import astuple
 
 import pytest
 
+from barrierkit import McConfig
 from barrierkit.calibrate import (
     BISECT_TOL_S,
     implied_nu,
@@ -48,7 +49,7 @@ from barrierkit.pricing.closed import (
     down_and_out_call_closed,
     up_and_out_call_closed,
 )
-from barrierkit.pricing.mc import McConfig, mc_price
+from barrierkit.pricing.mc import mc_price
 from oracles import (
     FLOOR_CROSSINGS,
     QUOTED_FLOOR_NU,

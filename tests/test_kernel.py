@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from barrierkit import McConfig
 from barrierkit.model import (
     BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams, NumericsError,
     OptionSpec, Payoff,
@@ -18,7 +19,7 @@ from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
 from barrierkit.pricing import closed, engine
 from barrierkit.pricing.closed import series_terms
 from barrierkit.pricing.engine import n_steps_for, path_moments, step_exits
-from barrierkit.pricing.mc import McConfig, mc_price
+from barrierkit.pricing.mc import mc_price
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -460,6 +461,77 @@ class TestWeights:
         assert set(np.unique(naive[:, 1:])) <= {0.0, 1.0}
         assert np.all(bridged[:, 1] <= naive[:, 1])
         assert np.any(bridged[:, 1] < naive[:, 1])
+
+
+
+# (payoff, strike, barriers, steps a year, T): calls and puts on one side or
+# a corridor, flat, exponential or tabulated with knots off the nodes, and
+# strikes beyond a barrier, where no path that pays survives (a call struck
+# over the upper line) or every survivor pays (a call struck under the lower)
+READS_CASES = {
+    "flat lower call": (Payoff.CALL, 100.0, BarrierSet(lower=BarrierCurve.flat(90.0)), 100, 0.25),
+    "flat upper put": (Payoff.PUT, 100.0, BarrierSet(upper=BarrierCurve.flat(110.0)), 100, 0.25),
+    "flat corridor call": (Payoff.CALL, 100.0, NEAR_DKO, 100, 0.25),
+    "exponential corridor put": (Payoff.PUT, 103.0, CORRIDOR, 12, 0.25),
+    "tabulated lower put": (Payoff.PUT, 100.0, KNOTTED, 4, 0.5),
+    "tabulated corridor call": (Payoff.CALL, 98.0, KNOTTED_CORRIDOR, 12, 0.25),
+    "call struck over the upper line": (Payoff.CALL, 120.0, NEAR_DKO, 100, 0.25),
+    "call struck under the lower line": (Payoff.CALL, 80.0, BarrierSet(lower=BarrierCurve.flat(90.0)), 100, 0.25),
+}
+
+
+class TestReads:
+    @staticmethod
+    def run(name, workers, reads, seen=None):
+        """path_moments on READS_CASES[name] with the pricer's payoff: the
+        weight times the payoff, and the masses times it; seen collects
+        each path's (payoff, weight, mass_l, mass_u) when given."""
+        payoff, strike, barriers, steps, T = READS_CASES[name]
+        sign = 1.0 if payoff is Payoff.CALL else -1.0
+
+        def pays(x_T):
+            return np.maximum(sign * (np.exp(x_T) - strike), 0.0)
+
+        def integrand(x_T, w, m_l, m_u):
+            y = pays(x_T)
+            if seen is not None:
+                seen.append(np.column_stack((y, w, m_l, m_u)))
+            return w * y, m_l * y, m_u * y
+
+        reads = (lambda x_T: pays(x_T) > 0.0) if reads == "paid" else reads
+        return path_moments(mk_params(sigma=0.4, T=T), barriers, 100.0, McConfig(6_000, steps, 29),
+                            integrand, workers, reads=reads)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(READS_CASES))
+    def test_skipping_unpaid_paths_moves_no_bit(self, name, workers):
+        every, paid = [], []
+        a = self.run(name, workers, None, every if workers == 1 else None)
+        b = self.run(name, workers, "paid", paid if workers == 1 else None)
+        assert a.mean.tobytes() == b.mean.tobytes()
+        assert a.m2.tobytes() == b.m2.tobytes()
+        assert b.near_cells <= a.near_cells
+        if workers == 1:  # path by path (one worker hands the blocks over in order):
+            # a paid path is untouched, an unpaid one unread
+            every, paid = np.vstack(every), np.vstack(paid)
+            pays = every[:, 0] > 0.0
+            assert np.array_equal(every[pays], paid[pays])
+            assert np.all(paid[~pays, 1:] == (1.0, 0.0, 0.0))
+
+    def test_skipped_paths_show_fewer_cells(self):
+        # the double knock-out at the money: most paths that end out of the
+        # money came near a line, and none of their cells is listed
+        full = self.run("flat corridor call", 1, None)
+        paid = self.run("flat corridor call", 1, "paid")
+        assert 0 < paid.near_cells < 0.75 * full.near_cells
+
+    @pytest.mark.parametrize("name", ["flat lower call", "flat corridor call", "tabulated corridor call"])
+    def test_reading_no_path_runs_no_bridge(self, name):
+        seen = []
+        res = self.run(name, 1, lambda x_T: np.zeros(x_T.shape, bool), seen)
+        weight, mass_l, mass_u = np.vstack(seen)[:, 1:].T
+        assert res.near_cells == 0
+        assert np.all(weight == 1.0) and np.all(mass_l == 0.0) and np.all(mass_u == 0.0)
 
 
 class TestDeterminism:

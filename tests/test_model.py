@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from barrierkit import McConfig
 from barrierkit.classify import classify_double, classify_down_and_out, classify_up_and_out
 from barrierkit.model import (
     BarrierCurve,
@@ -22,7 +23,7 @@ from barrierkit.passage import breach_prob_mc, breach_prob_pde, default_grid
 from barrierkit.pricing.closed import (breach_prob_closed, double_knockout_closed,
                                        down_and_out_call_closed)
 from barrierkit.pricing.engine import path_moments
-from barrierkit.pricing.mc import McConfig, mc_price
+from barrierkit.pricing.mc import mc_price
 
 
 def mk_params(sigma=0.3, T=0.25, r=0.10):
@@ -77,6 +78,13 @@ class TestBarrierCurve:
         # one knot built directly is a table covering t = 0 alone, refused past it
         with pytest.raises(KnotOrderError):
             BarrierCurve(knots=((0.0, 70.0),)).value_at(0.1, 1.0)
+
+    @pytest.mark.parametrize("fields", [{"level": 70.0}, {"growth": 0.5}, {"level": 70.0, "growth": 0.5}])
+    def test_a_table_refuses_a_lines_fields(self, fields):
+        # a table reads only its knots: a level or growth beside them would
+        # be kept unread, and two equal tables would compare unequal
+        with pytest.raises(DomainError, match="takes no level or growth"):
+            BarrierCurve(knots=((0.0, 80.0), (1.0, 90.0)), **fields)
 
     def test_tabulated_log_linear_midpoint(self):
         c = BarrierCurve.tabulated([(0.0, 70.0), (1.0, 77.0)])
@@ -300,8 +308,8 @@ class TestOptionSpec:
 
 class TestMcConfig:
     def test_defined_once_beside_the_market(self):
-        # the engine, the pricers and the CLI read one type; the package
-        # exports it without loading NumPy, and pricing.mc re-exports it
+        # the engine, the pricers and the CLI read one type, which the
+        # package exports without loading NumPy
         import barrierkit
         from barrierkit import model
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import mpmath as mp
 import pytest
 
+from barrierkit import McConfig
 from barrierkit.model import (BarrierCurve, BarrierOrderError, BarrierSet, DomainError, MarketParams,
                               NumericsError, OptionSpec, Payoff)
 from barrierkit.passage import (
@@ -20,7 +21,7 @@ from barrierkit.passage import (
 from barrierkit.pricing.closed import _leg, breach_prob_closed, double_knockout_closed
 from barrierkit.critical import critical_prices, prob_inside
 from barrierkit.numerics import std_normal_cdf
-from barrierkit.pricing.mc import McConfig, mc_price
+from barrierkit.pricing.mc import mc_price
 from oracles import (BREACH_EXPONENTIAL, BREACH_FAR_CORRIDOR, BREACH_UNDER_STEEP_DRIFT,
                      CORRIDOR_BREACH, KNOCKOUT_OVER_TAIL_AT_S_ML)
 

@@ -12,6 +12,7 @@ import random
 import mpmath as mp
 import pytest
 
+from barrierkit import McConfig
 from barrierkit.model import (
     BarrierCurve,
     BarrierSet,
@@ -34,7 +35,7 @@ from barrierkit.pricing.closed import (
     series_terms,
     up_and_out_call_closed,
 )
-from barrierkit.pricing.mc import McConfig, mc_price
+from barrierkit.pricing.mc import mc_price
 from oracles import (CORRIDOR_TERM_COUNT, DOUBLE_BELOW_FLOOR, KNOCKOUT_UNDER_STEEP_DRIFT,
                      NARROW_SLAB_UNDER_STEEP_DRIFT, PINCHED_CORRIDOR)
 

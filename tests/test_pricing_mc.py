@@ -6,6 +6,7 @@ regressions rather than flaky statistical gates.
 
 import pytest
 
+from barrierkit import McConfig
 from barrierkit.model import (
     BarrierCurve,
     BarrierSet,
@@ -15,13 +16,13 @@ from barrierkit.model import (
     Payoff,
     PricingMethod,
 )
-from barrierkit.pricing import engine
+from barrierkit.pricing import engine, mc
 from barrierkit.pricing.closed import (
     bs_vanilla,
     double_knockout_closed,
     down_and_out_call_closed,
 )
-from barrierkit.pricing.mc import McConfig, mc_price
+from barrierkit.pricing.mc import mc_price
 
 
 def mk_params(sigma=0.30, T=0.25, r=0.10):
@@ -146,3 +147,71 @@ class TestEdges:
             McConfig(seed=2**64)
         with pytest.raises(DomainError):
             McConfig(steps_per_year=0)
+
+
+def _mc_pin_cases():
+    """Inputs whose mc_price results are frozen bit for bit in MC_PINS."""
+    p = mk_params()
+    # 0.1037 and 0.0601 fall between the uniform time nodes k*T/25
+    tab_lower = BarrierCurve.tabulated([(0.0, 70.0), (0.1037, 85.0), (0.25, 75.0)])
+    tab_upper = BarrierCurve.tabulated([(0.0, 130.0), (0.0601, 118.0), (0.25, 125.0)])
+    exp_pair = BarrierSet(lower=BarrierCurve.exponential(70.0, -0.2), upper=BarrierCurve.exponential(130.0, 0.2))
+    lower, upper = BarrierSet(lower=BarrierCurve.flat(70.0)), BarrierSet(upper=BarrierCurve.flat(130.0))
+    dko = spec_dko().barriers
+    cases = {
+        "down-and-out call": (Payoff.CALL, 100.0, lower),
+        "down-and-out call, strike below the barrier": (Payoff.CALL, 60.0, lower),
+        "up-and-out put": (Payoff.PUT, 100.0, upper),
+        "double knock-out call": (Payoff.CALL, 100.0, dko),
+        "double knock-out put": (Payoff.PUT, 95.0, dko),
+        "exponential corridor call": (Payoff.CALL, 105.0, exp_pair),
+        "exponential lower put": (Payoff.PUT, 100.0, BarrierSet(lower=BarrierCurve.exponential(80.0, 0.3))),
+        "tabulated lower call off the nodes": (Payoff.CALL, 100.0, BarrierSet(lower=tab_lower)),
+        "tabulated corridor put off the nodes": (Payoff.PUT, 100.0, BarrierSet(lower=tab_lower, upper=tab_upper)),
+    }
+    cfg = McConfig(paths=20_000, steps_per_year=100, seed=11)
+    return {name: (p, OptionSpec(payoff=payoff, strike=k, barriers=bs), cfg)
+            for name, (payoff, k, bs) in cases.items()}
+
+
+# (value, std_error) as float.hex: a change to the engine that is meant to
+# be exact keeps every bit
+MC_PINS = {
+    "down-and-out call": ("0x1.cd18bdbf1a7d3p+2", "0x1.2eeed2954e78ap-4"),
+    "down-and-out call, strike below the barrier": ("0x1.49ef724b2f87cp+5", "0x1.c1d4e6bae4d29p-4"),
+    "up-and-out put": ("0x1.34afd5a90c6ddp+2", "0x1.a13bcc2a74b3bp-5"),
+    "double knock-out call": ("0x1.17644027cf008p+2", "0x1.77119ce30b64cp-5"),
+    "double knock-out put": ("0x1.425b6daa3d54dp+1", "0x1.146055868323bp-5"),
+    "exponential corridor call": ("0x1.aeb68b11b0f07p+1", "0x1.59b801fd02491p-5"),
+    "exponential lower put": ("0x1.300cf53566fd7p+0", "0x1.247f3f4c1f22cp-6"),
+    "tabulated lower call off the nodes": ("0x1.c83b801115eeep+2", "0x1.2a54c5c92abcep-4"),
+    "tabulated corridor put off the nodes": ("0x1.5b0fc377f08cbp+1", "0x1.14986794c59cep-5"),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("name", sorted(MC_PINS))
+    def test_pinned_bits(self, name):
+        p, spec, cfg = _mc_pin_cases()[name]
+        est = mc_price(p, spec, 100.0, cfg)
+        assert (est.value.hex(), est.std_error.hex()) == MC_PINS[name]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(MC_PINS))
+    def test_bridge_runs_only_on_paths_that_pay(self, name, workers, monkeypatch):
+        # the price's engine run, read again over every path: the same
+        # moments bit for bit, from no more listed cells
+        runs = []
+
+        def spy(*args, **kw):
+            runs.append((args, kw, engine.path_moments(*args, **kw)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(mc, "path_moments", spy)
+        p, spec, cfg = _mc_pin_cases()[name]
+        mc_price(p, spec, 100.0, cfg, workers)
+        [(args, kw, paid)] = runs
+        assert kw["reads"] is not None
+        every = engine.path_moments(*args, **dict(kw, reads=None))
+        assert (paid.mean.tobytes(), paid.m2.tobytes()) == (every.mean.tobytes(), every.m2.tobytes())
+        assert paid.near_cells <= every.near_cells
